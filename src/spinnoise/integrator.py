@@ -13,6 +13,12 @@ stiff optical rates (gamma_opt * dt >> 1), which the bench-like presets
 require.  Within a step the optical coherences relax onto the adiabatic
 response to the current ground state, which is the physically correct
 behaviour at sampling intervals much longer than 1/gamma_opt.
+
+Trajectories are stepped in 16 real coordinates of the Hermitian density
+matrix (REAL_COORDS), where the step is x' = x E_real^T + c_real + noise
+with a real 16x16 matrix.  Every state is Hermitian by construction, and
+``evolve`` and ``evolve_ensemble_coherences`` share one engine; ``step``
+is the single-step reference on the complex matrix.
 """
 
 from __future__ import annotations
@@ -42,13 +48,59 @@ logger = logging.getLogger(__name__)
 
 VEC_DIM = DIM * DIM
 
-# Row-major vec(rho) positions touched by the noise increment.
-_DIAG_VEC_IDX = np.array([0, 5, 10])
-_UPPER_VEC_IDX = np.array([1, 2, 6])   # (0,1) (0,2) (1,2)
-_LOWER_VEC_IDX = np.array([4, 8, 9])   # conjugate partners
+# Real coordinates of a Hermitian 4x4 matrix, as (row, column, part) with
+# row >= column.  The nine entries the transit noise drives come first, in
+# the column order of sample_increment_block (three populations, then the
+# real and the imaginary parts of the lower entries (1,0) (2,0) (2,1)); the
+# recorded optical coherences rho[3,0] and rho[3,2] come last, as
+# (Re, Im, Re, Im), so that slice is a float view of two complex numbers.
+REAL_COORDS = (
+    (0, 0, "re"), (1, 1, "re"), (2, 2, "re"),
+    (1, 0, "re"), (2, 0, "re"), (2, 1, "re"),
+    (1, 0, "im"), (2, 0, "im"), (2, 1, "im"),
+    (3, 3, "re"), (3, 1, "re"), (3, 1, "im"),
+    (3, 0, "re"), (3, 0, "im"), (3, 2, "re"), (3, 2, "im"),
+)
+_NOISE_COORDS = slice(0, 9)
+_COHERENCE_COORDS = slice(12, 16)
 
-# Optical coherences rho[3,0] and rho[3,2] in vec(rho).
-COHERENCE_VEC_IDX = np.array([12, 14])
+
+def _real_basis() -> tuple[np.ndarray, np.ndarray]:
+    """Maps between row-major vec(rho) and the real coordinates.
+
+    x = Re(to_real @ vec(rho)) for Hermitian rho, and
+    vec(rho) = from_real @ x.
+    """
+    to_real = np.zeros((VEC_DIM, VEC_DIM), dtype=complex)
+    from_real = np.zeros((VEC_DIM, VEC_DIM), dtype=complex)
+    for k, (i, j, part) in enumerate(REAL_COORDS):
+        lower, upper = i * DIM + j, j * DIM + i
+        if i == j:
+            to_real[k, lower] = 1.0
+            from_real[lower, k] = 1.0
+        elif part == "re":
+            to_real[k, lower] = to_real[k, upper] = 0.5
+            from_real[lower, k] = from_real[upper, k] = 1.0
+        else:
+            to_real[k, lower], to_real[k, upper] = -0.5j, 0.5j
+            from_real[lower, k], from_real[upper, k] = 1j, -1j
+    return to_real, from_real
+
+
+_TO_REAL, _FROM_REAL = _real_basis()
+
+
+def to_real(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., 16) of Hermitian matrices (..., 4, 4)."""
+    rho = np.asarray(rho, dtype=complex)
+    return (rho.reshape(rho.shape[:-2] + (VEC_DIM,)) @ _TO_REAL.T).real
+
+
+def from_real(x: np.ndarray) -> np.ndarray:
+    """Hermitian matrices (..., 4, 4) from real coordinates (..., 16)."""
+    x = np.asarray(x, dtype=float)
+    return (x @ _FROM_REAL.T).reshape(x.shape[:-1] + (DIM, DIM))
+
 
 _NOISE_CHUNK = 4096
 
@@ -118,6 +170,9 @@ class Propagator:
         self.matrix = np.ascontiguousarray(exp_aug[:VEC_DIM, :VEC_DIM])
         self.offset = np.ascontiguousarray(exp_aug[:VEC_DIM, VEC_DIM])
         self._matrix_t = np.ascontiguousarray(self.matrix.T)
+        # The same step in real coordinates: x' = x @ real_matrix_t + real_offset.
+        self.real_matrix_t = np.ascontiguousarray((_TO_REAL @ self.matrix @ _FROM_REAL).real.T)
+        self.real_offset = (_TO_REAL @ self.offset).real
 
     def step_vec(self, v: np.ndarray) -> np.ndarray:
         """Advance vec states one step; v has shape (16,) or (batch, 16)."""
@@ -127,11 +182,6 @@ class Propagator:
 @functools.lru_cache(maxsize=32)
 def _cached_propagator(params: SystemParams, dt: float) -> Propagator:
     return Propagator(params, dt)
-
-
-def _hermitize_vec(v: np.ndarray) -> np.ndarray:
-    m = v.reshape(v.shape[:-1] + (DIM, DIM))
-    return hermitize(m).reshape(v.shape)
 
 
 def step(
@@ -170,21 +220,16 @@ def evolve(
     """Run cfg.n_steps steps from rho0 and return the recorded states.
 
     States are recorded after each step once burn-in has elapsed, every
-    ``record_stride`` steps; shape (n_recorded, 4, 4).  Deterministic for a
-    given generator state.
+    ``record_stride`` steps; shape (n_recorded, 4, 4).  A batch of one on
+    the ensemble engine: it consumes ``rng`` exactly as repeated calls of
+    ``step`` would, and is deterministic for a given generator state.
     """
-    rho = np.asarray(rho0, dtype=complex)
     require_hermitian(rho0)
     _warn_if_aliasing(params, cfg.dt)
-    out = np.empty((cfg.n_recorded, DIM, DIM), dtype=complex)
-    pos = 0
-    for k in range(cfg.n_steps):
-        rho = step(rho, params, cfg.dt, rng, with_noise=with_noise)
-        rec = k - cfg.burn_in_steps
-        if rec >= 0 and rec % cfg.record_stride == 0:
-            out[pos] = rho
-            pos += 1
-    return out
+    x0 = to_real(rho0)[None, :]
+    out = np.empty((cfg.n_recorded, 1, VEC_DIM))
+    _integrate(params, cfg, [rng], x0, slice(None), out, with_noise)
+    return from_real(out[:, 0, :])
 
 
 def evolve_ensemble_coherences(
@@ -211,58 +256,85 @@ def evolve_ensemble_coherences(
     if rho0 is None:
         rho0 = equilibrium_rho()
     require_hermitian(rho0)
-
     rngs = [np.random.default_rng(key) for key in seed_keys]
+    x0 = np.tile(to_real(rho0), (n_traj, 1))
+    out = np.empty((cfg.n_recorded, n_traj, 2), dtype=complex)
+    _integrate(params, cfg, rngs, x0, _COHERENCE_COORDS, out.view(float), with_noise)
+    return out
+
+
+def _integrate(
+    params: SystemParams,
+    cfg: TrajectoryConfig,
+    rngs: list,
+    x0: np.ndarray,
+    record: slice,
+    out: np.ndarray,
+    with_noise: bool,
+) -> None:
+    """The stepping engine, in real coordinates.
+
+    Advances the (n_traj, 16) states ``x0`` by cfg.n_steps steps of
+    x' = x @ E_real^T + drive, where the drive is the propagator offset
+    plus the transit noise of each trajectory's generator, and writes the
+    ``record`` coordinates of every recorded step into ``out``
+    (n_recorded, n_traj, width).  Hermiticity holds by construction.  Work
+    proceeds in chunks of _NOISE_CHUNK steps; after each chunk the states
+    are checked for non-finite values.
+    """
     stats = noise_stats(params.gamma_t, cfg.dt, params.n_atoms)
     noisy = with_noise and stats.sigma_sq > 0.0
     prop = _cached_propagator(params, cfg.dt)
-    matrix_t = prop._matrix_t
-    offset = prop.offset
-
-    v = np.tile(np.asarray(rho0, dtype=complex).reshape(VEC_DIM), (n_traj, 1))
-    w = np.empty_like(v)
-    out = np.empty((cfg.n_recorded, n_traj, 2), dtype=complex)
+    matrix_t = prop.real_matrix_t
+    n_traj = x0.shape[0]
+    capacity = min(_NOISE_CHUNK, cfg.n_steps)
+    states = np.empty((capacity + 1, n_traj, VEC_DIM))
+    # Offset plus noise per step; only the noise-driven coordinates change
+    # from chunk to chunk.
+    drive = np.empty((capacity, n_traj, VEC_DIM))
+    drive[:] = prop.real_offset
+    state_rows, drive_rows = list(states), list(drive)
+    states[0] = x0
     pos = 0
     done = 0
     while done < cfg.n_steps:
         chunk = min(_NOISE_CHUNK, cfg.n_steps - done)
         if noisy:
-            diag, off = _draw_noise_chunk(stats, rngs, chunk)
-            off_conj = np.conj(off)
+            _draw_noise_chunk(stats, rngs, chunk, drive, prop.real_offset)
         for k in range(chunk):
-            np.matmul(v, matrix_t, out=w)
-            w += offset
-            if noisy:
-                w[:, _DIAG_VEC_IDX] += diag[k]
-                w[:, _LOWER_VEC_IDX] += off[k]
-                w[:, _UPPER_VEC_IDX] += off_conj[k]
-            step_index = done + k
-            # Drift off the Hermitian manifold is ~1e-16/step; resymmetrize
-            # periodically instead of every step.
-            if step_index % 64 == 63:
-                w = _hermitize_vec(w)
-            rec = step_index - cfg.burn_in_steps
-            if rec >= 0 and rec % cfg.record_stride == 0:
-                out[pos] = w[:, COHERENCE_VEC_IDX]
-                pos += 1
-            v, w = w, v
+            np.matmul(state_rows[k], matrix_t, out=state_rows[k + 1])
+            np.add(state_rows[k + 1], drive_rows[k], out=state_rows[k + 1])
+        finite = np.isfinite(states[chunk]).all(axis=1)
+        if not finite.all():
+            raise NumericError(
+                f"non-finite state in trajectory {int(np.argmin(finite))} "
+                f"during steps {done}..{done + chunk - 1} of {cfg.n_steps}"
+            )
+        # Step done + k is held in states[k + 1]; record from the first
+        # step past burn-in that falls on the stride.
+        first = max(done, cfg.burn_in_steps)
+        first += -(first - cfg.burn_in_steps) % cfg.record_stride
+        rows = states[first - done + 1 : chunk + 1 : cfg.record_stride, :, record]
+        out[pos : pos + len(rows)] = rows
+        pos += len(rows)
+        states[0] = states[chunk]
         done += chunk
-        if not np.all(np.isfinite(v.view(float))):
-            raise NumericError(f"non-finite state in ensemble after {done} steps")
-    return out
 
 
 def _draw_noise_chunk(
-    stats: NoiseStats, rngs: list, chunk: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw chunk noise for every trajectory: (chunk, n_traj, 3) blocks."""
-    diags = []
-    offs = []
-    for rng in rngs:
-        d, o = sample_increment_block(stats, rng, chunk)
-        diags.append(d)
-        offs.append(o)
-    return np.stack(diags, axis=1), np.stack(offs, axis=1)
+    stats: NoiseStats, rngs: list, chunk: int, drive: np.ndarray, offset: np.ndarray
+) -> None:
+    """Set drive[:chunk, j, :9] to offset[:9] plus chunk steps of noise.
+
+    Trajectory j draws one block from rngs[j]; its populations and the real
+    and imaginary parts of its lower ground coherences land in the
+    noise-driven real coordinates, in sample_increment_block's column order.
+    """
+    noise = drive[:chunk, :, _NOISE_COORDS]
+    base = offset[_NOISE_COORDS]
+    for j, rng in enumerate(rngs):
+        diag, off = sample_increment_block(stats, rng, chunk)
+        np.add(np.concatenate((diag, off.real, off.imag), axis=1), base, out=noise[:, j])
 
 
 def _warn_if_aliasing(params: SystemParams, dt: float) -> None:

@@ -46,6 +46,7 @@ class ScanPoint:
     spectra: dict[str, SpectrumRecord]
     transmission: float
     shot_floor: float
+    series: np.ndarray | None = None   # e_perp of trajectory 0, when kept
 
 
 @dataclass
@@ -90,14 +91,12 @@ def _point_metadata(cfg: ExperimentConfig, axis_value: float, mode: str) -> dict
     }
 
 
-def perpendicular_field_series(
-    coherences: np.ndarray, params: SystemParams
-) -> np.ndarray:
-    """e_perp(t) for recorded coherence pairs (rho[3,0], rho[3,2]).
+# Field values projected per block of rows: the projection's temporaries
+# stay near this many complex values however long the record.
+_PROJECTION_BLOCK = 2**16
 
-    Memory-lean equivalent of detection.fields_from_coherence_series for
-    long recordings; input shape (..., 2), output shape (...).
-    """
+
+def _perpendicular_field(coherences: np.ndarray, params: SystemParams) -> np.ndarray:
     scale = params.kappa / SQRT3
     e_plus = 1j * scale * coherences[..., 0]
     e_minus = 1j * scale * coherences[..., 1]
@@ -107,8 +106,34 @@ def perpendicular_field_series(
     return -np.sin(params.theta) * e_x + np.cos(params.theta) * e_y
 
 
-def run_point(cfg: ExperimentConfig, axis_value: float) -> ScanPoint:
-    """Simulate one axis value: ensemble, signals, averaged spectra, floor."""
+def perpendicular_field_series(
+    coherences: np.ndarray, params: SystemParams
+) -> np.ndarray:
+    """e_perp(t) for recorded coherence pairs (rho[3,0], rho[3,2]).
+
+    Memory-lean equivalent of detection.fields_from_coherence_series for
+    long recordings: works through the leading axis in blocks, with the
+    same arithmetic per element.  Input shape (..., 2), output shape (...).
+    """
+    coherences = np.asarray(coherences)
+    if coherences.ndim < 2:
+        return _perpendicular_field(coherences, params)
+    out = np.empty(coherences.shape[:-1], dtype=complex)
+    rows = max(1, _PROJECTION_BLOCK // max(1, out[0].size))
+    for start in range(0, len(out), rows):
+        out[start : start + rows] = _perpendicular_field(
+            coherences[start : start + rows], params
+        )
+    return out
+
+
+def run_point(
+    cfg: ExperimentConfig, axis_value: float, keep_series: bool = False
+) -> ScanPoint:
+    """Simulate one axis value: ensemble, signals, averaged spectra, floor.
+
+    With ``keep_series`` the point also carries e_perp of trajectory 0.
+    """
     params = cfg.system_params(axis_value)
     tcfg = cfg.trajectory_config()
     detector = cfg.detector_params()
@@ -117,6 +142,7 @@ def run_point(cfg: ExperimentConfig, axis_value: float) -> ScanPoint:
     coherences = evolve_ensemble_coherences(params, tcfg, keys, rho0=rho0)
     e_perp = perpendicular_field_series(coherences, params)
     del coherences
+    series = e_perp[:, 0].copy() if keep_series else None
 
     trans = transmission(params, detector)
     floor = shot_noise_floor(detector, trans)
@@ -145,12 +171,9 @@ def run_point(cfg: ExperimentConfig, axis_value: float) -> ScanPoint:
             averaged = replace_metadata(averaged, shot_floor_added="true")
         spectra[mode] = averaged
     return ScanPoint(
-        axis_value=float(axis_value), spectra=spectra, transmission=trans, shot_floor=floor
+        axis_value=float(axis_value), spectra=spectra, transmission=trans,
+        shot_floor=floor, series=series,
     )
-
-
-def _run_point_star(args) -> ScanPoint:
-    return run_point(*args)
 
 
 def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
@@ -166,8 +189,15 @@ def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
     points: list[ScanPoint] = []
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = list(pool.map(_run_point_star, [(cfg, v) for v in values]))
-        points = list(futures)
+            futures = [pool.submit(run_point, cfg, value) for value in values]
+            for value, future in zip(values, futures):
+                try:
+                    points.append(future.result())
+                except Exception:
+                    logger.error("scan point %s=%g failed", cfg.scan_axis, value)
+                    for pending in futures:
+                        pending.cancel()
+                    raise
     else:
         for i, value in enumerate(values):
             logger.info("scan point %d/%d: %s=%g", i + 1, values.size, cfg.scan_axis, value)
@@ -274,17 +304,17 @@ def oscillation_mode_report(
 
 def simulate_point(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, ScanPoint]:
     """Single-point run: time axis, RND and END series of trajectory 0, and
-    the averaged-spectra ScanPoint at the configured parameters."""
+    the averaged-spectra ScanPoint at the configured parameters.
+
+    The series come from the ensemble of run_point itself, so trajectory 0
+    is integrated once.
+    """
     axis_value = {
         "theta": cfg.theta_deg, "b_field": cfg.b_gauss, "detuning": cfg.delta_hz,
     }[cfg.scan_axis]
-    point = run_point(cfg, axis_value)
-    params = cfg.system_params(axis_value)
+    point = run_point(cfg, axis_value, keep_series=True)
     tcfg = cfg.trajectory_config()
-    keys = [seed_key(cfg.master_seed, axis_value, 0)]
-    coherences = evolve_ensemble_coherences(params, tcfg, keys, rho0=steady_state(params))
-    e_perp = perpendicular_field_series(coherences[:, 0, :], params)
-    dt_signal = tcfg.dt * tcfg.record_stride
+    e_perp = point.series
     t = (cfg.resolved_burn_in() + 1 + np.arange(e_perp.size) * tcfg.record_stride) * tcfg.dt
     rnd = 2.0 * cfg.mean_field_au * np.real(e_perp)
     end = 2.0 * cfg.mean_field_au * np.imag(e_perp)

@@ -17,6 +17,7 @@ from spinnoise.detection import (
 )
 from spinnoise.exceptions import ContractViolationError, DomainError
 from spinnoise.integrator import steady_state
+from spinnoise import scan
 from spinnoise.scan import perpendicular_field_series
 
 
@@ -80,6 +81,17 @@ class TestFieldMapping:
         assert np.array_equal(series.e_perp, lean)
         fs0 = field_from_coherences(rho_with_coherences(c[0, 0], c[0, 1]), p)
         assert fs0.e_perp == pytest.approx(series.e_perp[0])
+
+    def test_blocked_projection_is_bit_identical(self, monkeypatch):
+        # Blocks of 8 rows over a (45, 3, 2) record: several full blocks
+        # and a partial one.
+        p = params(theta_deg=35.0)
+        rng = np.random.default_rng(4)
+        c = rng.normal(size=(45, 3, 2)) + 1j * rng.normal(size=(45, 3, 2))
+        monkeypatch.setattr(scan, "_PROJECTION_BLOCK", 24)
+        lean = perpendicular_field_series(c, p)
+        series = fields_from_coherence_series(c[..., 0], c[..., 1], p)
+        assert np.array_equal(lean, series.e_perp)
 
     def test_steady_state_perpendicular_dc_vanishes_on_axis(self):
         # At theta=0 the pumped medium keeps x/y symmetry axes, so the mean

@@ -17,10 +17,12 @@ from spinnoise.integrator import (
     evolve,
     evolve_ensemble_coherences,
     free_evolve_ground,
+    from_real,
     steady_state,
     steady_state_residual,
     step,
     superoperator,
+    to_real,
 )
 
 from _ou_oracle import real_drift, real_from_mat, mat_from_real
@@ -213,6 +215,80 @@ class TestEvolve:
         out = evolve(equilibrium_rho(), p, cfg, np.random.default_rng(5))
         assert np.allclose(out, np.conj(np.swapaxes(out, 1, 2)))
         assert np.allclose(np.trace(out, axis1=1, axis2=2).imag, 0.0)
+
+
+class TestRealCoordinates:
+    def test_round_trip(self):
+        rng = np.random.default_rng(9)
+        m = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        rho = 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
+        x = to_real(rho)
+        assert x.shape == (3, 16) and x.dtype == float
+        assert np.allclose(from_real(x), rho, rtol=0.0, atol=1e-15)
+
+    def test_layout(self):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[1, 1], rho[2, 0], rho[0, 2] = 0.5, 0.25 - 0.75j, 0.25 + 0.75j
+        rho[3, 0], rho[0, 3] = 1.0 + 2.0j, 1.0 - 2.0j
+        rho[3, 2], rho[2, 3] = 3.0 - 4.0j, 3.0 + 4.0j
+        x = to_real(rho)
+        assert x[1] == 0.5 and x[4] == 0.25 and x[7] == -0.75
+        assert np.array_equal(x[12:16], [1.0, 2.0, 3.0, -4.0])
+
+    def test_real_step_matches_complex_step(self):
+        p = params(b_gauss=1.0, rabi_hz=40e6, theta_deg=55.0, delta_hz=1.5e9)
+        prop = Propagator(p, 1.0 / 18e6)
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = 0.5 * (m + np.conj(m.T))
+        via_complex = prop.step_vec(rho.reshape(16)).reshape(4, 4)
+        via_real = from_real(to_real(rho) @ prop.real_matrix_t + prop.real_offset)
+        assert np.allclose(via_real, via_complex, rtol=0.0, atol=1e-13)
+
+
+class TestEngine:
+    def test_batch_of_one_matches_repeated_step(self):
+        # Crosses the 4096-step chunk boundary; neither the burn-in nor the
+        # stride divides the chunk length.
+        p = params(b_gauss=1.0, rabi_hz=40e6, theta_deg=30.0, delta_hz=1.5e9, n_atoms=1e5)
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=5000, burn_in_steps=37, record_stride=3)
+        rho0 = steady_state(p)
+        rng_engine, rng_step = np.random.default_rng(42), np.random.default_rng(42)
+        engine = evolve(rho0, p, cfg, rng_engine)
+        rho = rho0
+        reference = []
+        for k in range(cfg.n_steps):
+            rho = step(rho, p, cfg.dt, rng_step)
+            if k >= cfg.burn_in_steps and (k - cfg.burn_in_steps) % cfg.record_stride == 0:
+                reference.append(rho)
+        assert engine.shape == (cfg.n_recorded, 4, 4) == (len(reference), 4, 4)
+        assert np.allclose(engine, np.array(reference), rtol=0.0, atol=1e-12)
+        # Both consumed the generator by the same amount.
+        assert rng_engine.standard_normal() == rng_step.standard_normal()
+
+    def test_ensemble_columns_match_batch_of_one(self):
+        p = params(b_gauss=1.0, rabi_hz=40e6, theta_deg=30.0, delta_hz=1.5e9, n_atoms=1e5)
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=4500, burn_in_steps=100, record_stride=2)
+        rho0 = steady_state(p)
+        keys = [[7, 0], [7, 1]]
+        coherences = evolve_ensemble_coherences(p, cfg, keys, rho0=rho0)
+        for j, key in enumerate(keys):
+            states = evolve(rho0, p, cfg, np.random.default_rng(key))
+            assert np.allclose(coherences[:, j, 0], states[:, 3, 0], rtol=0.0, atol=1e-13)
+            assert np.allclose(coherences[:, j, 1], states[:, 3, 2], rtol=0.0, atol=1e-13)
+
+    def test_numeric_error_names_trajectory_and_steps(self):
+        # Every entry at 1e308: the first step's sums overflow.  (The start
+        # of TestStep.test_numeric_error_on_overflow, 1e308 in rho[0,0]
+        # alone, overflows only step()'s (rho + rho^dagger) re-symmetrization
+        # and stays finite in real coordinates.)
+        rho = np.full((4, 4), 1e308, dtype=complex)
+        cfg = TrajectoryConfig(dt=1e-8, n_steps=5000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"trajectory 0 during steps 0\.\.4095 of 5000"):
+                evolve_ensemble_coherences(params(), cfg, [[0], [1], [2]], rho0=rho)
+            with pytest.raises(NumericError, match=r"trajectory 0 during steps 0\.\.4095"):
+                evolve(rho, params(), cfg, np.random.default_rng(0))
 
 
 class TestEnsemble:

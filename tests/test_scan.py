@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+
+from spinnoise import scan
 
 from spinnoise.config import ExperimentConfig, load_config, write_manifest
 from spinnoise.core import SystemParams
@@ -145,6 +149,22 @@ class TestRunScan:
         diff = absolute.spectra["rnd"].psd - relative.spectra["rnd"].psd
         assert np.allclose(diff, relative.shot_floor, rtol=1e-9)
 
+    def test_failing_point_reports_axis_value_under_pool(self, caplog):
+        # b = -0.5 G is rejected when its point builds its parameters, in
+        # a worker process; the other two points are valid.
+        cfg = tiny_cfg(scan_axis="b_field", scan_start=-0.5, scan_stop=0.5, scan_step=0.5)
+        with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
+            with pytest.raises(DomainError, match="magnetic field"):
+                run_scan(cfg, n_workers=2)
+        assert "scan point b_field=-0.5 failed" in caplog.text
+
+    def test_failing_point_reports_axis_value_serially(self, caplog):
+        cfg = tiny_cfg(scan_axis="b_field", scan_start=-0.5, scan_stop=0.5, scan_step=0.5)
+        with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
+            with pytest.raises(DomainError, match="magnetic field"):
+                run_scan(cfg, n_workers=1)
+        assert "scan point b_field=-0.5 failed" in caplog.text
+
     def test_parallel_matches_serial(self):
         cfg = tiny_cfg()
         serial = run_scan(cfg, n_workers=1)
@@ -249,6 +269,23 @@ class TestSimulatePoint:
         assert t.shape == rnd.shape == end.shape == (n_expected,)
         assert t[0] == pytest.approx((cfg.resolved_burn_in() + 1) * cfg.dt_s)
         assert set(point.spectra) == {"rnd", "end"}
+
+    def test_one_integration_and_series_is_ensemble_column_zero(self, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = evolve_ensemble_coherences(*args, **kwargs)
+            calls.append((args[0], result))
+            return result
+
+        monkeypatch.setattr(scan, "evolve_ensemble_coherences", recording)
+        cfg = tiny_cfg()
+        t, rnd, end, point = simulate_point(cfg)
+        assert len(calls) == 1
+        params, coherences = calls[0]
+        e_perp = perpendicular_field_series(coherences[:, 0, :], params)
+        assert np.array_equal(rnd, 2.0 * cfg.mean_field_au * np.real(e_perp))
+        assert np.array_equal(end, 2.0 * cfg.mean_field_au * np.imag(e_perp))
 
 
 class TestWriteScan:

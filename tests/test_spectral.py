@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from spinnoise.exceptions import DomainError
 from spinnoise.spectral import (
@@ -86,6 +87,26 @@ class TestWelch:
         for j, rec in enumerate(records):
             assert np.array_equal(rec.psd, welch_psd(x[:, j], DT, 5e3).psd)
             assert rec.metadata == {"mode": "rnd"}
+
+    @pytest.mark.parametrize("rbw", [5e3, 1.5e6 / 297])
+    def test_batch_matches_scipy_welch(self, rbw):
+        # nseg is 300 (even) and 297 (odd); the length leaves a partial
+        # last segment that must be dropped, as scipy drops it.
+        nseg = segment_length(DT, rbw)
+        assert nseg in (300, 297)
+        n = 40 * nseg + 7
+        assert (n - nseg) % (nseg - nseg // 2) != 0
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(n, 5)) + np.cumsum(rng.normal(size=(n, 5)), axis=0)
+        records = welch_psd_batch(x, DT, rbw)
+        for j, rec in enumerate(records):
+            freqs, psd = scipy.signal.welch(
+                x[:, j], fs=1.0 / DT, window="hann", nperseg=nseg,
+                noverlap=nseg // 2, detrend=False, scaling="density",
+            )
+            assert np.array_equal(rec.freqs, freqs)
+            assert np.allclose(rec.psd, psd, rtol=1e-13, atol=0.0)
+            assert rec.n_averages == 1 + (n - nseg) // (nseg - nseg // 2)
 
     def test_rejects_wrong_dimensionality(self):
         with pytest.raises(DomainError):
