@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +39,13 @@ logger = logging.getLogger(__name__)
 MODE_INITIALS = ("minus1_z", "x", "minus_pi_4")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinnoise",
@@ -59,7 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, help="override master_seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="parallel scan workers")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=_usable_cpus(),
+            help="worker processes: one per scan point, or per trajectory group when "
+            "there are fewer points than workers (default: usable CPUs)",
+        )
 
     add_common(sub.add_parser("simulate", help="single-point time series and PSDs"))
     add_common(sub.add_parser("scan", help="run the configured scan"))
@@ -84,7 +98,7 @@ def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    t, rnd, end, point = simulate_point(cfg)
+    t, rnd, end, point = simulate_point(cfg, n_workers=max(1, args.threads))
     series_path = outdir / "timeseries.csv"
     lines = ["t_s,rnd_au,end_au"]
     lines[:0] = [

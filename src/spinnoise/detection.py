@@ -112,15 +112,19 @@ def end_signal(sample: FieldSample, mean_field_e: float) -> np.ndarray | float:
     return 2.0 * mean_field_e * np.imag(sample.e_perp)
 
 
-def transmission(params: SystemParams, detector: DetectorParams) -> float:
+def transmission(
+    params: SystemParams, detector: DetectorParams, rho_ss: np.ndarray | None = None
+) -> float:
     """Transmitted power fraction of the probe through the vapor.
 
     The absorbed fraction is the steady-state scattered power,
     photon_energy * gamma0 * rho_ee * n_atoms, relative to the input power,
     clamped to [0, 1].  Clamping indicates the thin-sample assumption broke
-    down and is logged.
+    down and is logged.  ``rho_ss`` is the steady state of ``params`` when
+    the caller has already solved it; otherwise it is solved here.
     """
-    rho_ss = steady_state(params)
+    if rho_ss is None:
+        rho_ss = steady_state(params)
     rho_ee = float(np.real(rho_ss[3, 3]))
     absorbed = PHOTON_ENERGY_J * params.gamma0 * rho_ee * params.n_atoms / detector.input_power
     if absorbed > 1.0 or absorbed < 0.0:

@@ -238,13 +238,16 @@ def evolve_ensemble_coherences(
     seed_keys: list,
     rho0: np.ndarray | None = None,
     with_noise: bool = True,
+    first_trajectory: int = 0,
 ) -> np.ndarray:
     """Batched trajectories, recording only the two optical coherences.
 
     Each entry of ``seed_keys`` seeds one trajectory's independent
     generator (any value np.random.default_rng accepts).  Noise is drawn
     per trajectory in fixed-size chunks, so a trajectory's stream depends
-    only on its own seed, not on the batch composition.
+    only on its own seed, not on the batch composition.  A NumericError
+    numbers the trajectories from ``first_trajectory``, the index of the
+    first key within a larger ensemble split into batches.
 
     Returns (n_recorded, n_traj, 2) complex: columns are rho[3,0] and
     rho[3,2] after each recorded step.
@@ -259,7 +262,9 @@ def evolve_ensemble_coherences(
     rngs = [np.random.default_rng(key) for key in seed_keys]
     x0 = np.tile(to_real(rho0), (n_traj, 1))
     out = np.empty((cfg.n_recorded, n_traj, 2), dtype=complex)
-    _integrate(params, cfg, rngs, x0, _COHERENCE_COORDS, out.view(float), with_noise)
+    _integrate(
+        params, cfg, rngs, x0, _COHERENCE_COORDS, out.view(float), with_noise, first_trajectory
+    )
     return out
 
 
@@ -271,6 +276,7 @@ def _integrate(
     record: slice,
     out: np.ndarray,
     with_noise: bool,
+    first_trajectory: int = 0,
 ) -> None:
     """The stepping engine, in real coordinates.
 
@@ -280,21 +286,27 @@ def _integrate(
     ``record`` coordinates of every recorded step into ``out``
     (n_recorded, n_traj, width).  Hermiticity holds by construction.  Work
     proceeds in chunks of _NOISE_CHUNK steps; after each chunk the states
-    are checked for non-finite values.
+    are checked for non-finite values, and a failure names the trajectory
+    as ``first_trajectory`` plus its row.
+
+    A single trajectory is stepped beside a noise-free copy of itself: the
+    product of a one-row matrix goes through a different BLAS kernel, and
+    this way every trajectory's bits are the same whatever the batch size.
     """
     stats = noise_stats(params.gamma_t, cfg.dt, params.n_atoms)
     noisy = with_noise and stats.sigma_sq > 0.0
     prop = _cached_propagator(params, cfg.dt)
     matrix_t = prop.real_matrix_t
     n_traj = x0.shape[0]
+    width = max(n_traj, 2)
     capacity = min(_NOISE_CHUNK, cfg.n_steps)
-    states = np.empty((capacity + 1, n_traj, VEC_DIM))
+    states = np.empty((capacity + 1, width, VEC_DIM))
     # Offset plus noise per step; only the noise-driven coordinates change
     # from chunk to chunk.
-    drive = np.empty((capacity, n_traj, VEC_DIM))
+    drive = np.empty((capacity, width, VEC_DIM))
     drive[:] = prop.real_offset
     state_rows, drive_rows = list(states), list(drive)
-    states[0] = x0
+    states[0] = x0[np.arange(width) % n_traj]
     pos = 0
     done = 0
     while done < cfg.n_steps:
@@ -304,17 +316,17 @@ def _integrate(
         for k in range(chunk):
             np.matmul(state_rows[k], matrix_t, out=state_rows[k + 1])
             np.add(state_rows[k + 1], drive_rows[k], out=state_rows[k + 1])
-        finite = np.isfinite(states[chunk]).all(axis=1)
+        finite = np.isfinite(states[chunk, :n_traj]).all(axis=1)
         if not finite.all():
             raise NumericError(
-                f"non-finite state in trajectory {int(np.argmin(finite))} "
+                f"non-finite state in trajectory {first_trajectory + int(np.argmin(finite))} "
                 f"during steps {done}..{done + chunk - 1} of {cfg.n_steps}"
             )
         # Step done + k is held in states[k + 1]; record from the first
         # step past burn-in that falls on the stride.
         first = max(done, cfg.burn_in_steps)
         first += -(first - cfg.burn_in_steps) % cfg.record_stride
-        rows = states[first - done + 1 : chunk + 1 : cfg.record_stride, :, record]
+        rows = states[first - done + 1 : chunk + 1 : cfg.record_stride, :n_traj, record]
         out[pos : pos + len(rows)] = rows
         pos += len(rows)
         states[0] = states[chunk]
@@ -326,15 +338,13 @@ def _draw_noise_chunk(
 ) -> None:
     """Set drive[:chunk, j, :9] to offset[:9] plus chunk steps of noise.
 
-    Trajectory j draws one block from rngs[j]; its populations and the real
-    and imaginary parts of its lower ground coherences land in the
-    noise-driven real coordinates, in sample_increment_block's column order.
+    Trajectory j draws one block from rngs[j], whose columns are already in
+    the order of the noise-driven real coordinates.
     """
     noise = drive[:chunk, :, _NOISE_COORDS]
     base = offset[_NOISE_COORDS]
     for j, rng in enumerate(rngs):
-        diag, off = sample_increment_block(stats, rng, chunk)
-        np.add(np.concatenate((diag, off.real, off.imag), axis=1), base, out=noise[:, j])
+        np.add(sample_increment_block(stats, rng, chunk), base, out=noise[:, j])
 
 
 def _warn_if_aliasing(params: SystemParams, dt: float) -> None:

@@ -62,21 +62,21 @@ def noise_stats(gamma_t: float, dt: float, n_atoms: float) -> NoiseStats:
 
 def sample_increment_block(
     stats: NoiseStats, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n steps of noise at once.
+) -> np.ndarray:
+    """Draw n steps of noise at once, as an (n, 9) real block.
 
-    Returns ``(diag, offdiag)`` with shapes (n, 3) real and (n, 3) complex;
-    offdiag columns follow OFFDIAG_PAIRS.  Each block consumes one (n, 9)
-    standard-normal draw (columns: three populations, three real parts,
-    three imaginary parts), so a given generator state yields a
-    reproducible stream for a given blocking.
+    Columns: the three populations, then the real parts and then the
+    imaginary parts of the three coherences in OFFDIAG_PAIRS order, which
+    is the order of the integrator's noise-driven real coordinates.  Each
+    block is one (n, 9) standard-normal draw scaled in place, so a given
+    generator state yields a reproducible stream for a given blocking.
     """
     if stats.sigma_sq == 0.0:
-        return np.zeros((n, 3)), np.zeros((n, 3), dtype=complex)
-    draws = rng.standard_normal((n, 9))
-    diag = draws[:, 0:3] * np.sqrt(stats.sigma_sq)
-    offdiag = np.sqrt(stats.offdiag_var) * (draws[:, 3:6] + 1j * draws[:, 6:9])
-    return diag, offdiag
+        return np.zeros((n, 9))
+    block = rng.standard_normal((n, 9))
+    block[:, 0:3] *= np.sqrt(stats.sigma_sq)
+    block[:, 3:9] *= np.sqrt(stats.offdiag_var)
+    return block
 
 
 def increment_matrix(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
@@ -95,5 +95,6 @@ def sample_increment(stats: NoiseStats, rng: np.random.Generator) -> NoiseIncrem
     Hermitian by construction, with the excited row and column identically
     zero; deterministic for a given generator state.
     """
-    diag, offdiag = sample_increment_block(stats, rng, 1)
-    return NoiseIncrement(entries=increment_matrix(diag[0], offdiag[0]), step_dt=stats.step_dt)
+    block = sample_increment_block(stats, rng, 1)[0]
+    entries = increment_matrix(block[0:3], block[3:6] + 1j * block[6:9])
+    return NoiseIncrement(entries=entries, step_dt=stats.step_dt)

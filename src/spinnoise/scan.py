@@ -127,37 +127,83 @@ def perpendicular_field_series(
     return out
 
 
-def run_point(
-    cfg: ExperimentConfig, axis_value: float, keep_series: bool = False
-) -> ScanPoint:
-    """Simulate one axis value: ensemble, signals, averaged spectra, floor.
+def _trajectory_groups(n_traj: int, n_groups: int) -> list[range]:
+    """Contiguous, non-empty trajectory ranges of near-equal size."""
+    n_groups = max(1, min(n_groups, n_traj))
+    bounds = [g * n_traj // n_groups for g in range(n_groups + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
-    With ``keep_series`` the point also carries e_perp of trajectory 0.
+
+def _ensemble_psds(
+    cfg: ExperimentConfig,
+    axis_value: float,
+    params: SystemParams,
+    rho0: np.ndarray,
+    trajectories: range,
+    keep_series: bool,
+) -> tuple[dict[str, list[SpectrumRecord]], np.ndarray | None]:
+    """Per-trajectory PSDs of one group of a point's trajectories.
+
+    Integrates the group, projects e_perp and runs the Welch pass of each
+    detection mode.  Returns the PSD records by mode, in trajectory order,
+    and, with ``keep_series``, e_perp of the group's first trajectory.  A
+    trajectory's rows depend only on its seed, not on the grouping.
     """
-    params = cfg.system_params(axis_value)
     tcfg = cfg.trajectory_config()
-    detector = cfg.detector_params()
-    rho0 = steady_state(params)
-    keys = [seed_key(cfg.master_seed, axis_value, t) for t in range(cfg.n_trajectories)]
-    coherences = evolve_ensemble_coherences(params, tcfg, keys, rho0=rho0)
+    keys = [seed_key(cfg.master_seed, axis_value, t) for t in trajectories]
+    coherences = evolve_ensemble_coherences(
+        params, tcfg, keys, rho0=rho0, first_trajectory=trajectories.start
+    )
     e_perp = perpendicular_field_series(coherences, params)
     del coherences
     series = e_perp[:, 0].copy() if keep_series else None
-
-    trans = transmission(params, detector)
-    floor = shot_noise_floor(detector, trans)
     dt_signal = tcfg.dt * tcfg.record_stride
-    spectra: dict[str, SpectrumRecord] = {}
+    records: dict[str, list[SpectrumRecord]] = {}
     for mode in cfg.modes():
         if mode == "rnd":
             signal = 2.0 * cfg.mean_field_au * np.real(e_perp)
         else:
             signal = 2.0 * cfg.mean_field_au * np.imag(e_perp)
-        records = welch_psd_batch(
+        records[mode] = welch_psd_batch(
             signal, dt_signal, cfg.rbw_hz, metadata=_point_metadata(cfg, axis_value, mode)
         )
         del signal
-        averaged = average_spectra(records)
+    return records, series
+
+
+def run_point(
+    cfg: ExperimentConfig,
+    axis_value: float,
+    keep_series: bool = False,
+    n_workers: int = 1,
+) -> ScanPoint:
+    """Simulate one axis value: ensemble, signals, averaged spectra, floor.
+
+    With ``n_workers > 1`` the ensemble is split into that many contiguous
+    trajectory groups, each run in its own process; the spectra are the
+    same bits for any split.  With ``keep_series`` the point also carries
+    e_perp of trajectory 0.
+    """
+    params = cfg.system_params(axis_value)
+    detector = cfg.detector_params()
+    rho0 = steady_state(params)
+    tasks = [
+        (cfg, axis_value, params, rho0, group, keep_series and group.start == 0)
+        for group in _trajectory_groups(cfg.n_trajectories, n_workers)
+    ]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            futures = [pool.submit(_ensemble_psds, *task) for task in tasks]
+            results = [future.result() for future in futures]
+    else:
+        results = [_ensemble_psds(*tasks[0])]
+    series = results[0][1]
+
+    trans = transmission(params, detector, rho0)
+    floor = shot_noise_floor(detector, trans)
+    spectra: dict[str, SpectrumRecord] = {}
+    for mode in cfg.modes():
+        averaged = average_spectra([rec for records, _ in results for rec in records[mode]])
         if cfg.vbw_hz is not None:
             averaged = video_average(averaged, cfg.vbw_hz)
         if cfg.absolute_units:
@@ -179,15 +225,17 @@ def run_point(
 def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
     """Run every axis point of the configured scan.
 
-    Points are independent; with n_workers > 1 they run in separate
-    processes.  Results are ordered by axis value regardless of completion
-    order, and a failing point reports its axis value.
+    Points are independent.  With at least as many points as ``n_workers``
+    each point runs whole in a pool process; with fewer, the points run in
+    turn and each splits its trajectories over ``n_workers`` processes.
+    Results are ordered by axis value regardless of completion order, and
+    a failing point reports its axis value.
     """
     values = cfg.axis_values()
     if values.size == 0:
         raise DomainError("scan range is empty")
     points: list[ScanPoint] = []
-    if n_workers > 1:
+    if n_workers > 1 and values.size >= n_workers:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(run_point, cfg, value) for value in values]
             for value, future in zip(values, futures):
@@ -202,7 +250,7 @@ def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
         for i, value in enumerate(values):
             logger.info("scan point %d/%d: %s=%g", i + 1, values.size, cfg.scan_axis, value)
             try:
-                points.append(run_point(cfg, value))
+                points.append(run_point(cfg, value, n_workers=n_workers))
             except Exception:
                 logger.error("scan point %s=%g failed", cfg.scan_axis, value)
                 raise
@@ -302,17 +350,19 @@ def oscillation_mode_report(
     )
 
 
-def simulate_point(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, ScanPoint]:
+def simulate_point(
+    cfg: ExperimentConfig, n_workers: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ScanPoint]:
     """Single-point run: time axis, RND and END series of trajectory 0, and
     the averaged-spectra ScanPoint at the configured parameters.
 
     The series come from the ensemble of run_point itself, so trajectory 0
-    is integrated once.
+    is integrated once; ``n_workers`` processes share the trajectories.
     """
     axis_value = {
         "theta": cfg.theta_deg, "b_field": cfg.b_gauss, "detuning": cfg.delta_hz,
     }[cfg.scan_axis]
-    point = run_point(cfg, axis_value, keep_series=True)
+    point = run_point(cfg, axis_value, keep_series=True, n_workers=n_workers)
     tcfg = cfg.trajectory_config()
     e_perp = point.series
     t = (cfg.resolved_burn_in() + 1 + np.arange(e_perp.size) * tcfg.record_stride) * tcfg.dt

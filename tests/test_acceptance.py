@@ -278,8 +278,7 @@ def test_criterion_6_shot_noise_floor():
 def test_criterion_7_noise_generator_statistics():
     stats = noise_stats(TWOPI * 30e3, DT, 3.4e9)
     n = 1_000_000
-    diag, off = sample_increment_block(stats, np.random.default_rng(424242), n)
-    channels = np.hstack([diag, off.real, off.imag])
+    channels = sample_increment_block(stats, np.random.default_rng(424242), n)
     target = np.array([stats.sigma_sq] * 3 + [stats.offdiag_var] * 6)
     variances = channels.var(axis=0)
     var_ok = np.all(np.abs(variances / target - 1.0) < 0.02)

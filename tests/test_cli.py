@@ -78,6 +78,14 @@ class TestSimulate:
         assert (tmp_path / "spectrum_end.csv").exists()
         assert (tmp_path / "run_manifest.cfg").exists()
 
+    def test_threads_do_not_change_output(self, tmp_path):
+        # Two workers split the three trajectories unevenly.
+        args = ["simulate", *TINY, "--set", "n_trajectories=3"]
+        for threads in ("1", "2"):
+            assert main(args + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+        for name in ("timeseries.csv", "spectrum_rnd.csv", "spectrum_end.csv", "run_manifest.cfg"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
 
 class TestAbsorption:
     def test_quick_scan(self, tmp_path, capsys):

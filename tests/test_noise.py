@@ -60,13 +60,25 @@ class TestSampleIncrement:
     def test_single_matches_block_head(self):
         stats = noise_stats(TWOPI * 30e3, 1 / 18e6, 1e6)
         single = sample_increment(stats, np.random.default_rng(5)).entries
-        diag, off = sample_increment_block(stats, np.random.default_rng(5), 1)
+        block = sample_increment_block(stats, np.random.default_rng(5), 1)
+        diag, off = block[:, 0:3], block[:, 3:6] + 1j * block[:, 6:9]
         assert np.array_equal(single, increment_matrix(diag[0], off[0]))
+
+    def test_block_equals_complex_scaling(self):
+        # The block is the real and imaginary parts of sqrt(v) * (a + ib),
+        # bit for bit.
+        stats = noise_stats(TWOPI * 30e3, 1 / 18e6, 1e6)
+        block = sample_increment_block(stats, np.random.default_rng(8), 1000)
+        draws = np.random.default_rng(8).standard_normal((1000, 9))
+        diag = draws[:, 0:3] * np.sqrt(stats.sigma_sq)
+        off = np.sqrt(stats.offdiag_var) * (draws[:, 3:6] + 1j * draws[:, 6:9])
+        assert np.array_equal(block, np.hstack([diag, off.real, off.imag]))
 
     def test_quick_statistics(self):
         stats = noise_stats(TWOPI * 30e3, 1 / 18e6, 1e6)
         n = 200_000
-        diag, off = sample_increment_block(stats, np.random.default_rng(99), n)
+        block = sample_increment_block(stats, np.random.default_rng(99), n)
+        diag, off = block[:, 0:3], block[:, 3:6] + 1j * block[:, 6:9]
         se_mean = np.sqrt(stats.sigma_sq / n)
         assert np.all(np.abs(diag.mean(axis=0)) < 4 * se_mean)
         assert diag.var(axis=0) == pytest.approx(

@@ -1,14 +1,15 @@
 import logging
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from spinnoise import scan
+from spinnoise import detection, integrator, scan
 
 from spinnoise.config import ExperimentConfig, load_config, write_manifest
 from spinnoise.core import SystemParams
 from spinnoise.detection import transmission
-from spinnoise.exceptions import ConfigError, DomainError
+from spinnoise.exceptions import ConfigError, DomainError, NumericError
 from spinnoise.integrator import TrajectoryConfig, evolve_ensemble_coherences, steady_state
 from spinnoise.scan import (
     absorption_scan,
@@ -172,6 +173,109 @@ class TestRunScan:
         for ps, pp in zip(serial.points, parallel.points):
             for mode in ps.spectra:
                 assert np.array_equal(ps.spectra[mode].psd, pp.spectra[mode].psd)
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its tasks."""
+
+    def __init__(self, max_workers):
+        self.tasks = []
+        RecordingPool.instances.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        self.tasks.append((fn, args, kwargs))
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.instances = []
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+class TestTrajectoryGroups:
+    def test_contiguous_and_near_equal(self):
+        assert scan._trajectory_groups(3, 2) == [range(0, 1), range(1, 3)]
+        assert scan._trajectory_groups(64, 2) == [range(0, 32), range(32, 64)]
+        assert scan._trajectory_groups(2, 5) == [range(0, 1), range(1, 2)]
+        assert scan._trajectory_groups(4, 1) == [range(0, 4)]
+
+    def test_point_spectra_do_not_depend_on_the_split(self):
+        cfg = tiny_cfg(n_trajectories=3)
+        serial = run_point(cfg, 7.5, keep_series=True)
+        for n_workers in (2, 3):
+            split = run_point(cfg, 7.5, keep_series=True, n_workers=n_workers)
+            for mode in ("rnd", "end"):
+                assert np.array_equal(split.spectra[mode].psd, serial.spectra[mode].psd)
+                assert split.spectra[mode].n_averages == serial.spectra[mode].n_averages
+            assert np.array_equal(split.series, serial.series)
+            assert split.transmission == serial.transmission
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_failure_names_trajectory_within_point(self, monkeypatch):
+        # Trajectory 2 gets a non-finite drive on its first step; it sits
+        # in the second group under two and three workers.
+        draw = integrator._draw_noise_chunk
+
+        def poisoned(stats, rngs, chunk, drive, offset):
+            draw(stats, rngs, chunk, drive, offset)
+            for j, rng in enumerate(rngs):
+                if rng.bit_generator.seed_seq.entropy[2] == 2:
+                    drive[0, j, 0] = np.inf
+
+        monkeypatch.setattr(integrator, "_draw_noise_chunk", poisoned)
+        cfg = tiny_cfg(n_trajectories=3)
+        for n_workers in (1, 2, 3):
+            with pytest.raises(NumericError, match="non-finite state in trajectory 2 during"):
+                run_point(cfg, 7.5, n_workers=n_workers)
+
+    def test_one_steady_state_solve_per_point(self, monkeypatch):
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return steady_state(params)
+
+        monkeypatch.setattr(scan, "steady_state", counting)
+        monkeypatch.setattr(detection, "steady_state", counting)
+        point = run_point(tiny_cfg(), 7.5)
+        assert len(calls) == 1
+        direct = transmission(calls[0], tiny_cfg().detector_params())
+        assert point.transmission == direct
+
+
+class TestScanTasks:
+    def test_one_task_per_point_when_points_cover_workers(self, recording_pool):
+        cfg = tiny_cfg()
+        result = run_scan(cfg, n_workers=2)
+        (pool,) = recording_pool.instances
+        assert [fn for fn, _, _ in pool.tasks] == [scan.run_point] * 3
+        assert [args[1] for _, args, _ in pool.tasks] == [0.0, 7.5, 15.0]
+        assert all(kwargs == {} for _, _, kwargs in pool.tasks)
+        serial = run_scan(cfg, n_workers=1)
+        for pp, ps in zip(result.points, serial.points):
+            assert np.array_equal(pp.spectra["rnd"].psd, ps.spectra["rnd"].psd)
+
+    def test_fewer_points_than_workers_split_trajectories(self, recording_pool):
+        cfg = tiny_cfg(scan_start=7.5, scan_stop=7.5, n_trajectories=3)
+        result = run_scan(cfg, n_workers=2)
+        (pool,) = recording_pool.instances
+        assert [fn for fn, _, _ in pool.tasks] == [scan._ensemble_psds] * 2
+        assert [args[4] for _, args, _ in pool.tasks] == [range(0, 1), range(1, 3)]
+        serial = run_scan(cfg, n_workers=1)
+        for mode in ("rnd", "end"):
+            assert np.array_equal(
+                result.points[0].spectra[mode].psd, serial.points[0].spectra[mode].psd
+            )
 
 
 class TestPolarizationSymmetry:
