@@ -67,16 +67,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, help="override master_seed")
         p.add_argument("--out", default="out", help="output directory")
+
+    p_sim = sub.add_parser("simulate", help="single-point time series and PSDs")
+    p_scan = sub.add_parser("scan", help="run the configured scan")
+    for p in (p_sim, p_scan):
+        add_common(p)
         p.add_argument(
             "--threads",
             type=int,
             default=_usable_cpus(),
-            help="worker processes: one per scan point, or per trajectory group when "
-            "there are fewer points than workers (default: usable CPUs)",
+            help="worker processes: each steps a group of scan points, or a group of "
+            "trajectories when there are fewer points than workers (default: usable CPUs)",
         )
-
-    add_common(sub.add_parser("simulate", help="single-point time series and PSDs"))
-    add_common(sub.add_parser("scan", help="run the configured scan"))
     p_abs = sub.add_parser("absorption", help="absorption versus polarization angle")
     add_common(p_abs)
     p_modes = sub.add_parser("modes", help="free spin precession reference modes")
@@ -107,8 +109,7 @@ def _cmd_simulate(args) -> int:
         f"# delta_hz={cfg.delta_hz!r}",
         f"# seed={cfg.master_seed}",
     ]
-    for i in range(t.size):
-        lines.append(f"{float(t[i])!r},{float(rnd[i])!r},{float(end[i])!r}")
+    lines += [f"{ti!r},{ri!r},{ei!r}" for ti, ri, ei in zip(t.tolist(), rnd.tolist(), end.tolist())]
     series_path.write_text("\n".join(lines) + "\n")
     for mode, spec in point.spectra.items():
         write_spectrum_csv(spec, outdir / f"spectrum_{mode}.csv")

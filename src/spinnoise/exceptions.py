@@ -18,7 +18,15 @@ class ConfigError(SpinNoiseError, ValueError):
 
 
 class NumericError(SpinNoiseError, ArithmeticError):
-    """The numerics broke down (NaN/Inf encountered mid-run)."""
+    """The numerics broke down (NaN/Inf encountered mid-run).
+
+    ``point`` is the index of the failing point within a stepping-engine
+    call that advanced several points together, or None.
+    """
+
+    def __init__(self, message: str, point: int | None = None):
+        super().__init__(message)
+        self.point = point
 
 
 class SteadyStateError(SpinNoiseError, RuntimeError):

@@ -18,13 +18,16 @@ Trajectories are stepped in 16 real coordinates of the Hermitian density
 matrix (REAL_COORDS), where the step is x' = x E_real^T + c_real + noise
 with a real 16x16 matrix.  Every state is Hermitian by construction, and
 ``evolve`` and ``evolve_ensemble_coherences`` share one engine; ``step``
-is the single-step reference on the complex matrix.
+is the single-step reference on the complex matrix.  The engine steps
+several parameter points at once, one stacked matrix product per step,
+and hands the recorded rows to a sink chunk by chunk.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +105,13 @@ def from_real(x: np.ndarray) -> np.ndarray:
     return (x @ _FROM_REAL.T).reshape(x.shape[:-1] + (DIM, DIM))
 
 
-_NOISE_CHUNK = 4096
+# Steps per chunk of the engine: noise draw, step loop, finiteness check
+# and hand-off of the recorded rows.  A trajectory's noise stream does not
+# depend on it (a standard-normal draw gives the same values however it is
+# split), and neither does any output bit.
+_CHUNK = 256
+# Steps per range that a NumericError reports (a multiple of _CHUNK).
+_ERROR_SPAN = 4096
 
 
 @dataclass(frozen=True)
@@ -226,109 +235,157 @@ def evolve(
     """
     require_hermitian(rho0)
     _warn_if_aliasing(params, cfg.dt)
-    x0 = to_real(rho0)[None, :]
+    x0 = to_real(rho0)[None, None, :]
     out = np.empty((cfg.n_recorded, 1, VEC_DIM))
-    _integrate(params, cfg, [rng], x0, slice(None), out, with_noise)
+    _integrate([params], cfg, [rng], x0, slice(None), _writer(out), with_noise)
     return from_real(out[:, 0, :])
 
 
 def evolve_ensemble_coherences(
-    params: SystemParams,
+    params: SystemParams | Sequence[SystemParams],
     cfg: TrajectoryConfig,
     seed_keys: list,
-    rho0: np.ndarray | None = None,
+    rho0: np.ndarray | Sequence[np.ndarray] | None = None,
     with_noise: bool = True,
     first_trajectory: int = 0,
+    sink: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Batched trajectories, recording only the two optical coherences.
 
     Each entry of ``seed_keys`` seeds one trajectory's independent
-    generator (any value np.random.default_rng accepts).  Noise is drawn
-    per trajectory in fixed-size chunks, so a trajectory's stream depends
-    only on its own seed, not on the batch composition.  A NumericError
-    numbers the trajectories from ``first_trajectory``, the index of the
-    first key within a larger ensemble split into batches.
+    generator (any value np.random.default_rng accepts), so a trajectory's
+    noise depends only on its own seed, not on the batch composition.
 
-    Returns (n_recorded, n_traj, 2) complex: columns are rho[3,0] and
-    rho[3,2] after each recorded step.
+    ``params`` is one point or a sequence of P points stepped together;
+    the keys are then P equal runs of trajectories, point by point, and
+    ``rho0`` is one start state for all points or one per point (default:
+    the equilibrium state).  A NumericError numbers the trajectories within
+    their point from ``first_trajectory``, the index of the first key
+    within a larger ensemble split into batches, and carries the index of
+    the failing point in ``point``.
+
+    The record is (n_recorded, n_keys, 2) complex: columns are rho[3,0] and
+    rho[3,2] after each recorded step.  Without ``sink`` it is returned.
+    With ``sink`` it is never held: sink receives it in consecutive blocks
+    of rows, and the returned record is empty (no rows).
     """
-    n_traj = len(seed_keys)
-    if n_traj == 0:
-        raise DomainError("need at least one trajectory seed")
-    _warn_if_aliasing(params, cfg.dt)
+    points = [params] if isinstance(params, SystemParams) else list(params)
+    n_keys = len(seed_keys)
+    if n_keys == 0 or not points:
+        raise DomainError("need at least one trajectory seed and one point")
+    if n_keys % len(points):
+        raise DomainError(
+            f"{n_keys} trajectory seeds do not split evenly over {len(points)} points"
+        )
+    for p in points:
+        _warn_if_aliasing(p, cfg.dt)
     if rho0 is None:
         rho0 = equilibrium_rho()
-    require_hermitian(rho0)
+    starts = np.asarray(rho0, dtype=complex)
+    if starts.ndim == 2:
+        starts = np.broadcast_to(starts, (len(points),) + starts.shape)
+    if starts.shape != (len(points), DIM, DIM):
+        raise DomainError(f"rho0 must be one 4x4 state or one per point, got {starts.shape}")
+    for rho in starts:
+        require_hermitian(rho)
     rngs = [np.random.default_rng(key) for key in seed_keys]
-    x0 = np.tile(to_real(rho0), (n_traj, 1))
-    out = np.empty((cfg.n_recorded, n_traj, 2), dtype=complex)
-    _integrate(
-        params, cfg, rngs, x0, _COHERENCE_COORDS, out.view(float), with_noise, first_trajectory
+    n_traj = n_keys // len(points)
+    # Converted one state at a time, as for a single point: a product of
+    # several rows takes another BLAS kernel and could round differently.
+    x0 = np.stack([np.tile(to_real(rho), (n_traj, 1)) for rho in starts])
+    out = np.empty((cfg.n_recorded if sink is None else 0, n_keys, 2), dtype=complex)
+    target = _writer(out.view(float)) if sink is None else (
+        lambda rows: sink(rows.view(complex))
     )
+    _integrate(points, cfg, rngs, x0, _COHERENCE_COORDS, target, with_noise, first_trajectory)
     return out
 
 
+def _writer(out: np.ndarray) -> Callable[[np.ndarray], None]:
+    """A sink that stores consecutive blocks of rows into ``out``."""
+    filled = 0
+
+    def write(rows: np.ndarray) -> None:
+        nonlocal filled
+        out[filled : filled + len(rows)] = rows
+        filled += len(rows)
+
+    return write
+
+
 def _integrate(
-    params: SystemParams,
+    params: list[SystemParams],
     cfg: TrajectoryConfig,
     rngs: list,
     x0: np.ndarray,
     record: slice,
-    out: np.ndarray,
+    sink: Callable[[np.ndarray], None],
     with_noise: bool,
     first_trajectory: int = 0,
 ) -> None:
     """The stepping engine, in real coordinates.
 
-    Advances the (n_traj, 16) states ``x0`` by cfg.n_steps steps of
-    x' = x @ E_real^T + drive, where the drive is the propagator offset
-    plus the transit noise of each trajectory's generator, and writes the
-    ``record`` coordinates of every recorded step into ``out``
-    (n_recorded, n_traj, width).  Hermiticity holds by construction.  Work
-    proceeds in chunks of _NOISE_CHUNK steps; after each chunk the states
-    are checked for non-finite values, and a failure names the trajectory
-    as ``first_trajectory`` plus its row.
+    Advances the (P, n_traj, 16) states ``x0`` of P points by cfg.n_steps
+    steps of x' = x @ E_real^T + drive, one stacked matrix product for all
+    points per step.  The drive is each point's propagator offset plus the
+    transit noise of each trajectory's generator (``rngs``, point by point).
+    Hermiticity holds by construction.
+
+    Work proceeds in chunks of _CHUNK steps, so the state and drive
+    buffers stay cache-sized whatever the run length.  After each chunk
+    the states are checked for non-finite values, and the ``record``
+    coordinates of the chunk's recorded steps go to ``sink`` as one
+    contiguous (n_rows, P * n_traj, width) block.  A failure names the
+    trajectory as ``first_trajectory`` plus its row, the point, and the
+    _ERROR_SPAN-step range that holds the chunk.
 
     A single trajectory is stepped beside a noise-free copy of itself: the
     product of a one-row matrix goes through a different BLAS kernel, and
     this way every trajectory's bits are the same whatever the batch size.
     """
-    stats = noise_stats(params.gamma_t, cfg.dt, params.n_atoms)
-    noisy = with_noise and stats.sigma_sq > 0.0
-    prop = _cached_propagator(params, cfg.dt)
-    matrix_t = prop.real_matrix_t
-    n_traj = x0.shape[0]
+    n_points, n_traj, _ = x0.shape
+    props = [_cached_propagator(p, cfg.dt) for p in params]
+    stats = [noise_stats(p.gamma_t, cfg.dt, p.n_atoms) for p in params]
+    noisy = [with_noise and s.sigma_sq > 0.0 for s in stats]
+    matrices = np.stack([prop.real_matrix_t for prop in props])
     width = max(n_traj, 2)
-    capacity = min(_NOISE_CHUNK, cfg.n_steps)
-    states = np.empty((capacity + 1, width, VEC_DIM))
+    capacity = min(_CHUNK, cfg.n_steps)
+    states = np.empty((capacity + 1, n_points, width, VEC_DIM))
     # Offset plus noise per step; only the noise-driven coordinates change
     # from chunk to chunk.
-    drive = np.empty((capacity, width, VEC_DIM))
-    drive[:] = prop.real_offset
+    drive = np.empty((capacity, n_points, width, VEC_DIM))
+    for p, prop in enumerate(props):
+        drive[:, p] = prop.real_offset
     state_rows, drive_rows = list(states), list(drive)
-    states[0] = x0[np.arange(width) % n_traj]
-    pos = 0
+    states[0] = x0[:, np.arange(width) % n_traj]
     done = 0
     while done < cfg.n_steps:
-        chunk = min(_NOISE_CHUNK, cfg.n_steps - done)
-        if noisy:
-            _draw_noise_chunk(stats, rngs, chunk, drive, prop.real_offset)
+        chunk = min(_CHUNK, cfg.n_steps - done)
+        for p in range(n_points):
+            if noisy[p]:
+                _draw_noise_chunk(
+                    stats[p], rngs[p * n_traj : (p + 1) * n_traj], chunk, drive[:, p],
+                    props[p].real_offset,
+                )
         for k in range(chunk):
-            np.matmul(state_rows[k], matrix_t, out=state_rows[k + 1])
+            np.matmul(state_rows[k], matrices, out=state_rows[k + 1])
             np.add(state_rows[k + 1], drive_rows[k], out=state_rows[k + 1])
-        finite = np.isfinite(states[chunk, :n_traj]).all(axis=1)
+        finite = np.isfinite(states[chunk, :, :n_traj]).all(axis=-1)
         if not finite.all():
+            point, row = np.unravel_index(np.argmin(finite), finite.shape)
+            span = done - done % _ERROR_SPAN
             raise NumericError(
-                f"non-finite state in trajectory {first_trajectory + int(np.argmin(finite))} "
-                f"during steps {done}..{done + chunk - 1} of {cfg.n_steps}"
+                f"non-finite state in trajectory {first_trajectory + int(row)} during steps "
+                f"{span}..{min(span + _ERROR_SPAN, cfg.n_steps) - 1} of {cfg.n_steps}",
+                point=int(point),
             )
         # Step done + k is held in states[k + 1]; record from the first
         # step past burn-in that falls on the stride.
         first = max(done, cfg.burn_in_steps)
         first += -(first - cfg.burn_in_steps) % cfg.record_stride
-        rows = states[first - done + 1 : chunk + 1 : cfg.record_stride, :n_traj, record]
-        out[pos : pos + len(rows)] = rows
-        pos += len(rows)
+        rows = states[first - done + 1 : chunk + 1 : cfg.record_stride, :, :n_traj, record]
+        if len(rows):
+            sink(np.ascontiguousarray(rows).reshape(len(rows), n_points * n_traj, -1))
         states[0] = states[chunk]
         done += chunk
 
@@ -341,10 +398,11 @@ def _draw_noise_chunk(
     Trajectory j draws one block from rngs[j], whose columns are already in
     the order of the noise-driven real coordinates.
     """
-    noise = drive[:chunk, :, _NOISE_COORDS]
-    base = offset[_NOISE_COORDS]
-    for j, rng in enumerate(rngs):
-        np.add(sample_increment_block(stats, rng, chunk), base, out=noise[:, j])
+    blocks = [sample_increment_block(stats, rng, chunk) for rng in rngs]
+    np.add(
+        np.stack(blocks, axis=1), offset[_NOISE_COORDS],
+        out=drive[:chunk, : len(rngs), _NOISE_COORDS],
+    )
 
 
 def _warn_if_aliasing(params: SystemParams, dt: float) -> None:

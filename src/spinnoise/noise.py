@@ -17,6 +17,7 @@ independent zero-mean Gaussians of variance 3 sigma^2 / 4.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,11 @@ class NoiseStats:
     sigma_sq: float
     offdiag_var: float
     step_dt: float
+
+    @functools.cached_property
+    def block_scale(self) -> np.ndarray:
+        """Standard deviation of each column of sample_increment_block."""
+        return np.repeat([np.sqrt(self.sigma_sq), np.sqrt(self.offdiag_var)], [3, 6])
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,7 @@ def sample_increment_block(
     if stats.sigma_sq == 0.0:
         return np.zeros((n, 9))
     block = rng.standard_normal((n, 9))
-    block[:, 0:3] *= np.sqrt(stats.sigma_sq)
-    block[:, 3:9] *= np.sqrt(stats.offdiag_var)
+    block *= stats.block_scale
     return block
 
 

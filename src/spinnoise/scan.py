@@ -2,15 +2,21 @@
 
 Each axis point runs an independent ensemble of noisy trajectories from the
 deterministic steady state, synthesizes the rotation- and ellipticity-noise
-signals, and averages their Welch PSDs.  Trajectory seeds derive from
-(master_seed, axis-value bits, trajectory index), so any sub-range of a
-scan reproduces exactly the corresponding rows of the full scan.
+signals, and averages their Welch PSDs.  A task steps a contiguous group of
+points together and streams their signals into the Welch estimate, so no
+coherence record is held.  Trajectory seeds derive from (master_seed,
+axis-value bits, trajectory index), so any sub-range of a scan, and any
+grouping of points and trajectories into tasks, reproduces exactly the
+corresponding rows of the full scan.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,7 +26,7 @@ import numpy as np
 from .config import ExperimentConfig, write_manifest
 from .core import SQRT2, SQRT3, SystemParams
 from .detection import shot_noise_floor, transmission
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericError
 from .integrator import (
     evolve_ensemble_coherences,
     free_evolve_ground,
@@ -28,10 +34,11 @@ from .integrator import (
 )
 from .spectral import (
     SpectrumRecord,
+    WelchAccumulator,
     average_spectra,
     replace_metadata,
     video_average,
-    welch_psd_batch,
+    welch_psd_batch,  # noqa: F401  (looked up on this module by perfbench/tracer.py)
     write_spectrum_csv,
 )
 
@@ -119,7 +126,7 @@ def perpendicular_field_series(
     if coherences.ndim < 2:
         return _perpendicular_field(coherences, params)
     out = np.empty(coherences.shape[:-1], dtype=complex)
-    rows = max(1, _PROJECTION_BLOCK // max(1, out[0].size))
+    rows = max(1, _PROJECTION_BLOCK // max(1, math.prod(out.shape[1:])))
     for start in range(0, len(out), rows):
         out[start : start + rows] = _perpendicular_field(
             coherences[start : start + rows], params
@@ -127,83 +134,182 @@ def perpendicular_field_series(
     return out
 
 
-def _trajectory_groups(n_traj: int, n_groups: int) -> list[range]:
-    """Contiguous, non-empty trajectory ranges of near-equal size."""
-    n_groups = max(1, min(n_groups, n_traj))
-    bounds = [g * n_traj // n_groups for g in range(n_groups + 1)]
+def _split(n: int, n_groups: int) -> list[range]:
+    """Contiguous, non-empty ranges of near-equal size covering range(n)."""
+    n_groups = max(1, min(n_groups, n))
+    bounds = [g * n // n_groups for g in range(n_groups + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _ensemble_psds(
-    cfg: ExperimentConfig,
-    axis_value: float,
-    params: SystemParams,
-    rho0: np.ndarray,
-    trajectories: range,
-    keep_series: bool,
-) -> tuple[dict[str, list[SpectrumRecord]], np.ndarray | None]:
-    """Per-trajectory PSDs of one group of a point's trajectories.
+def _scan_tasks(n_values: int, n_traj: int, n_workers: int) -> list[tuple[range, range]]:
+    """(points, trajectories) of each task, in axis and trajectory order.
 
-    Integrates the group, projects e_perp and runs the Welch pass of each
-    detection mode.  Returns the PSD records by mode, in trajectory order,
-    and, with ``keep_series``, e_perp of the group's first trajectory.  A
-    trajectory's rows depend only on its seed, not on the grouping.
+    With at least as many points as workers, each worker gets a contiguous
+    group of points with all their trajectories; with fewer, each point's
+    trajectories are split into ``n_workers`` contiguous groups.
+    """
+    if n_values >= n_workers:
+        return [(points, range(n_traj)) for points in _split(n_values, n_workers)]
+    return [
+        (range(i, i + 1), group) for i in range(n_values) for group in _split(n_traj, n_workers)
+    ]
+
+
+@dataclass
+class _PointPart:
+    """One trajectory group's share of a point, as a task returns it."""
+
+    records: dict[str, list[SpectrumRecord]]   # per-trajectory PSDs by mode
+    transmission: float | None = None          # from the group holding trajectory 0
+    series: np.ndarray | None = None           # e_perp of trajectory 0, when kept
+
+
+class _Stream:
+    """Sink of the engine for a task's points: projects each point's e_perp
+    and pushes the signals of every point, mode and trajectory (columns in
+    that order) into one streaming Welch accumulator."""
+
+    def __init__(self, cfg: ExperimentConfig, params: list[SystemParams], n_traj: int,
+                 series_length: int | None):
+        tcfg = cfg.trajectory_config()
+        self.params = params
+        self.modes = cfg.modes()
+        self.n_traj = n_traj
+        self.field_scale = 2.0 * cfg.mean_field_au
+        self.welch = WelchAccumulator(
+            len(params) * len(self.modes) * n_traj, tcfg.dt * tcfg.record_stride, cfg.rbw_hz
+        )
+        self.series = None if series_length is None else np.empty(series_length, dtype=complex)
+        self.filled = 0
+
+    def columns(self, point: int, mode: int) -> slice:
+        start = (point * len(self.modes) + mode) * self.n_traj
+        return slice(start, start + self.n_traj)
+
+    def __call__(self, rows: np.ndarray) -> None:
+        signals = np.empty((len(rows), self.welch.n_traces))
+        for p, params in enumerate(self.params):
+            e_perp = perpendicular_field_series(
+                rows[:, p * self.n_traj : (p + 1) * self.n_traj], params
+            )
+            if p == 0 and self.series is not None:
+                self.series[self.filled : self.filled + len(rows)] = e_perp[:, 0]
+            for m, mode in enumerate(self.modes):
+                part = np.real(e_perp) if mode == "rnd" else np.imag(e_perp)
+                np.multiply(self.field_scale, part, out=signals[:, self.columns(p, m)])
+        self.welch.push(signals)
+        self.filled += len(rows)
+
+
+@contextlib.contextmanager
+def _failing_point(value: float):
+    """Tag an exception raised inside with the axis value it belongs to."""
+    try:
+        yield
+    except Exception as exc:
+        exc.axis_value = float(value)
+        raise
+
+
+def _run_task(
+    cfg: ExperimentConfig, values: np.ndarray, trajectories: range, keep_series: bool
+) -> list[_PointPart]:
+    """Per-trajectory PSDs of a group of points over one trajectory range.
+
+    All points are stepped together in one engine call; their e_perp is
+    projected and Welch-averaged chunk by chunk, so no coherence record is
+    held.  The group holding trajectory 0 also reports each point's
+    transmission and, with ``keep_series`` (one point only), trajectory 0's
+    e_perp.  A trajectory's PSDs depend only on its seed, not on the
+    grouping.  An exception carries the failing point's ``axis_value``.
     """
     tcfg = cfg.trajectory_config()
-    keys = [seed_key(cfg.master_seed, axis_value, t) for t in trajectories]
-    coherences = evolve_ensemble_coherences(
-        params, tcfg, keys, rho0=rho0, first_trajectory=trajectories.start
-    )
-    e_perp = perpendicular_field_series(coherences, params)
-    del coherences
-    series = e_perp[:, 0].copy() if keep_series else None
-    dt_signal = tcfg.dt * tcfg.record_stride
-    records: dict[str, list[SpectrumRecord]] = {}
-    for mode in cfg.modes():
-        if mode == "rnd":
-            signal = 2.0 * cfg.mean_field_au * np.real(e_perp)
-        else:
-            signal = 2.0 * cfg.mean_field_au * np.imag(e_perp)
-        records[mode] = welch_psd_batch(
-            signal, dt_signal, cfg.rbw_hz, metadata=_point_metadata(cfg, axis_value, mode)
-        )
-        del signal
-    return records, series
-
-
-def run_point(
-    cfg: ExperimentConfig,
-    axis_value: float,
-    keep_series: bool = False,
-    n_workers: int = 1,
-) -> ScanPoint:
-    """Simulate one axis value: ensemble, signals, averaged spectra, floor.
-
-    With ``n_workers > 1`` the ensemble is split into that many contiguous
-    trajectory groups, each run in its own process; the spectra are the
-    same bits for any split.  With ``keep_series`` the point also carries
-    e_perp of trajectory 0.
-    """
-    params = cfg.system_params(axis_value)
     detector = cfg.detector_params()
-    rho0 = steady_state(params)
-    tasks = [
-        (cfg, axis_value, params, rho0, group, keep_series and group.start == 0)
-        for group in _trajectory_groups(cfg.n_trajectories, n_workers)
-    ]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            futures = [pool.submit(_ensemble_psds, *task) for task in tasks]
-            results = [future.result() for future in futures]
-    else:
-        results = [_ensemble_psds(*tasks[0])]
-    series = results[0][1]
+    params, rho0 = [], []
+    for value in values:
+        with _failing_point(value):
+            params.append(cfg.system_params(value))
+            rho0.append(steady_state(params[-1]))
+    keys = [seed_key(cfg.master_seed, value, t) for value in values for t in trajectories]
+    keep = keep_series and trajectories.start == 0
+    stream = _Stream(cfg, params, len(trajectories), tcfg.n_recorded if keep else None)
+    try:
+        evolve_ensemble_coherences(
+            params, tcfg, keys, rho0=rho0, first_trajectory=trajectories.start, sink=stream
+        )
+    except NumericError as exc:
+        exc.axis_value = float(values[exc.point])
+        raise
+    parts = []
+    for p, (value, point_params, rho) in enumerate(zip(values, params, rho0)):
+        with _failing_point(value):
+            parts.append(_PointPart(
+                records={
+                    mode: stream.welch.records(
+                        _point_metadata(cfg, value, mode), traces=stream.columns(p, m)
+                    )
+                    for m, mode in enumerate(stream.modes)
+                },
+                transmission=(
+                    transmission(point_params, detector, rho) if trajectories.start == 0 else None
+                ),
+            ))
+    parts[0].series = stream.series
+    return parts
 
-    trans = transmission(params, detector, rho0)
-    floor = shot_noise_floor(detector, trans)
+
+def _run_values(
+    cfg: ExperimentConfig, values: np.ndarray, keep_series: bool, n_workers: int
+) -> list[ScanPoint]:
+    """Scan points of ``values``, in order, over ``n_workers`` processes.
+
+    The tasks of ``_scan_tasks`` run in one pool, or in this process when
+    there is only one.  A failing task logs the axis value of its failing
+    point; the tasks not yet started are cancelled and the error propagates.
+    """
+    layout = _scan_tasks(len(values), cfg.n_trajectories, n_workers)
+    tasks = [(cfg, values[points.start : points.stop], group, keep_series) for points, group in layout]
+    with contextlib.ExitStack() as stack:
+        if len(tasks) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))))
+            futures = [pool.submit(_run_task, *task) for task in tasks]
+            calls = [future.result for future in futures]
+        else:
+            futures = []
+            calls = [functools.partial(_run_task, *tasks[0])]
+        results = []
+        for call, (_, task_values, group, _) in zip(calls, tasks):
+            logger.info(
+                "scan task: %s=%g..%g, trajectories %d..%d", cfg.scan_axis,
+                task_values[0], task_values[-1], group.start, group.stop - 1,
+            )
+            try:
+                results.append(call())
+            except Exception as exc:
+                failed = getattr(exc, "axis_value", None)
+                if failed is None:
+                    logger.error("scan points %s=%g..%g failed", cfg.scan_axis,
+                                 task_values[0], task_values[-1])
+                else:
+                    logger.error("scan point %s=%g failed", cfg.scan_axis, failed)
+                for pending in futures:
+                    pending.cancel()
+                raise
+    parts: list[list[_PointPart]] = [[] for _ in values]
+    for (points, _), task_parts in zip(layout, results):
+        for index, part in zip(points, task_parts):
+            parts[index].append(part)
+    return [_finish_point(cfg, value, point_parts) for value, point_parts in zip(values, parts)]
+
+
+def _finish_point(cfg: ExperimentConfig, value: float, parts: list[_PointPart]) -> ScanPoint:
+    """Average a point's per-trajectory PSDs (trajectory groups in order),
+    then apply the video filter and, in absolute units, the shot floor."""
+    trans = parts[0].transmission
+    floor = shot_noise_floor(cfg.detector_params(), trans)
     spectra: dict[str, SpectrumRecord] = {}
     for mode in cfg.modes():
-        averaged = average_spectra([rec for records, _ in results for rec in records[mode]])
+        averaged = average_spectra([rec for part in parts for rec in part.records[mode]])
         if cfg.vbw_hz is not None:
             averaged = video_average(averaged, cfg.vbw_hz)
         if cfg.absolute_units:
@@ -217,44 +323,40 @@ def run_point(
             averaged = replace_metadata(averaged, shot_floor_added="true")
         spectra[mode] = averaged
     return ScanPoint(
-        axis_value=float(axis_value), spectra=spectra, transmission=trans,
-        shot_floor=floor, series=series,
+        axis_value=float(value), spectra=spectra, transmission=trans,
+        shot_floor=floor, series=parts[0].series,
     )
+
+
+def run_point(
+    cfg: ExperimentConfig,
+    axis_value: float,
+    keep_series: bool = False,
+    n_workers: int = 1,
+) -> ScanPoint:
+    """Simulate one axis value: ensemble, signals, averaged spectra, floor.
+
+    A scan of one value: with ``n_workers > 1`` the ensemble is split into
+    that many contiguous trajectory groups, each run in its own process;
+    the spectra are the same bits for any split.  With ``keep_series`` the
+    point also carries e_perp of trajectory 0.
+    """
+    return _run_values(cfg, np.array([float(axis_value)]), keep_series, n_workers)[0]
 
 
 def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
     """Run every axis point of the configured scan.
 
     Points are independent.  With at least as many points as ``n_workers``
-    each point runs whole in a pool process; with fewer, the points run in
-    turn and each splits its trajectories over ``n_workers`` processes.
-    Results are ordered by axis value regardless of completion order, and
-    a failing point reports its axis value.
+    each worker steps a contiguous group of points together; with fewer,
+    each point splits its trajectories over the workers.  Results are
+    ordered by axis value, the same bits for any ``n_workers``, and a
+    failing point reports its axis value.
     """
     values = cfg.axis_values()
     if values.size == 0:
         raise DomainError("scan range is empty")
-    points: list[ScanPoint] = []
-    if n_workers > 1 and values.size >= n_workers:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(run_point, cfg, value) for value in values]
-            for value, future in zip(values, futures):
-                try:
-                    points.append(future.result())
-                except Exception:
-                    logger.error("scan point %s=%g failed", cfg.scan_axis, value)
-                    for pending in futures:
-                        pending.cancel()
-                    raise
-    else:
-        for i, value in enumerate(values):
-            logger.info("scan point %d/%d: %s=%g", i + 1, values.size, cfg.scan_axis, value)
-            try:
-                points.append(run_point(cfg, value, n_workers=n_workers))
-            except Exception:
-                logger.error("scan point %s=%g failed", cfg.scan_axis, value)
-                raise
-    return ScanResult(axis_name=cfg.scan_axis, points=points)
+    return ScanResult(axis_name=cfg.scan_axis, points=_run_values(cfg, values, False, n_workers))
 
 
 def absorption_scan(

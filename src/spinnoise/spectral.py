@@ -21,7 +21,7 @@ from .exceptions import DomainError
 #: Equivalent noise bandwidth of the periodic Hann window, in bins.
 HANN_ENBW_BINS = 1.5
 
-# Windowed samples per block of traces in welch_psd_batch (16 MB of float64).
+# Windowed samples per transform call of WelchAccumulator (16 MB of float64).
 _WELCH_BLOCK_SAMPLES = 2**21
 
 
@@ -95,48 +95,93 @@ def welch_psd_batch(
     """Welch PSD of each column of an (n_samples, n_traces) array.
 
     The same estimate as ``scipy.signal.welch`` per column (periodic Hann
-    window, 50% overlap, no detrending, one-sided density), computed with
-    one windowed, strided real FFT over all segments of a block of traces.
-    Blocks hold about _WELCH_BLOCK_SAMPLES windowed samples, which bounds
-    the workspace for long, wide recordings.
+    window, 50% overlap, no detrending, one-sided density): one push of the
+    whole array into a WelchAccumulator.
     """
-    if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
     x = np.asarray(signals, dtype=float)
     if x.ndim != 2:
         raise DomainError(f"signals must be two-dimensional, got shape {x.shape}")
-    nseg = segment_length(dt, rbw_target)
-    min_len = nseg + nseg // 2  # two 50%-overlapped segments
-    n, n_traces = x.shape
-    if n < min_len:
-        raise DomainError(
-            f"series too short for rbw={rbw_target:g} Hz: need at least "
-            f"{min_len} samples ({nseg}-sample segments), got {n}"
-        )
-    hop = nseg - nseg // 2
-    n_segments = 1 + (n - nseg) // hop
-    window = scipy.signal.get_window("hann", nseg)
-    fs = 1.0 / dt
-    freqs = scipy.fft.rfftfreq(nseg, 1.0 / fs)
-    psd = np.empty((n_traces, freqs.size))
-    block = max(1, _WELCH_BLOCK_SAMPLES // (n_segments * nseg))
-    for start in range(0, n_traces, block):
-        traces = np.ascontiguousarray(x[:, start : start + block].T)
-        segments = np.lib.stride_tricks.sliding_window_view(traces, nseg, axis=1)[:, ::hop]
-        spectra = scipy.fft.rfft(segments * window, axis=-1)
-        power = np.square(spectra.real)
-        power += np.square(spectra.imag)
-        psd[start : start + block] = power.mean(axis=1)
-    # Density scaling; every bin but DC (and Nyquist, for even nseg) is
-    # doubled to fold in the negative frequencies.
-    psd *= 1.0 / (fs * np.sum(window**2))
-    psd[:, 1 : None if nseg % 2 else -1] *= 2.0
-    rbw = HANN_ENBW_BINS / (nseg * dt)
-    meta = dict(metadata or {})
-    return [
-        SpectrumRecord(freqs, row, rbw=rbw, n_averages=n_segments, metadata=dict(meta))
-        for row in psd
-    ]
+    accumulator = WelchAccumulator(x.shape[1], dt, rbw_target)
+    accumulator.push(x)
+    return accumulator.records(metadata)
+
+
+class WelchAccumulator:
+    """Streaming Welch PSD of n_traces signals fed in time order.
+
+    ``push`` takes the next (n, n_traces) samples, of any length.  Every
+    segment completed by them is windowed and transformed, and its power is
+    added to a running sum one segment at a time, in order; only the
+    samples of the unfinished segment are carried to the next push.  So the
+    spectra are the same bits however the series is cut into pushes, and
+    equal to the mean over segments of ``welch_psd_batch``.  One transform
+    call holds about _WELCH_BLOCK_SAMPLES windowed samples.
+    """
+
+    def __init__(self, n_traces: int, dt: float, rbw_target: float):
+        if dt <= 0:
+            raise DomainError(f"dt must be > 0, got {dt}")
+        self.dt = dt
+        self.rbw_target = rbw_target
+        self.nseg = segment_length(dt, rbw_target)
+        self.hop = self.nseg - self.nseg // 2
+        self.window = scipy.signal.get_window("hann", self.nseg)
+        self.n_traces = n_traces
+        self.n_samples = 0
+        self.n_segments = 0
+        self._power = np.zeros((n_traces, self.nseg // 2 + 1))
+        self._tail = np.empty((n_traces, 0))
+        self._push_span = self.hop * max(1, _WELCH_BLOCK_SAMPLES // (n_traces * self.nseg))
+
+    def push(self, samples: np.ndarray) -> None:
+        x = np.asarray(samples, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.n_traces:
+            raise DomainError(
+                f"expected samples of shape (n, {self.n_traces}), got {x.shape}"
+            )
+        self.n_samples += len(x)
+        for start in range(0, len(x), self._push_span):
+            self._consume(x[start : start + self._push_span])
+
+    def _consume(self, x: np.ndarray) -> None:
+        traces = np.concatenate([self._tail, x.T], axis=1)
+        n_new = max(0, 1 + (traces.shape[1] - self.nseg) // self.hop)
+        if n_new:
+            segments = np.lib.stride_tricks.sliding_window_view(
+                traces, self.nseg, axis=1
+            )[:, :: self.hop]
+            spectra = scipy.fft.rfft(segments * self.window, axis=-1)
+            power = np.square(spectra.real)
+            power += np.square(spectra.imag)
+            for s in range(n_new):
+                self._power += power[:, s]
+            self.n_segments += n_new
+        self._tail = traces[:, n_new * self.hop :].copy()
+
+    def records(
+        self, metadata: dict | None = None, traces: slice = slice(None)
+    ) -> list[SpectrumRecord]:
+        """The PSD of each trace (or of the ``traces`` slice of them) over
+        all samples pushed so far."""
+        min_len = self.nseg + self.nseg // 2  # two 50%-overlapped segments
+        if self.n_samples < min_len:
+            raise DomainError(
+                f"series too short for rbw={self.rbw_target:g} Hz: need at least "
+                f"{min_len} samples ({self.nseg}-sample segments), got {self.n_samples}"
+            )
+        fs = 1.0 / self.dt
+        psd = self._power[traces] / self.n_segments
+        # Density scaling; every bin but DC (and Nyquist, for even nseg) is
+        # doubled to fold in the negative frequencies.
+        psd *= 1.0 / (fs * np.sum(self.window**2))
+        psd[:, 1 : None if self.nseg % 2 else -1] *= 2.0
+        freqs = scipy.fft.rfftfreq(self.nseg, 1.0 / fs)
+        rbw = HANN_ENBW_BINS / (self.nseg * self.dt)
+        meta = dict(metadata or {})
+        return [
+            SpectrumRecord(freqs, row, rbw=rbw, n_averages=self.n_segments, metadata=dict(meta))
+            for row in psd
+        ]
 
 
 def video_average(spec: SpectrumRecord, vbw: float) -> SpectrumRecord:

@@ -87,6 +87,23 @@ class TestSimulate:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+class TestThreadsOption:
+    @pytest.mark.parametrize("command", ["absorption", "modes"])
+    def test_only_simulate_and_scan_take_threads(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--threads" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--threads", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "scan"])
+    def test_simulate_and_scan_document_threads(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--threads" in capsys.readouterr().out
+
+
 class TestAbsorption:
     def test_quick_scan(self, tmp_path, capsys):
         rc = main([

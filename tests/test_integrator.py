@@ -291,6 +291,69 @@ class TestEngine:
                 evolve(rho, params(), cfg, np.random.default_rng(0))
 
 
+class TestStackedPoints:
+    """Several points stepped in one engine call, one matrix per point."""
+
+    @staticmethod
+    def points():
+        return [
+            params(b_gauss=1.0, rabi_hz=40e6, theta_deg=theta, delta_hz=1.5e9, n_atoms=1e5)
+            for theta in (0.0, 30.0, 75.0)
+        ]
+
+    @pytest.mark.parametrize("n_traj", [1, 3])
+    def test_stacked_records_equal_separate_runs(self, n_traj):
+        # Crosses the 4096-step error span; burn-in and stride divide neither.
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=4500, burn_in_steps=37, record_stride=3)
+        points = self.points()
+        starts = [steady_state(p) for p in points]
+        keys = [[5, point, t] for point in range(len(points)) for t in range(n_traj)]
+        stacked = evolve_ensemble_coherences(points, cfg, keys, rho0=starts)
+        assert stacked.shape == (cfg.n_recorded, len(points) * n_traj, 2)
+        for i, (p, rho0) in enumerate(zip(points, starts)):
+            alone = evolve_ensemble_coherences(
+                p, cfg, keys[i * n_traj : (i + 1) * n_traj], rho0=rho0
+            )
+            assert np.array_equal(stacked[:, i * n_traj : (i + 1) * n_traj], alone)
+
+    def test_batch_of_one_point(self):
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=700, burn_in_steps=10)
+        p = self.points()[1]
+        keys = [[8, 0], [8, 1]]
+        assert np.array_equal(
+            evolve_ensemble_coherences([p], cfg, keys, rho0=[steady_state(p)]),
+            evolve_ensemble_coherences(p, cfg, keys, rho0=steady_state(p)),
+        )
+
+    def test_sink_gets_the_record_in_blocks_and_none_is_held(self):
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=1000, burn_in_steps=300, record_stride=2)
+        points = self.points()[:2]
+        keys = [[6, t] for t in range(4)]
+        blocks = []
+        held = evolve_ensemble_coherences(points, cfg, keys, sink=lambda rows: blocks.append(rows.copy()))
+        assert held.shape == (0, 4, 2)
+        assert all(len(block) <= 256 for block in blocks)
+        assert np.array_equal(
+            np.concatenate(blocks), evolve_ensemble_coherences(points, cfg, keys)
+        )
+
+    def test_numeric_error_names_point_and_trajectory(self):
+        points = self.points()
+        rho = np.full((4, 4), 1e308, dtype=complex)
+        starts = [steady_state(points[0]), rho, rho]
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=5000)
+        keys = [[0, t] for t in range(6)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"trajectory 4 during steps 0\.\.4095 of 5000") as info:
+                evolve_ensemble_coherences(points, cfg, keys, rho0=starts, first_trajectory=4)
+        assert info.value.point == 1
+
+    def test_keys_must_split_evenly_over_points(self):
+        cfg = TrajectoryConfig(dt=1e-8, n_steps=10)
+        with pytest.raises(DomainError, match="split evenly"):
+            evolve_ensemble_coherences(self.points()[:2], cfg, [[0], [1], [2]])
+
+
 class TestEnsemble:
     def test_neighbor_seeds_do_not_change_a_stream(self):
         p = params(n_atoms=1e6)

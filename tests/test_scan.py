@@ -204,10 +204,10 @@ def recording_pool(monkeypatch):
 
 class TestTrajectoryGroups:
     def test_contiguous_and_near_equal(self):
-        assert scan._trajectory_groups(3, 2) == [range(0, 1), range(1, 3)]
-        assert scan._trajectory_groups(64, 2) == [range(0, 32), range(32, 64)]
-        assert scan._trajectory_groups(2, 5) == [range(0, 1), range(1, 2)]
-        assert scan._trajectory_groups(4, 1) == [range(0, 4)]
+        assert scan._split(3, 2) == [range(0, 1), range(1, 3)]
+        assert scan._split(64, 2) == [range(0, 32), range(32, 64)]
+        assert scan._split(2, 5) == [range(0, 1), range(1, 2)]
+        assert scan._split(4, 1) == [range(0, 4)]
 
     def test_point_spectra_do_not_depend_on_the_split(self):
         cfg = tiny_cfg(n_trajectories=3)
@@ -254,28 +254,76 @@ class TestTrajectoryGroups:
 
 
 class TestScanTasks:
-    def test_one_task_per_point_when_points_cover_workers(self, recording_pool):
+    def test_task_layout(self):
+        # Points cover the workers: contiguous point groups, all trajectories.
+        assert scan._scan_tasks(13, 16, 2) == [(range(0, 6), range(16)), (range(6, 13), range(16))]
+        assert scan._scan_tasks(3, 4, 1) == [(range(0, 3), range(4))]
+        # Fewer points than workers: each point's trajectories are split.
+        assert scan._scan_tasks(1, 64, 2) == [(range(0, 1), range(0, 32)), (range(0, 1), range(32, 64))]
+        assert scan._scan_tasks(2, 3, 3) == [
+            (range(i, i + 1), group) for i in (0, 1) for group in (range(0, 1), range(1, 2), range(2, 3))
+        ]
+
+    def test_point_groups_when_points_cover_workers(self, recording_pool):
         cfg = tiny_cfg()
         result = run_scan(cfg, n_workers=2)
         (pool,) = recording_pool.instances
-        assert [fn for fn, _, _ in pool.tasks] == [scan.run_point] * 3
-        assert [args[1] for _, args, _ in pool.tasks] == [0.0, 7.5, 15.0]
+        assert [fn for fn, _, _ in pool.tasks] == [scan._run_task] * 2
+        assert [list(args[1]) for _, args, _ in pool.tasks] == [[0.0], [7.5, 15.0]]
+        assert [args[2] for _, args, _ in pool.tasks] == [range(0, 2)] * 2
         assert all(kwargs == {} for _, _, kwargs in pool.tasks)
         serial = run_scan(cfg, n_workers=1)
         for pp, ps in zip(result.points, serial.points):
-            assert np.array_equal(pp.spectra["rnd"].psd, ps.spectra["rnd"].psd)
+            for mode in ("rnd", "end"):
+                assert np.array_equal(pp.spectra[mode].psd, ps.spectra[mode].psd)
+            assert pp.transmission == ps.transmission
 
     def test_fewer_points_than_workers_split_trajectories(self, recording_pool):
         cfg = tiny_cfg(scan_start=7.5, scan_stop=7.5, n_trajectories=3)
         result = run_scan(cfg, n_workers=2)
         (pool,) = recording_pool.instances
-        assert [fn for fn, _, _ in pool.tasks] == [scan._ensemble_psds] * 2
-        assert [args[4] for _, args, _ in pool.tasks] == [range(0, 1), range(1, 3)]
+        assert [fn for fn, _, _ in pool.tasks] == [scan._run_task] * 2
+        assert [list(args[1]) for _, args, _ in pool.tasks] == [[7.5], [7.5]]
+        assert [args[2] for _, args, _ in pool.tasks] == [range(0, 1), range(1, 3)]
         serial = run_scan(cfg, n_workers=1)
         for mode in ("rnd", "end"):
             assert np.array_equal(
                 result.points[0].spectra[mode].psd, serial.points[0].spectra[mode].psd
             )
+
+    def test_written_scan_does_not_depend_on_workers(self, tmp_path):
+        cfg = tiny_cfg(n_trajectories=3)
+        for n_workers in (1, 2, 3):
+            write_scan(run_scan(cfg, n_workers=n_workers), cfg, tmp_path / str(n_workers))
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert len(names) == 3 * 2 + 2
+        for n_workers in ("2", "3"):
+            assert sorted(p.name for p in (tmp_path / n_workers).iterdir()) == names
+            for name in names:
+                assert (tmp_path / n_workers / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_failure_in_a_stacked_group_names_its_point(self, monkeypatch, caplog):
+        # Trajectory 1 of theta = 15 gets a non-finite drive.  Serially the
+        # one task holds all three points; on two workers 15 is the second
+        # point of the second task.
+        draw = integrator._draw_noise_chunk
+        bits = seed_key(0, 15.0, 0)[1]
+
+        def poisoned(stats, rngs, chunk, drive, offset):
+            draw(stats, rngs, chunk, drive, offset)
+            for j, rng in enumerate(rngs):
+                if list(rng.bit_generator.seed_seq.entropy[1:]) == [bits, 1]:
+                    drive[0, j, 0] = np.inf
+
+        monkeypatch.setattr(integrator, "_draw_noise_chunk", poisoned)
+        cfg = tiny_cfg(n_trajectories=3)
+        for n_workers in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
+                with pytest.raises(NumericError, match="non-finite state in trajectory 1 during"):
+                    run_scan(cfg, n_workers=n_workers)
+            assert "scan point theta=15 failed" in caplog.text
 
 
 class TestPolarizationSymmetry:
@@ -378,16 +426,19 @@ class TestSimulatePoint:
         calls = []
 
         def recording(*args, **kwargs):
-            result = evolve_ensemble_coherences(*args, **kwargs)
-            calls.append((args[0], result))
-            return result
+            calls.append((args, kwargs))
+            return evolve_ensemble_coherences(*args, **kwargs)
 
         monkeypatch.setattr(scan, "evolve_ensemble_coherences", recording)
         cfg = tiny_cfg()
         t, rnd, end, point = simulate_point(cfg)
         assert len(calls) == 1
-        params, coherences = calls[0]
-        e_perp = perpendicular_field_series(coherences[:, 0, :], params)
+        (params, tcfg, keys), kwargs = calls[0]
+        assert kwargs.pop("sink") is not None
+        # The same integration, recorded whole: the series is its column 0.
+        coherences = evolve_ensemble_coherences(params, tcfg, keys, **kwargs)
+        assert coherences.shape == (tcfg.n_recorded, cfg.n_trajectories, 2)
+        e_perp = perpendicular_field_series(coherences[:, 0, :], params[0])
         assert np.array_equal(rnd, 2.0 * cfg.mean_field_au * np.real(e_perp))
         assert np.array_equal(end, 2.0 * cfg.mean_field_au * np.imag(e_perp))
 

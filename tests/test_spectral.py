@@ -8,6 +8,7 @@ from spinnoise.exceptions import DomainError
 from spinnoise.spectral import (
     PeakReport,
     SpectrumRecord,
+    WelchAccumulator,
     average_spectra,
     find_peak,
     read_spectrum_csv,
@@ -107,6 +108,39 @@ class TestWelch:
             assert np.array_equal(rec.freqs, freqs)
             assert np.allclose(rec.psd, psd, rtol=1e-13, atol=0.0)
             assert rec.n_averages == 1 + (n - nseg) // (nseg - nseg // 2)
+
+    @pytest.mark.parametrize("rbw", [5e3, 1.5e6 / 297])
+    @pytest.mark.parametrize("tail", [0, 7])
+    def test_streamed_pieces_equal_one_push(self, rbw, tail):
+        # Uneven pieces, odd (297) and even (300) nseg, with and without a
+        # trailing partial segment.
+        nseg = segment_length(DT, rbw)
+        hop = nseg - nseg // 2
+        n = 40 * hop + nseg + tail
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(n, 4)) + np.cumsum(rng.normal(size=(n, 4)), axis=0)
+        whole = welch_psd_batch(x, DT, rbw, metadata={"mode": "end"})
+        accumulator = WelchAccumulator(4, DT, rbw)
+        cuts = [0, 1, 150, 447, 4543, n]
+        for lo, hi in zip(cuts, cuts[1:]):
+            accumulator.push(x[lo:hi])
+        streamed = accumulator.records({"mode": "end"})
+        assert accumulator.n_segments == 41
+        for a, b in zip(streamed, whole):
+            assert np.array_equal(a.psd, b.psd)
+            assert np.array_equal(a.freqs, b.freqs)
+            assert (a.rbw, a.n_averages, a.metadata) == (b.rbw, b.n_averages, b.metadata)
+        part = accumulator.records(traces=slice(1, 3))
+        assert [rec.psd.tolist() for rec in part] == [rec.psd.tolist() for rec in whole[1:3]]
+
+    def test_streamed_too_short_series_names_minimum(self):
+        nseg = segment_length(DT, 1e3)
+        accumulator = WelchAccumulator(2, DT, 1e3)
+        accumulator.push(np.zeros((nseg, 2)))
+        with pytest.raises(DomainError, match=str(nseg + nseg // 2)):
+            accumulator.records()
+        with pytest.raises(DomainError, match="shape"):
+            accumulator.push(np.zeros((10, 3)))
 
     def test_rejects_wrong_dimensionality(self):
         with pytest.raises(DomainError):
