@@ -264,6 +264,20 @@ class TestScanTasks:
             (range(i, i + 1), group) for i in (0, 1) for group in (range(0, 1), range(1, 2), range(2, 3))
         ]
 
+    def test_one_task_per_point_when_points_cover_workers(self, recording_pool):
+        # As many points as workers: each task is one point with all its
+        # trajectories.
+        cfg = tiny_cfg()
+        result = run_scan(cfg, n_workers=3)
+        (pool,) = recording_pool.instances
+        assert [fn for fn, _, _ in pool.tasks] == [scan._run_task] * 3
+        assert [list(args[1]) for _, args, _ in pool.tasks] == [[0.0], [7.5], [15.0]]
+        assert [args[2] for _, args, _ in pool.tasks] == [range(0, 2)] * 3
+        assert all(kwargs == {} for _, _, kwargs in pool.tasks)
+        serial = run_scan(cfg, n_workers=1)
+        for pp, ps in zip(result.points, serial.points):
+            assert np.array_equal(pp.spectra["rnd"].psd, ps.spectra["rnd"].psd)
+
     def test_point_groups_when_points_cover_workers(self, recording_pool):
         cfg = tiny_cfg()
         result = run_scan(cfg, n_workers=2)
