@@ -37,8 +37,20 @@ def _parse_optional_float(text: str):
     return None if text.strip() == "" else float(text)
 
 
+def _parse_int(text: str) -> int:
+    """An integer literal, exactly; or an integral float (1e5, 131072.0) of
+    magnitude at most 2**53, where every integer is exact."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer() or abs(value) > 2**53:
+        raise ValueError(f"not an integer: {text.strip()!r}")
+    return int(value)
+
+
 def _parse_optional_int(text: str):
-    return None if text.strip() == "" else int(float(text))
+    return None if text.strip() == "" else _parse_int(text)
 
 
 # key -> (parser, default) ; defaults are the far-detuned bench-like point.
@@ -57,11 +69,11 @@ KEY_SPECS: dict[str, tuple] = {
     "mean_field_au": (float, 1.0),
     # trajectory
     "dt_s": (float, 1.0 / 18e6),
-    "n_steps": (lambda s: int(float(s)), 131072),
+    "n_steps": (_parse_int, 131072),
     "burn_in_steps": (_parse_optional_int, None),   # blank -> 5/gamma_t
-    "record_stride": (lambda s: int(float(s)), 1),
-    "n_trajectories": (lambda s: int(float(s)), 64),
-    "master_seed": (lambda s: int(float(s)), 12345),
+    "record_stride": (_parse_int, 1),
+    "n_trajectories": (_parse_int, 64),
+    "master_seed": (_parse_int, 12345),
     # detector (key casing is part of the file format)
     "responsivity_A_per_W": (float, 0.7),
     "transimpedance_V_per_A": (float, 5e3),

@@ -356,6 +356,8 @@ def _integrate(
     drive = np.empty((capacity, n_points, width, VEC_DIM))
     for p, prop in enumerate(props):
         drive[:, p] = prop.real_offset
+    # Each trajectory's noise block of a chunk, refilled point by point.
+    blocks = np.empty((n_traj, capacity, 9))
     state_rows, drive_rows = list(states), list(drive)
     states[0] = x0[:, np.arange(width) % n_traj]
     done = 0
@@ -365,7 +367,7 @@ def _integrate(
             if noisy[p]:
                 _draw_noise_chunk(
                     stats[p], rngs[p * n_traj : (p + 1) * n_traj], chunk, drive[:, p],
-                    props[p].real_offset,
+                    props[p].real_offset, blocks,
                 )
         for k in range(chunk):
             np.matmul(state_rows[k], matrices, out=state_rows[k + 1])
@@ -391,16 +393,23 @@ def _integrate(
 
 
 def _draw_noise_chunk(
-    stats: NoiseStats, rngs: list, chunk: int, drive: np.ndarray, offset: np.ndarray
+    stats: NoiseStats,
+    rngs: list,
+    chunk: int,
+    drive: np.ndarray,
+    offset: np.ndarray,
+    blocks: np.ndarray,
 ) -> None:
     """Set drive[:chunk, j, :9] to offset[:9] plus chunk steps of noise.
 
-    Trajectory j draws one block from rngs[j], whose columns are already in
-    the order of the noise-driven real coordinates.
+    Trajectory j draws one block from rngs[j] into blocks[j, :chunk]; its
+    columns are already in the order of the noise-driven real coordinates.
+    One add then moves all the blocks into the strided drive.
     """
-    blocks = [sample_increment_block(stats, rng, chunk) for rng in rngs]
+    for rng, block in zip(rngs, blocks):
+        sample_increment_block(stats, rng, chunk, out=block[:chunk])
     np.add(
-        np.stack(blocks, axis=1), offset[_NOISE_COORDS],
+        blocks[:, :chunk].transpose(1, 0, 2), offset[_NOISE_COORDS],
         out=drive[:chunk, : len(rngs), _NOISE_COORDS],
     )
 

@@ -67,7 +67,7 @@ def noise_stats(gamma_t: float, dt: float, n_atoms: float) -> NoiseStats:
 
 
 def sample_increment_block(
-    stats: NoiseStats, rng: np.random.Generator, n: int
+    stats: NoiseStats, rng: np.random.Generator, n: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Draw n steps of noise at once, as an (n, 9) real block.
 
@@ -76,12 +76,19 @@ def sample_increment_block(
     is the order of the integrator's noise-driven real coordinates.  Each
     block is one (n, 9) standard-normal draw scaled in place, so a given
     generator state yields a reproducible stream for a given blocking.
+    With ``out``, a C-contiguous (n, 9) float64 array, the block is drawn
+    into it and ``out`` is returned: the same values, no allocation.
     """
+    if out is None:
+        out = np.empty((n, 9))
+    elif out.shape != (n, 9):
+        raise DomainError(f"out must have shape ({n}, 9), got {out.shape}")
     if stats.sigma_sq == 0.0:
-        return np.zeros((n, 9))
-    block = rng.standard_normal((n, 9))
-    block *= stats.block_scale
-    return block
+        out.fill(0.0)
+        return out
+    rng.standard_normal(out=out)
+    out *= stats.block_scale
+    return out
 
 
 def increment_matrix(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
-import scipy.signal
 
 from .exceptions import DomainError
 
@@ -57,6 +56,22 @@ class PeakReport:
     peak_freq: float    # Hz, centroid
     peak_power: float   # V^2 (or a.u.^2), integrated over the window
     window: float       # Hz, full analysis width
+
+
+def hann_window(n: int) -> np.ndarray:
+    """The periodic Hann window of n samples, for spectral analysis.
+
+    Built as ``scipy.signal.get_window("hann", n)`` builds it (a general
+    cosine window with coefficients 0.5, 0.5 on n + 1 points, last one
+    dropped), so the two are the same bits; it needs no scipy.signal.
+    """
+    if n < 2:
+        return np.ones(n)
+    fac = np.linspace(-np.pi, np.pi, n + 1)
+    w = np.zeros(n + 1)
+    for k, a in enumerate((0.5, 0.5)):
+        w += a * np.cos(k * fac)
+    return w[:-1]
 
 
 def segment_length(dt: float, rbw_target: float) -> int:
@@ -125,7 +140,7 @@ class WelchAccumulator:
         self.rbw_target = rbw_target
         self.nseg = segment_length(dt, rbw_target)
         self.hop = self.nseg - self.nseg // 2
-        self.window = scipy.signal.get_window("hann", self.nseg)
+        self.window = hann_window(self.nseg)
         self.n_traces = n_traces
         self.n_samples = 0
         self.n_segments = 0

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spinnoise
 from spinnoise.cli import main
 from spinnoise.spectral import read_spectrum_csv
 
@@ -115,6 +121,32 @@ class TestAbsorption:
         data = [l for l in lines if not l.startswith(("#", "theta_deg"))]
         assert len(data) == 7  # 0..90 in 15-deg steps
         assert "max" in capsys.readouterr().out
+
+
+class TestSeedOption:
+    def test_large_seed_reaches_the_manifest_exactly(self, tmp_path):
+        seed = 12345678901234567891
+        assert main(["modes", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        manifest = (tmp_path / "run_manifest.cfg").read_text().splitlines()
+        assert f"master_seed={seed}" in manifest
+
+
+class TestImports:
+    def test_package_loads_only_four_scipy_subpackages(self):
+        # scipy.signal (and the stats, optimize, ... behind it) cost about a
+        # second of start-up in every run.
+        code = (
+            "import sys, spinnoise, spinnoise.cli\n"
+            "print(' '.join(sorted(name.split('.')[1] for name, module in sys.modules.items()\n"
+            "    if name.count('.') == 1 and name.startswith('scipy.')\n"
+            "    and not name.split('.')[1].startswith('_') and hasattr(module, '__path__'))))"
+        )
+        src = Path(spinnoise.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert set(out) <= {"constants", "fft", "linalg", "special"}, out
 
 
 class TestErrors:

@@ -74,6 +74,26 @@ class TestSampleIncrement:
         off = np.sqrt(stats.offdiag_var) * (draws[:, 3:6] + 1j * draws[:, 6:9])
         assert np.array_equal(block, np.hstack([diag, off.real, off.imag]))
 
+    def test_block_drawn_into_out(self):
+        stats = noise_stats(TWOPI * 30e3, 1 / 18e6, 1e6)
+        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+        allocated = sample_increment_block(stats, rng_a, 300)
+        buf = np.full((300, 9), np.nan)
+        assert sample_increment_block(stats, rng_b, 300, out=buf) is buf
+        assert np.array_equal(buf, allocated)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        with pytest.raises(DomainError, match="shape"):
+            sample_increment_block(stats, rng_b, 299, out=buf)
+
+    def test_zero_variance_block_into_out(self):
+        stats = noise_stats(0.0, 1e-8, 1e9)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        buf = np.ones((4, 9))
+        assert sample_increment_block(stats, rng, 4, out=buf) is buf
+        assert np.all(buf == 0.0)
+        assert rng.bit_generator.state == before
+
     def test_quick_statistics(self):
         stats = noise_stats(TWOPI * 30e3, 1 / 18e6, 1e6)
         n = 200_000

@@ -55,6 +55,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="rabi_hz"):
             load_config(overrides=["rabi_hz=fast"])
 
+    @pytest.mark.parametrize(
+        "key", ["n_steps", "record_stride", "n_trajectories", "master_seed", "burn_in_steps"]
+    )
+    @pytest.mark.parametrize("text", ["2.7", "1.9", "1e-3", "inf", "nan", "seven", "1e20"])
+    def test_integer_key_rejects_non_integers(self, key, text):
+        with pytest.raises(ConfigError, match=key):
+            load_config(overrides=[f"{key}={text}"])
+
+    def test_integer_keys_accept_integral_float_notation(self):
+        cfg = load_config(overrides=["n_steps=131072.0", "n_trajectories=1e1", "burn_in_steps=5e2"])
+        assert (cfg.n_steps, cfg.n_trajectories, cfg.burn_in_steps) == (131072, 10, 500)
+        assert load_config(overrides=[f"master_seed={float(2**53)!r}"]).master_seed == 2**53
+        with pytest.raises(ConfigError, match="master_seed"):
+            load_config(overrides=[f"master_seed={float(2**54)!r}"])
+
+    def test_large_seed_parsed_exactly(self, tmp_path):
+        seed = 12345678901234567891
+        cfg = load_config(overrides=[f"master_seed={seed}"])
+        assert cfg.master_seed == seed
+        write_manifest(cfg, tmp_path / "manifest.cfg")
+        assert f"master_seed={seed}\n" in (tmp_path / "manifest.cfg").read_text()
+        assert load_config(path=tmp_path / "manifest.cfg").master_seed == seed
+
     def test_unknown_preset_lists_available(self):
         with pytest.raises(ConfigError, match="fig3_end.cfg"):
             load_config(preset="nonexistent")
@@ -226,8 +249,8 @@ class TestTrajectoryGroups:
         # in the second group under two and three workers.
         draw = integrator._draw_noise_chunk
 
-        def poisoned(stats, rngs, chunk, drive, offset):
-            draw(stats, rngs, chunk, drive, offset)
+        def poisoned(stats, rngs, chunk, drive, offset, blocks):
+            draw(stats, rngs, chunk, drive, offset, blocks)
             for j, rng in enumerate(rngs):
                 if rng.bit_generator.seed_seq.entropy[2] == 2:
                     drive[0, j, 0] = np.inf
@@ -324,8 +347,8 @@ class TestScanTasks:
         draw = integrator._draw_noise_chunk
         bits = seed_key(0, 15.0, 0)[1]
 
-        def poisoned(stats, rngs, chunk, drive, offset):
-            draw(stats, rngs, chunk, drive, offset)
+        def poisoned(stats, rngs, chunk, drive, offset, blocks):
+            draw(stats, rngs, chunk, drive, offset, blocks)
             for j, rng in enumerate(rngs):
                 if list(rng.bit_generator.seed_seq.entropy[1:]) == [bits, 1]:
                     drive[0, j, 0] = np.inf

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from spinnoise.config import load_config
 from spinnoise.exceptions import DomainError
 from spinnoise.spectral import (
     PeakReport,
@@ -11,6 +12,7 @@ from spinnoise.spectral import (
     WelchAccumulator,
     average_spectra,
     find_peak,
+    hann_window,
     read_spectrum_csv,
     segment_length,
     video_average,
@@ -147,6 +149,19 @@ class TestWelch:
             welch_psd(np.zeros((100, 2)), DT, 1e3)
         with pytest.raises(DomainError):
             welch_psd_batch(np.zeros(100), DT, 1e3)
+
+
+class TestHannWindow:
+    def test_same_bits_as_scipy(self):
+        for n in range(1, 601):
+            assert np.array_equal(hann_window(n), scipy.signal.get_window("hann", n)), n
+
+    @pytest.mark.parametrize("preset", ["fig3_end", "fig6_rnd"])
+    def test_same_bits_as_scipy_at_preset_segment_length(self, preset):
+        cfg = load_config(preset=preset, overrides=["rbw_hz=91e3"])
+        nseg = segment_length(cfg.dt_s, cfg.rbw_hz)
+        assert np.array_equal(hann_window(nseg), scipy.signal.get_window("hann", nseg))
+        assert np.array_equal(WelchAccumulator(1, cfg.dt_s, cfg.rbw_hz).window, hann_window(nseg))
 
 
 class TestSpectrumRecord:
