@@ -34,6 +34,7 @@ from .detection import (
     end_signal,
     field_from_coherences,
     fields_from_coherence_series,
+    readout_matrix,
     rnd_signal,
     shot_noise_floor,
     transmission,

@@ -77,7 +77,6 @@ KEY_SPECS: dict[str, tuple] = {
     # detector (key casing is part of the file format)
     "responsivity_A_per_W": (float, 0.7),
     "transimpedance_V_per_A": (float, 5e3),
-    "bandwidth_Hz": (float, 9e6),
     "input_power_W": (float, 1e-3),
     # spectral
     "rbw_hz": (float, 91e3),
@@ -115,7 +114,6 @@ class ExperimentConfig:
     master_seed: int
     responsivity_A_per_W: float
     transimpedance_V_per_A: float
-    bandwidth_Hz: float
     input_power_W: float
     rbw_hz: float
     vbw_hz: float | None
@@ -197,7 +195,6 @@ class ExperimentConfig:
         return DetectorParams(
             responsivity=self.responsivity_A_per_W,
             transimpedance=self.transimpedance_V_per_A,
-            bandwidth=self.bandwidth_Hz,
             input_power=self.input_power_W,
         )
 

@@ -11,6 +11,7 @@ rotation noise), its imaginary part after a quarter-wave quadrature swap
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,10 @@ class DetectorParams:
 
     responsivity: float = 0.7        # A/W
     transimpedance: float = 5e3      # V/A
-    bandwidth: float = 9e6           # Hz
     input_power: float = 1e-3        # W
 
     def __post_init__(self):
-        for name in ("responsivity", "transimpedance", "bandwidth", "input_power"):
+        for name in ("responsivity", "transimpedance", "input_power"):
             value = getattr(self, name)
             if value <= 0:
                 raise DomainError(f"{name} must be > 0, got {value}")
@@ -110,6 +110,23 @@ def rnd_signal(sample: FieldSample, mean_field_e: float) -> np.ndarray | float:
 def end_signal(sample: FieldSample, mean_field_e: float) -> np.ndarray | float:
     """Ellipticity-noise channel: 2 E Im(e_perp) (quadrature-swapped readout)."""
     return 2.0 * mean_field_e * np.imag(sample.e_perp)
+
+
+_CHANNELS = {"rnd": rnd_signal, "end": end_signal}
+
+
+def readout_matrix(
+    params: SystemParams, mean_field_e: float, modes: Sequence[str] = ("rnd", "end")
+) -> np.ndarray:
+    """Real (4, len(modes)) readout G: the signals of the coherence coordinates
+    x = (Re rho[3,0], Im rho[3,0], Re rho[3,2], Im rho[3,2]) are x @ G.
+
+    Built by probing fields_from_coherence_series with the four unit
+    coordinates and reading each probe through rnd_signal or end_signal.
+    """
+    probes = np.eye(4).view(complex)   # row k: coherence pair of unit coordinate k
+    sample = fields_from_coherence_series(probes[:, 0], probes[:, 1], params)
+    return np.stack([_CHANNELS[mode](sample, mean_field_e) for mode in modes], axis=-1)
 
 
 def transmission(

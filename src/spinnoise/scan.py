@@ -16,7 +16,6 @@ import contextlib
 import csv
 import functools
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, write_manifest
-from .core import SQRT2, SQRT3, SystemParams
-from .detection import shot_noise_floor, transmission
+from .core import SQRT2, SystemParams
+from .detection import readout_matrix, shot_noise_floor, transmission
 from .exceptions import DomainError, NumericError
 from .integrator import (
     evolve_ensemble_coherences,
@@ -53,7 +52,7 @@ class ScanPoint:
     spectra: dict[str, SpectrumRecord]
     transmission: float
     shot_floor: float
-    series: np.ndarray | None = None   # e_perp of trajectory 0, when kept
+    series: np.ndarray | None = None   # [RND, END] of trajectory 0, when kept
 
 
 @dataclass
@@ -98,39 +97,23 @@ def _point_metadata(cfg: ExperimentConfig, axis_value: float, mode: str) -> dict
     }
 
 
-# Field values projected per block of rows: the projection's temporaries
-# stay near this many complex values however long the record.
-_PROJECTION_BLOCK = 2**16
-
-
-def _perpendicular_field(coherences: np.ndarray, params: SystemParams) -> np.ndarray:
-    scale = params.kappa / SQRT3
-    e_plus = 1j * scale * coherences[..., 0]
-    e_minus = 1j * scale * coherences[..., 1]
-    e_x = (e_minus - e_plus) / SQRT2
-    e_y = e_plus + e_minus
-    e_y *= -1j / SQRT2
-    return -np.sin(params.theta) * e_x + np.cos(params.theta) * e_y
-
-
+# perfbench/tracer.py hooks this name as detection.field_projection.
 def perpendicular_field_series(
-    coherences: np.ndarray, params: SystemParams
+    coords: np.ndarray, readouts: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """e_perp(t) for recorded coherence pairs (rho[3,0], rho[3,2]).
-
-    Memory-lean equivalent of detection.fields_from_coherence_series for
-    long recordings: works through the leading axis in blocks, with the
-    same arithmetic per element.  Input shape (..., 2), output shape (...).
+    """Signals of P points' (rows, P * n_traj, 4) coherence coordinates
+    through their (P, 4, M) readouts, into the contiguous (rows, P * M * n_traj)
+    ``out`` (columns by point, mode, trajectory).  The four products are
+    summed elementwise, not by matmul, so no bit depends on the layout.
     """
-    coherences = np.asarray(coherences)
-    if coherences.ndim < 2:
-        return _perpendicular_field(coherences, params)
-    out = np.empty(coherences.shape[:-1], dtype=complex)
-    rows = max(1, _PROJECTION_BLOCK // max(1, math.prod(out.shape[1:])))
-    for start in range(0, len(out), rows):
-        out[start : start + rows] = _perpendicular_field(
-            coherences[start : start + rows], params
-        )
+    rows = len(coords)
+    n_points, _, n_modes = readouts.shape
+    x = coords.reshape(rows, n_points, 1, -1, 4)
+    y = out.reshape(rows, n_points, n_modes, -1)
+    g = readouts[..., None]
+    np.multiply(x[..., 0], g[:, 0], out=y)
+    for k in range(1, 4):
+        y += x[..., k] * g[:, k]
     return out
 
 
@@ -161,25 +144,25 @@ class _PointPart:
 
     records: dict[str, list[SpectrumRecord]]   # per-trajectory PSDs by mode
     transmission: float | None = None          # from the group holding trajectory 0
-    series: np.ndarray | None = None           # e_perp of trajectory 0, when kept
+    series: np.ndarray | None = None           # [RND, END] of trajectory 0, when kept
 
 
 class _Stream:
-    """Sink of the engine for a task's points: projects each point's e_perp
-    and pushes the signals of every point, mode and trajectory (columns in
-    that order) into one streaming Welch accumulator."""
+    """Sink of the engine for a task's points: reads the signals of every
+    point, mode and trajectory (columns in that order) out of each chunk of
+    coherences and pushes them into one streaming Welch accumulator."""
 
     def __init__(self, cfg: ExperimentConfig, params: list[SystemParams], n_traj: int,
                  series_length: int | None):
         tcfg = cfg.trajectory_config()
-        self.params = params
         self.modes = cfg.modes()
         self.n_traj = n_traj
-        self.field_scale = 2.0 * cfg.mean_field_au
+        self.readouts = np.stack([readout_matrix(p, cfg.mean_field_au, self.modes) for p in params])
         self.welch = WelchAccumulator(
             len(params) * len(self.modes) * n_traj, tcfg.dt * tcfg.record_stride, cfg.rbw_hz
         )
-        self.series = None if series_length is None else np.empty(series_length, dtype=complex)
+        self.series_readout = readout_matrix(params[0], cfg.mean_field_au)[None]
+        self.series = None if series_length is None else np.empty((series_length, 2))
         self.filled = 0
 
     def columns(self, point: int, mode: int) -> slice:
@@ -187,16 +170,13 @@ class _Stream:
         return slice(start, start + self.n_traj)
 
     def __call__(self, rows: np.ndarray) -> None:
+        coords = rows.view(float)   # (Re, Im) of rho[3,0] and rho[3,2]
         signals = np.empty((len(rows), self.welch.n_traces))
-        for p, params in enumerate(self.params):
-            e_perp = perpendicular_field_series(
-                rows[:, p * self.n_traj : (p + 1) * self.n_traj], params
+        perpendicular_field_series(coords, self.readouts, signals)
+        if self.series is not None:
+            perpendicular_field_series(
+                coords[:, :1], self.series_readout, self.series[self.filled : self.filled + len(rows)]
             )
-            if p == 0 and self.series is not None:
-                self.series[self.filled : self.filled + len(rows)] = e_perp[:, 0]
-            for m, mode in enumerate(self.modes):
-                part = np.real(e_perp) if mode == "rnd" else np.imag(e_perp)
-                np.multiply(self.field_scale, part, out=signals[:, self.columns(p, m)])
         self.welch.push(signals)
         self.filled += len(rows)
 
@@ -216,11 +196,11 @@ def _run_task(
 ) -> list[_PointPart]:
     """Per-trajectory PSDs of a group of points over one trajectory range.
 
-    All points are stepped together in one engine call; their e_perp is
-    projected and Welch-averaged chunk by chunk, so no coherence record is
+    All points are stepped together in one engine call; their signals are
+    read out and Welch-averaged chunk by chunk, so no coherence record is
     held.  The group holding trajectory 0 also reports each point's
     transmission and, with ``keep_series`` (one point only), trajectory 0's
-    e_perp.  A trajectory's PSDs depend only on its seed, not on the
+    [RND, END].  A trajectory's PSDs depend only on its seed, not on the
     grouping.  An exception carries the failing point's ``axis_value``.
     """
     tcfg = cfg.trajectory_config()
@@ -339,7 +319,7 @@ def run_point(
     A scan of one value: with ``n_workers > 1`` the ensemble is split into
     that many contiguous trajectory groups, each run in its own process;
     the spectra are the same bits for any split.  With ``keep_series`` the
-    point also carries e_perp of trajectory 0.
+    point also carries [RND, END] of trajectory 0.
     """
     return _run_values(cfg, np.array([float(axis_value)]), keep_series, n_workers)[0]
 
@@ -466,11 +446,9 @@ def simulate_point(
     }[cfg.scan_axis]
     point = run_point(cfg, axis_value, keep_series=True, n_workers=n_workers)
     tcfg = cfg.trajectory_config()
-    e_perp = point.series
-    t = (cfg.resolved_burn_in() + 1 + np.arange(e_perp.size) * tcfg.record_stride) * tcfg.dt
-    rnd = 2.0 * cfg.mean_field_au * np.real(e_perp)
-    end = 2.0 * cfg.mean_field_au * np.imag(e_perp)
-    return t, rnd, end, point
+    series = point.series
+    t = (cfg.resolved_burn_in() + 1 + np.arange(len(series)) * tcfg.record_stride) * tcfg.dt
+    return t, series[:, 0], series[:, 1], point
 
 
 def write_scan(result: ScanResult, cfg: ExperimentConfig, outdir: str | Path) -> list[Path]:

@@ -178,7 +178,7 @@ class WelchAccumulator:
     ) -> list[SpectrumRecord]:
         """The PSD of each trace (or of the ``traces`` slice of them) over
         all samples pushed so far."""
-        min_len = self.nseg + self.nseg // 2  # two 50%-overlapped segments
+        min_len = self.nseg + self.hop  # two 50%-overlapped segments
         if self.n_samples < min_len:
             raise DomainError(
                 f"series too short for rbw={self.rbw_target:g} Hz: need at least "

@@ -259,7 +259,7 @@ def test_criterion_5_absorption_magic_angle():
 
 def test_criterion_6_shot_noise_floor():
     detector = DetectorParams(
-        responsivity=0.7, transimpedance=5e3, bandwidth=9e6, input_power=1e-3
+        responsivity=0.7, transimpedance=5e3, input_power=1e-3
     )
     floor = shot_noise_floor(detector, 1.0)
     value_ok = abs(floor - 5.6e-15) <= 0.03 * 5.6e-15

@@ -11,13 +11,13 @@ from spinnoise.detection import (
     end_signal,
     field_from_coherences,
     fields_from_coherence_series,
+    readout_matrix,
     rnd_signal,
     shot_noise_floor,
     transmission,
 )
 from spinnoise.exceptions import ContractViolationError, DomainError
 from spinnoise.integrator import steady_state
-from spinnoise import scan
 from spinnoise.scan import perpendicular_field_series
 
 
@@ -77,21 +77,8 @@ class TestFieldMapping:
         rng = np.random.default_rng(2)
         c = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
         series = fields_from_coherence_series(c[:, 0], c[:, 1], p)
-        lean = perpendicular_field_series(c, p)
-        assert np.array_equal(series.e_perp, lean)
         fs0 = field_from_coherences(rho_with_coherences(c[0, 0], c[0, 1]), p)
         assert fs0.e_perp == pytest.approx(series.e_perp[0])
-
-    def test_blocked_projection_is_bit_identical(self, monkeypatch):
-        # Blocks of 8 rows over a (45, 3, 2) record: several full blocks
-        # and a partial one.
-        p = params(theta_deg=35.0)
-        rng = np.random.default_rng(4)
-        c = rng.normal(size=(45, 3, 2)) + 1j * rng.normal(size=(45, 3, 2))
-        monkeypatch.setattr(scan, "_PROJECTION_BLOCK", 24)
-        lean = perpendicular_field_series(c, p)
-        series = fields_from_coherence_series(c[..., 0], c[..., 1], p)
-        assert np.array_equal(lean, series.e_perp)
 
     def test_steady_state_perpendicular_dc_vanishes_on_axis(self):
         # At theta=0 the pumped medium keeps x/y symmetry axes, so the mean
@@ -122,6 +109,46 @@ class TestBalancedSignals:
         fs = FieldSample(e_plus=0, e_minus=0, e_par=0, e_perp=e_perp)
         lhs = rnd_signal(fs, 1.5) ** 2 + end_signal(fs, 1.5) ** 2
         assert np.allclose(lhs, 4 * 1.5**2 * np.abs(e_perp) ** 2)
+
+
+class TestReadoutMatrix:
+    @pytest.mark.parametrize("theta_deg", [0.0, 35.0, 90.0, 200.0])
+    def test_matches_the_field_definition(self, theta_deg):
+        p = params(theta_deg=theta_deg, kappa=2.5)
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=(60, 2)) + 1j * rng.normal(size=(60, 2))
+        g = readout_matrix(p, 1.7)
+        assert g.shape == (4, 2) and g.dtype == float
+        signals = c.view(float) @ g
+        fs = fields_from_coherence_series(c[:, 0], c[:, 1], p)
+        # Samples near zero come from cancelling terms, so their rounding
+        # is measured on the scale of the series.
+        for column, expected in enumerate((rnd_signal(fs, 1.7), end_signal(fs, 1.7))):
+            scale = np.abs(expected).max()
+            assert np.allclose(signals[:, column], expected, rtol=1e-14, atol=1e-14 * scale)
+
+    def test_columns_follow_modes(self):
+        p = params(theta_deg=35.0, kappa=2.5)
+        g = readout_matrix(p, 1.7)
+        assert np.array_equal(readout_matrix(p, 1.7, ("end",)), g[:, 1:])
+        assert np.array_equal(readout_matrix(p, 1.7, ("end", "rnd")), g[:, ::-1])
+
+    def test_readout_bits_do_not_depend_on_layout(self):
+        # Two points of three trajectories, read out together, against one
+        # trajectory of one point alone: the same bits.
+        rng = np.random.default_rng(4)
+        coords = rng.normal(size=(45, 6, 4))
+        readouts = np.stack([
+            readout_matrix(params(theta_deg=theta, kappa=2.5), 1.7) for theta in (35.0, 200.0)
+        ])
+        block = perpendicular_field_series(coords, readouts, np.empty((45, 12)))
+        for p in range(2):
+            for t in range(3):
+                alone = perpendicular_field_series(
+                    coords[:, 3 * p + t : 3 * p + t + 1], readouts[p : p + 1], np.empty((45, 2))
+                )
+                for m in range(2):
+                    assert np.array_equal(alone[:, m], block[:, (2 * p + m) * 3 + t])
 
 
 class TestTransmission:

@@ -13,8 +13,8 @@ import pytest
 
 from spinnoise.config import load_config
 from spinnoise.core import SystemParams
+from spinnoise.detection import readout_matrix
 from spinnoise.integrator import TrajectoryConfig, evolve_ensemble_coherences, steady_state
-from spinnoise.scan import perpendicular_field_series
 from spinnoise.spectral import average_spectra, find_peak, welch_psd_batch
 
 from _ou_oracle import predicted_window_power
@@ -27,10 +27,10 @@ def monte_carlo_window_powers(params, windows, n_traj=16, n_steps=2**16):
     cfg = TrajectoryConfig(dt=DT, n_steps=n_steps, burn_in_steps=478)
     keys = [[101, t] for t in range(n_traj)]
     coh = evolve_ensemble_coherences(params, cfg, keys, rho0=steady_state(params))
-    e_perp = perpendicular_field_series(coh, params)
+    signals = coh.view(float) @ readout_matrix(params, 1.0)
     out = {}
-    for mode, signal in (("rnd", 2 * np.real(e_perp)), ("end", 2 * np.imag(e_perp))):
-        spec = average_spectra(welch_psd_batch(signal, DT, RBW))
+    for m, mode in enumerate(("rnd", "end")):
+        spec = average_spectra(welch_psd_batch(signals[..., m], DT, RBW))
         out[mode] = {
             f0: find_peak(spec, f0, hw).peak_power for f0, hw in windows
         }

@@ -8,7 +8,7 @@ from spinnoise import detection, integrator, scan
 
 from spinnoise.config import ExperimentConfig, load_config, write_manifest
 from spinnoise.core import SystemParams
-from spinnoise.detection import transmission
+from spinnoise.detection import readout_matrix, transmission
 from spinnoise.exceptions import ConfigError, DomainError, NumericError
 from spinnoise.integrator import TrajectoryConfig, evolve_ensemble_coherences, steady_state
 from spinnoise.scan import (
@@ -375,9 +375,9 @@ class TestPolarizationSymmetry:
                 b_gauss=1.0, rabi_hz=40e6, theta_deg=theta, delta_hz=1.5e9
             )
             coh = evolve_ensemble_coherences(p, cfg, keys, rho0=steady_state(p))
-            e_perp = perpendicular_field_series(coh, p)
-            rnd = average_spectra(welch_psd_batch(2 * np.real(e_perp), cfg.dt, 91e3))
-            end = average_spectra(welch_psd_batch(2 * np.imag(e_perp), cfg.dt, 91e3))
+            signals = coh.view(float) @ readout_matrix(p, 1.0)
+            rnd = average_spectra(welch_psd_batch(signals[..., 0], cfg.dt, 91e3))
+            end = average_spectra(welch_psd_batch(signals[..., 1], cfg.dt, 91e3))
             psds.append((rnd.psd, end.psd))
         assert np.allclose(psds[0][0], psds[1][0], rtol=1e-6)
         assert np.allclose(psds[0][1], psds[1][1], rtol=1e-6)
@@ -475,9 +475,12 @@ class TestSimulatePoint:
         # The same integration, recorded whole: the series is its column 0.
         coherences = evolve_ensemble_coherences(params, tcfg, keys, **kwargs)
         assert coherences.shape == (tcfg.n_recorded, cfg.n_trajectories, 2)
-        e_perp = perpendicular_field_series(coherences[:, 0, :], params[0])
-        assert np.array_equal(rnd, 2.0 * cfg.mean_field_au * np.real(e_perp))
-        assert np.array_equal(end, 2.0 * cfg.mean_field_au * np.imag(e_perp))
+        series = perpendicular_field_series(
+            coherences.view(float)[:, :1], readout_matrix(params[0], cfg.mean_field_au)[None],
+            np.empty((tcfg.n_recorded, 2)),
+        )
+        assert np.array_equal(rnd, series[:, 0])
+        assert np.array_equal(end, series[:, 1])
 
 
 class TestWriteScan:

@@ -144,6 +144,20 @@ class TestWelch:
         with pytest.raises(DomainError, match="shape"):
             accumulator.push(np.zeros((10, 3)))
 
+    def test_odd_segment_needs_two_full_segments(self):
+        # The presets' sampling and 91 kHz RBW give nseg 297 and hop 149:
+        # 445 samples hold one segment only, 446 hold two.
+        dt = 1.0 / 18e6
+        assert segment_length(dt, 91e3) == 297
+        rng = np.random.default_rng(14)
+        short = WelchAccumulator(1, dt, 91e3)
+        short.push(rng.normal(size=(445, 1)))
+        with pytest.raises(DomainError, match="446"):
+            short.records()
+        enough = WelchAccumulator(1, dt, 91e3)
+        enough.push(rng.normal(size=(446, 1)))
+        assert enough.records()[0].n_averages == 2
+
     def test_rejects_wrong_dimensionality(self):
         with pytest.raises(DomainError):
             welch_psd(np.zeros((100, 2)), DT, 1e3)
