@@ -19,8 +19,11 @@ matrix (REAL_COORDS), where the step is x' = x E_real^T + c_real + noise
 with a real 16x16 matrix.  Every state is Hermitian by construction, and
 ``evolve`` and ``evolve_ensemble_coherences`` share one engine; ``step``
 is the single-step reference on the complex matrix.  The engine steps
-several parameter points at once, one stacked matrix product per step,
-and hands the recorded rows to a sink chunk by chunk.
+several parameter points at once.  It has no per-step loop: it advances
+sub-blocks of _SUB steps with lifted operators (powers of E_real^T and
+their sums), so a chunk of steps is a few matrix products over the
+trajectories' noise, and it hands the recorded rows to a sink chunk by
+chunk.
 """
 
 from __future__ import annotations
@@ -105,11 +108,13 @@ def from_real(x: np.ndarray) -> np.ndarray:
     return (x @ _FROM_REAL.T).reshape(x.shape[:-1] + (DIM, DIM))
 
 
-# Steps per chunk of the engine: noise draw, step loop, finiteness check
-# and hand-off of the recorded rows.  A trajectory's noise stream does not
-# depend on it (a standard-normal draw gives the same values however it is
-# split), and neither does any output bit.
+# Steps per chunk of the engine: noise draw, lifted stepping, finiteness
+# check and hand-off of the recorded rows.  A trajectory's noise stream
+# does not depend on it (a standard-normal draw gives the same values
+# however it is split), and neither does any output bit.
 _CHUNK = 256
+# Steps per sub-block of the lifted stepping (a divisor of _CHUNK).
+_SUB = 16
 # Steps per range that a NumericError reports (a multiple of _CHUNK).
 _ERROR_SPAN = 4096
 
@@ -193,6 +198,75 @@ def _cached_propagator(params: SystemParams, dt: float) -> Propagator:
     return Propagator(params, dt)
 
 
+@dataclass(frozen=True)
+class _Lifted:
+    """One point's operators that advance a sub-block of up to _SUB steps.
+
+    With M = ``real_matrix_t``, c = ``real_offset`` and n_i the noise of
+    step i of a sub-block that starts in state y, the state after its
+    step r is
+
+        x_r = y M^(r+1) + sum_{i<=r} n_i M^(r-i) + O_r,
+        O_r = c (M^0 + ... + M^r).
+
+    Only the first nine coordinates of n_i are nonzero, so a sub-block's
+    noise is one row of 9 _SUB values.  ``start``, ``noise`` and ``offset``
+    give the recorded coordinates of all _SUB steps as one row,
+    y @ start + n @ noise + offset (K recorded coordinates per step), and
+    the full end state is y @ power + n @ end_noise + end_offset.  The
+    noise map is block upper-triangular, so a step's record does not read
+    the noise of later steps: the record of a partial sub-block at the end
+    of a run is the same product, whatever its row holds past the end.  No
+    step of a sub-block that starts in y can leave the float range while
+    max |y| <= ``safe_size`` (up to the offset and noise, which are of
+    order one).  The arrays are read-only: one cached set serves every
+    call for the point.
+    """
+
+    power: np.ndarray       # (16, 16): M^_SUB
+    end_noise: np.ndarray   # (9 _SUB, 16): rows 9i..9i+8 are M^(_SUB-1-i)[:9]
+    end_offset: np.ndarray  # (16,): O_(_SUB-1)
+    start: np.ndarray       # (16, _SUB K): column block r is M^(r+1)[:, rec]
+    noise: np.ndarray       # (9 _SUB, _SUB K): block (i, r) is M^(r-i)[:9, rec], 0 for i > r
+    offset: np.ndarray      # (_SUB K,): block r is O_r[rec]
+    safe_size: float
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=32)
+def _lifted(params: SystemParams, dt: float, first: int, stop: int) -> _Lifted:
+    """The lifted operators of one point, recording coordinates first..stop-1."""
+    prop = _cached_propagator(params, dt)
+    m, c = prop.real_matrix_t, prop.real_offset
+    rec, k = slice(first, stop), stop - first
+    powers = np.empty((_SUB + 1, VEC_DIM, VEC_DIM))
+    powers[0] = np.eye(VEC_DIM)
+    offsets = np.empty((_SUB, VEC_DIM))
+    offsets[0] = c
+    for r in range(1, _SUB + 1):
+        powers[r] = powers[r - 1] @ m
+    for r in range(1, _SUB):
+        offsets[r] = offsets[r - 1] @ m + c
+    noise = np.zeros((_SUB, 9, _SUB, k))
+    for i in range(_SUB):
+        for r in range(i, _SUB):
+            noise[i, :, r] = powers[r - i, _NOISE_COORDS, rec]
+    return _Lifted(
+        power=powers[_SUB],
+        end_noise=powers[_SUB - 1 :: -1, _NOISE_COORDS].reshape(9 * _SUB, VEC_DIM),
+        end_offset=offsets[_SUB - 1],
+        start=powers[1:, :, rec].transpose(1, 0, 2).reshape(VEC_DIM, _SUB * k),
+        noise=noise.reshape(9 * _SUB, _SUB * k),
+        offset=offsets[:, rec].reshape(_SUB * k),
+        # |(y M^r)_k| <= max|y| * sum_j |M^r_jk|.
+        safe_size=np.finfo(float).max / max(1.0, np.abs(powers[1:]).sum(axis=1).max()),
+    )
+
+
 def step(
     rho: np.ndarray,
     params: SystemParams,
@@ -267,7 +341,8 @@ def evolve_ensemble_coherences(
     The record is (n_recorded, n_keys, 2) complex: columns are rho[3,0] and
     rho[3,2] after each recorded step.  Without ``sink`` it is returned.
     With ``sink`` it is never held: sink receives it in consecutive blocks
-    of rows, and the returned record is empty (no rows).
+    of rows, each trajectory-major, (n_keys, rows, 2), and the returned
+    record is empty (no rows).
     """
     points = [params] if isinstance(params, SystemParams) else list(params)
     n_keys = len(seed_keys)
@@ -302,13 +377,14 @@ def evolve_ensemble_coherences(
 
 
 def _writer(out: np.ndarray) -> Callable[[np.ndarray], None]:
-    """A sink that stores consecutive blocks of rows into ``out``."""
+    """A sink that stores consecutive trajectory-major blocks of rows,
+    (n_keys, rows, width), into the (n_recorded, n_keys, width) ``out``."""
     filled = 0
 
     def write(rows: np.ndarray) -> None:
         nonlocal filled
-        out[filled : filled + len(rows)] = rows
-        filled += len(rows)
+        out[filled : filled + rows.shape[1]] = rows.transpose(1, 0, 2)
+        filled += rows.shape[1]
 
     return write
 
@@ -326,53 +402,83 @@ def _integrate(
     """The stepping engine, in real coordinates.
 
     Advances the (P, n_traj, 16) states ``x0`` of P points by cfg.n_steps
-    steps of x' = x @ E_real^T + drive, one stacked matrix product for all
-    points per step.  The drive is each point's propagator offset plus the
-    transit noise of each trajectory's generator (``rngs``, point by point).
-    Hermiticity holds by construction.
+    steps of x' = x @ E_real^T + c_real + noise, where the noise comes from
+    each trajectory's generator (``rngs``, point by point).  Hermiticity
+    holds by construction.
 
-    Work proceeds in chunks of _CHUNK steps, so the state and drive
-    buffers stay cache-sized whatever the run length.  After each chunk
-    the states are checked for non-finite values, and the ``record``
-    coordinates of the chunk's recorded steps go to ``sink`` as one
-    contiguous (n_rows, P * n_traj, width) block.  A failure names the
-    trajectory as ``first_trajectory`` plus its row, the point, and the
-    _ERROR_SPAN-step range that holds the chunk.
+    Work proceeds in chunks of _CHUNK steps, so every buffer stays
+    cache-sized whatever the run length.  Each trajectory draws the noise
+    of a chunk as one contiguous (chunk, 9) block, read in place as one
+    row of 9 _SUB values per sub-block.  With the point's lifted
+    operators (``_Lifted``), one matrix product gives the noise part of
+    every sub-block's end state, chunk // _SUB coarse steps
+    y <- y M^_SUB + F_b carry the state across the sub-blocks, and two
+    more products give the ``record`` coordinates of every step.  After
+    each chunk the sub-block states are checked for non-finite values (or
+    values from which a step could overflow), and the chunk's recorded
+    steps go to ``sink`` as one trajectory-major (P * n_traj, n_rows, K)
+    block of the K ``record`` coordinates.  A failure names the trajectory as
+    ``first_trajectory`` plus its row, the point, and the _ERROR_SPAN-step
+    range that holds the chunk.
 
     A single trajectory is stepped beside a noise-free copy of itself: the
     product of a one-row matrix goes through a different BLAS kernel, and
     this way every trajectory's bits are the same whatever the batch size.
     """
     n_points, n_traj, _ = x0.shape
-    props = [_cached_propagator(p, cfg.dt) for p in params]
+    first_coord, stop_coord, _ = record.indices(VEC_DIM)
+    n_rec = stop_coord - first_coord
+    ops = [_lifted(p, cfg.dt, first_coord, stop_coord) for p in params]
     stats = [noise_stats(p.gamma_t, cfg.dt, p.n_atoms) for p in params]
     noisy = [with_noise and s.sigma_sq > 0.0 for s in stats]
-    matrices = np.stack([prop.real_matrix_t for prop in props])
+    # Per-point operators, broadcast over trajectories and sub-blocks.
+    power = np.stack([op.power for op in ops])
+    end_noise = np.stack([op.end_noise for op in ops])[:, None]
+    end_offset = np.stack([op.end_offset for op in ops])[:, None, None]
+    start = np.stack([op.start for op in ops])[:, None]
+    noise_map = np.stack([op.noise for op in ops])[:, None]
+    offset = np.stack([op.offset for op in ops])[:, None, None]
+    safe_size = np.array([[op.safe_size] for op in ops])
     width = max(n_traj, 2)
-    capacity = min(_CHUNK, cfg.n_steps)
-    states = np.empty((capacity + 1, n_points, width, VEC_DIM))
-    # Offset plus noise per step; only the noise-driven coordinates change
-    # from chunk to chunk.
-    drive = np.empty((capacity, n_points, width, VEC_DIM))
-    for p, prop in enumerate(props):
-        drive[:, p] = prop.real_offset
-    # Each trajectory's noise block of a chunk, refilled point by point.
-    blocks = np.empty((n_traj, capacity, 9))
-    state_rows, drive_rows = list(states), list(drive)
-    states[0] = x0[:, np.arange(width) % n_traj]
+    n_sub = -(-min(_CHUNK, cfg.n_steps) // _SUB)
+    capacity = n_sub * _SUB
+    # Each trajectory's noise of a chunk, drawn in place and read as one
+    # row per sub-block; the noise-free copy's rows stay zero.
+    noise = np.zeros((n_points, width, capacity, 9))
+    noise_rows = noise.reshape(n_points, width, n_sub, 9 * _SUB)
+    # Sub-block by sub-block, so that a coarse step reads and writes
+    # contiguous blocks: the start state of each sub-block and, last, the
+    # state the chunk ends in; the offset and noise part of each
+    # sub-block's end state.  Then, per trajectory, the recorded
+    # coordinates of each step.
+    states = np.zeros((n_points, n_sub + 1, width, VEC_DIM))
+    states[:, 0] = x0[:, np.arange(width) % n_traj]
+    ends = np.empty((n_points, n_sub, width, VEC_DIM))
+    rec = np.empty((n_points, width, n_sub, _SUB * n_rec))
+    part = np.empty_like(rec)
+    rows = rec.reshape(n_points, width, capacity, n_rec)
     done = 0
     while done < cfg.n_steps:
-        chunk = min(_CHUNK, cfg.n_steps - done)
+        chunk = min(capacity, cfg.n_steps - done)
+        full = chunk // _SUB
         for p in range(n_points):
             if noisy[p]:
-                _draw_noise_chunk(
-                    stats[p], rngs[p * n_traj : (p + 1) * n_traj], chunk, drive[:, p],
-                    props[p].real_offset, blocks,
-                )
-        for k in range(chunk):
-            np.matmul(state_rows[k], matrices, out=state_rows[k + 1])
-            np.add(state_rows[k + 1], drive_rows[k], out=state_rows[k + 1])
-        finite = np.isfinite(states[chunk, :, :n_traj]).all(axis=-1)
+                _draw_noise_chunk(stats[p], rngs[p * n_traj : (p + 1) * n_traj], chunk, noise[p])
+        # numpy calls BLAS per trajectory and point (per point for the
+        # coarse steps), and OpenBLAS runs products of these sizes on one
+        # thread, so concurrent worker processes do not oversubscribe the
+        # cores.
+        np.matmul(noise_rows, end_noise, out=ends.transpose(0, 2, 1, 3))
+        ends += end_offset
+        for b in range(full):
+            np.matmul(states[:, b], power, out=states[:, b + 1])
+            states[:, b + 1] += ends[:, b]
+        # The engine forms no state between sub-block starts, so a start
+        # from which a step could overflow counts as non-finite, as the
+        # step itself would be (NaN fails the comparison too).  A partial
+        # sub-block ends the run; its start is the last state checked.
+        size = np.abs(states[:, : full + 1, :n_traj]).max(axis=(1, 3))
+        finite = size <= safe_size
         if not finite.all():
             point, row = np.unravel_index(np.argmin(finite), finite.shape)
             span = done - done % _ERROR_SPAN
@@ -381,37 +487,29 @@ def _integrate(
                 f"{span}..{min(span + _ERROR_SPAN, cfg.n_steps) - 1} of {cfg.n_steps}",
                 point=int(point),
             )
-        # Step done + k is held in states[k + 1]; record from the first
-        # step past burn-in that falls on the stride.
+        # Step done + k is held in row k of a trajectory; record from the
+        # first step past burn-in that falls on the stride.
         first = max(done, cfg.burn_in_steps)
         first += -(first - cfg.burn_in_steps) % cfg.record_stride
-        rows = states[first - done + 1 : chunk + 1 : cfg.record_stride, :, :n_traj, record]
-        if len(rows):
-            sink(np.ascontiguousarray(rows).reshape(len(rows), n_points * n_traj, -1))
-        states[0] = states[chunk]
+        if first < done + chunk:
+            np.matmul(noise_rows, noise_map, out=rec)
+            np.matmul(states[:, :n_sub].transpose(0, 2, 1, 3), start, out=part)
+            rec += part
+            rec += offset
+            block = rows[:, :n_traj, first - done : chunk : cfg.record_stride]
+            sink(block.reshape(n_points * n_traj, -1, n_rec))
+        states[:, 0] = states[:, full]
         done += chunk
 
 
-def _draw_noise_chunk(
-    stats: NoiseStats,
-    rngs: list,
-    chunk: int,
-    drive: np.ndarray,
-    offset: np.ndarray,
-    blocks: np.ndarray,
-) -> None:
-    """Set drive[:chunk, j, :9] to offset[:9] plus chunk steps of noise.
+def _draw_noise_chunk(stats: NoiseStats, rngs: list, chunk: int, noise: np.ndarray) -> None:
+    """Draw chunk steps of noise for each trajectory into noise[j, :chunk].
 
-    Trajectory j draws one block from rngs[j] into blocks[j, :chunk]; its
-    columns are already in the order of the noise-driven real coordinates.
-    One add then moves all the blocks into the strided drive.
+    Trajectory j draws one (chunk, 9) block from rngs[j]; its columns are
+    already in the order of the noise-driven real coordinates.
     """
-    for rng, block in zip(rngs, blocks):
+    for rng, block in zip(rngs, noise):
         sample_increment_block(stats, rng, chunk, out=block[:chunk])
-    np.add(
-        blocks[:, :chunk].transpose(1, 0, 2), offset[_NOISE_COORDS],
-        out=drive[:chunk, : len(rngs), _NOISE_COORDS],
-    )
 
 
 def _warn_if_aliasing(params: SystemParams, dt: float) -> None:

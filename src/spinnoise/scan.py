@@ -102,9 +102,11 @@ def perpendicular_field_series(
     coords: np.ndarray, readouts: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Signals of P points' (rows, P * n_traj, 4) coherence coordinates
-    through their (P, 4, M) readouts, into the contiguous (rows, P * M * n_traj)
-    ``out`` (columns by point, mode, trajectory).  The four products are
-    summed elementwise, not by matmul, so no bit depends on the layout.
+    through their (P, 4, M) readouts, into the (rows, P * M * n_traj)
+    ``out`` (columns by point, mode, trajectory).  Either may be a
+    transposed view: ``out`` is only split along its columns, which numpy
+    does without a copy.  The four products are summed elementwise, not by
+    matmul, so no bit depends on the layout.
     """
     rows = len(coords)
     n_points, _, n_modes = readouts.shape
@@ -170,15 +172,20 @@ class _Stream:
         return slice(start, start + self.n_traj)
 
     def __call__(self, rows: np.ndarray) -> None:
-        coords = rows.view(float)   # (Re, Im) of rho[3,0] and rho[3,2]
-        signals = np.empty((len(rows), self.welch.n_traces))
-        perpendicular_field_series(coords, self.readouts, signals)
+        # The engine's block is trajectory-major, (P * n_traj, n, 2); the
+        # readout sees it as (n, P * n_traj, 4) coordinates, (Re, Im) of
+        # rho[3,0] and rho[3,2], and writes the signals trace-major, so the
+        # accumulator copies contiguous rows.
+        coords = rows.view(float).transpose(1, 0, 2)
+        n = len(coords)
+        signals = np.empty((self.welch.n_traces, n))
+        perpendicular_field_series(coords, self.readouts, signals.T)
         if self.series is not None:
             perpendicular_field_series(
-                coords[:, :1], self.series_readout, self.series[self.filled : self.filled + len(rows)]
+                coords[:, :1], self.series_readout, self.series[self.filled : self.filled + n]
             )
-        self.welch.push(signals)
-        self.filled += len(rows)
+        self.welch.push(signals.T)
+        self.filled += n
 
 
 @contextlib.contextmanager

@@ -134,6 +134,8 @@ class WelchAccumulator:
     """
 
     def __init__(self, n_traces: int, dt: float, rbw_target: float):
+        if n_traces < 1:
+            raise DomainError(f"need n_traces >= 1, got {n_traces}")
         if dt <= 0:
             raise DomainError(f"dt must be > 0, got {dt}")
         self.dt = dt

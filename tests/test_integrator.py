@@ -291,6 +291,61 @@ class TestEngine:
                 evolve(rho, params(), cfg, np.random.default_rng(0))
 
 
+class TestLiftedEngine:
+    """The engine advances sub-blocks of 16 steps with lifted operators;
+    chunks are 256 steps.  These pin it against the plain step recursion
+    and pin the batch and block layouts."""
+
+    P = dict(b_gauss=1.0, rabi_hz=40e6, theta_deg=30.0, delta_hz=1.5e9, n_atoms=1e5)
+
+    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 255, 257, 5000])
+    def test_noise_free_run_matches_repeated_real_steps(self, n_steps):
+        # Sub-block and chunk edges, a partial sub-block on either side.
+        p = params(**self.P)
+        dt = 1.0 / 18e6
+        rho0 = equilibrium_rho()
+        rho0[0, 0], rho0[1, 1], rho0[2, 1], rho0[1, 2] = 0.5, 1.0 / 6.0, 0.1j, -0.1j
+        cfg = TrajectoryConfig(dt=dt, n_steps=n_steps)
+        engine = to_real(evolve(rho0, p, cfg, np.random.default_rng(0), with_noise=False))
+        prop = Propagator(p, dt)
+        x = to_real(rho0)
+        reference = []
+        for _ in range(n_steps):
+            x = x @ prop.real_matrix_t + prop.real_offset
+            reference.append(x)
+        reference = np.array(reference)
+        assert engine.shape == reference.shape
+        assert np.max(np.abs(engine - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n_traj", [1, 2, 3, 17])
+    def test_ensemble_columns_equal_batch_of_one_runs(self, n_traj):
+        # 1000 steps end in a partial chunk and a partial sub-block; the
+        # burn-in and the stride divide neither.
+        p = params(**self.P)
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=1000, burn_in_steps=37, record_stride=3)
+        rho0 = steady_state(p)
+        keys = [[12, t] for t in range(n_traj)]
+        ensemble = evolve_ensemble_coherences(p, cfg, keys, rho0=rho0)
+        for j, key in enumerate(keys):
+            alone = evolve_ensemble_coherences(p, cfg, [key], rho0=rho0)
+            assert np.array_equal(ensemble[:, j], alone[:, 0])
+
+    def test_sink_blocks_are_trajectory_major_per_chunk(self):
+        # Two points of three trajectories; steps 37, 40, ... of 600: 73
+        # rows fall in the first 256-step chunk, 86 in the second, 29 in
+        # the last, partial one.
+        points = TestStackedPoints.points()[:2]
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=600, burn_in_steps=37, record_stride=3)
+        keys = [[13, point, t] for point in range(2) for t in range(3)]
+        blocks = []
+        evolve_ensemble_coherences(points, cfg, keys, sink=lambda rows: blocks.append(rows.copy()))
+        assert [block.shape for block in blocks] == [(6, 73, 2), (6, 86, 2), (6, 29, 2)]
+        assert all(block.dtype == complex for block in blocks)
+        record = evolve_ensemble_coherences(points, cfg, keys)
+        for key in range(6):
+            assert np.array_equal(np.concatenate([block[key] for block in blocks]), record[:, key])
+
+
 class TestStackedPoints:
     """Several points stepped in one engine call, one matrix per point."""
 
@@ -332,9 +387,10 @@ class TestStackedPoints:
         blocks = []
         held = evolve_ensemble_coherences(points, cfg, keys, sink=lambda rows: blocks.append(rows.copy()))
         assert held.shape == (0, 4, 2)
-        assert all(len(block) <= 256 for block in blocks)
+        assert all(block.shape[1] <= 256 for block in blocks)
         assert np.array_equal(
-            np.concatenate(blocks), evolve_ensemble_coherences(points, cfg, keys)
+            np.concatenate(blocks, axis=1).transpose(1, 0, 2),
+            evolve_ensemble_coherences(points, cfg, keys),
         )
 
     def test_numeric_error_names_point_and_trajectory(self):

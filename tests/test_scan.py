@@ -245,15 +245,15 @@ class TestTrajectoryGroups:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failure_names_trajectory_within_point(self, monkeypatch):
-        # Trajectory 2 gets a non-finite drive on its first step; it sits
+        # Trajectory 2 gets non-finite noise on its first step; it sits
         # in the second group under two and three workers.
         draw = integrator._draw_noise_chunk
 
-        def poisoned(stats, rngs, chunk, drive, offset, blocks):
-            draw(stats, rngs, chunk, drive, offset, blocks)
+        def poisoned(stats, rngs, chunk, noise):
+            draw(stats, rngs, chunk, noise)
             for j, rng in enumerate(rngs):
                 if rng.bit_generator.seed_seq.entropy[2] == 2:
-                    drive[0, j, 0] = np.inf
+                    noise[j, 0, 0] = np.inf
 
         monkeypatch.setattr(integrator, "_draw_noise_chunk", poisoned)
         cfg = tiny_cfg(n_trajectories=3)
@@ -341,17 +341,17 @@ class TestScanTasks:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failure_in_a_stacked_group_names_its_point(self, monkeypatch, caplog):
-        # Trajectory 1 of theta = 15 gets a non-finite drive.  Serially the
+        # Trajectory 1 of theta = 15 gets non-finite noise.  Serially the
         # one task holds all three points; on two workers 15 is the second
         # point of the second task.
         draw = integrator._draw_noise_chunk
         bits = seed_key(0, 15.0, 0)[1]
 
-        def poisoned(stats, rngs, chunk, drive, offset, blocks):
-            draw(stats, rngs, chunk, drive, offset, blocks)
+        def poisoned(stats, rngs, chunk, noise):
+            draw(stats, rngs, chunk, noise)
             for j, rng in enumerate(rngs):
                 if list(rng.bit_generator.seed_seq.entropy[1:]) == [bits, 1]:
-                    drive[0, j, 0] = np.inf
+                    noise[j, 0, 0] = np.inf
 
         monkeypatch.setattr(integrator, "_draw_noise_chunk", poisoned)
         cfg = tiny_cfg(n_trajectories=3)

@@ -158,6 +158,12 @@ class TestWelch:
         enough.push(rng.normal(size=(446, 1)))
         assert enough.records()[0].n_averages == 2
 
+    def test_needs_at_least_one_trace(self):
+        with pytest.raises(DomainError, match="n_traces >= 1"):
+            WelchAccumulator(0, DT, 1e3)
+        with pytest.raises(DomainError, match="n_traces >= 1"):
+            welch_psd_batch(np.zeros((1000, 0)), DT, 1e3)
+
     def test_rejects_wrong_dimensionality(self):
         with pytest.raises(DomainError):
             welch_psd(np.zeros((100, 2)), DT, 1e3)
