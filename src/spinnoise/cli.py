@@ -32,7 +32,7 @@ from .scan import (
     write_mode_report_csv,
     write_scan,
 )
-from .spectral import write_spectrum_csv
+from .spectral import write_spectrum_csv, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -102,15 +102,11 @@ def _cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     t, rnd, end, point = simulate_point(cfg, n_workers=max(1, args.threads))
     series_path = outdir / "timeseries.csv"
-    lines = ["t_s,rnd_au,end_au"]
-    lines[:0] = [
-        f"# theta_deg={cfg.theta_deg!r}",
-        f"# b_gauss={cfg.b_gauss!r}",
-        f"# delta_hz={cfg.delta_hz!r}",
-        f"# seed={cfg.master_seed}",
-    ]
-    lines += [f"{ti!r},{ri!r},{ei!r}" for ti, ri, ei in zip(t.tolist(), rnd.tolist(), end.tolist())]
-    series_path.write_text("\n".join(lines) + "\n")
+    metadata = {
+        "theta_deg": cfg.theta_deg, "b_gauss": cfg.b_gauss, "delta_hz": cfg.delta_hz,
+        "seed": cfg.master_seed,
+    }
+    write_table(series_path, metadata, {"t_s": t, "rnd_au": rnd, "end_au": end})
     for mode, spec in point.spectra.items():
         write_spectrum_csv(spec, outdir / f"spectrum_{mode}.csv")
     write_manifest(cfg, outdir / "run_manifest.cfg")

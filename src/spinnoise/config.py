@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,10 @@ from .core import SystemParams, doppler_pole
 from .detection import DetectorParams
 from .exceptions import ConfigError
 from .integrator import TrajectoryConfig
+from .spectral import format_value
 
-SCAN_AXES = ("theta", "b_field", "detuning")
+# Scan axis -> the configuration key it sweeps.
+AXIS_KEYS = {"theta": "theta_deg", "b_field": "b_gauss", "detuning": "delta_hz"}
 DETECTION_MODES = ("rnd", "end", "both")
 
 
@@ -125,9 +127,9 @@ class ExperimentConfig:
     detection_mode: str
 
     def __post_init__(self):
-        if self.scan_axis not in SCAN_AXES:
+        if self.scan_axis not in AXIS_KEYS:
             raise ConfigError(
-                f"scan_axis must be one of {SCAN_AXES}, got {self.scan_axis!r}"
+                f"scan_axis must be one of {tuple(AXIS_KEYS)}, got {self.scan_axis!r}"
             )
         if self.detection_mode not in DETECTION_MODES:
             raise ConfigError(
@@ -148,30 +150,21 @@ class ExperimentConfig:
         single optical pole is the one that reproduces the Doppler-averaged
         response at the probe detuning (see ``core.doppler_pole``).
         """
-        b_gauss = self.b_gauss
-        theta_deg = self.theta_deg
-        delta_hz = self.delta_hz
-        if axis_value is not None:
-            if self.scan_axis == "theta":
-                theta_deg = axis_value
-            elif self.scan_axis == "b_field":
-                b_gauss = axis_value
-            else:
-                delta_hz = axis_value
+        cfg = self if axis_value is None else replace(self, **{AXIS_KEYS[self.scan_axis]: axis_value})
         pole_delta_hz, pole_gamma_hz = doppler_pole(
-            delta_hz, self.gamma_opt_hz, 0.5 * self.gamma0_hz
+            cfg.delta_hz, cfg.gamma_opt_hz, 0.5 * cfg.gamma0_hz
         )
         return SystemParams.from_lab_units(
-            b_gauss=b_gauss,
-            rabi_hz=self.rabi_hz,
-            theta_deg=theta_deg,
+            b_gauss=cfg.b_gauss,
+            rabi_hz=cfg.rabi_hz,
+            theta_deg=cfg.theta_deg,
             delta_hz=pole_delta_hz,
-            gamma0_hz=self.gamma0_hz,
+            gamma0_hz=cfg.gamma0_hz,
             gamma_opt_hz=pole_gamma_hz,
-            gamma_t_hz=self.gamma_t_hz,
-            gamma_r_hz=self.gamma_r_hz,
-            n_atoms=self.n_atoms,
-            kappa=self.kappa,
+            gamma_t_hz=cfg.gamma_t_hz,
+            gamma_r_hz=cfg.gamma_r_hz,
+            n_atoms=cfg.n_atoms,
+            kappa=cfg.kappa,
         )
 
     def resolved_burn_in(self) -> int:
@@ -209,16 +202,6 @@ class ExperimentConfig:
 
     def resolved_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -292,6 +275,6 @@ def write_manifest(cfg: ExperimentConfig, path: str | Path) -> None:
     # Freeze the derived burn-in so a rerun is bit-identical even if the
     # derivation rule changes.
     resolved["burn_in_steps"] = cfg.resolved_burn_in()
-    lines = [f"{key}={_format_value(resolved[key])}" for key in KEY_SPECS]
+    lines = [f"{key}={format_value(resolved[key])}" for key in KEY_SPECS]
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -57,14 +57,12 @@ class FieldSample:
     e_minus: np.ndarray | complex
     e_par: np.ndarray | complex
     e_perp: np.ndarray | complex
-    t: np.ndarray | float = 0.0
 
 
 def fields_from_coherence_series(
     rho_e_m1: np.ndarray | complex,
     rho_e_p1: np.ndarray | complex,
     params: SystemParams,
-    t: np.ndarray | float = 0.0,
 ) -> FieldSample:
     """Radiated-field sample(s) from the optical coherences rho[3,0], rho[3,2].
 
@@ -89,17 +87,14 @@ def fields_from_coherence_series(
         e_minus=e_minus,
         e_par=cos_t * e_x + sin_t * e_y,
         e_perp=-sin_t * e_x + cos_t * e_y,
-        t=t,
     )
 
 
-def field_from_coherences(
-    rho: np.ndarray, params: SystemParams, t: float = 0.0
-) -> FieldSample:
+def field_from_coherences(rho: np.ndarray, params: SystemParams) -> FieldSample:
     """FieldSample of a single density matrix."""
     rho = np.asarray(rho, dtype=complex)
     require_hermitian(rho)
-    return fields_from_coherence_series(rho[3, 0], rho[3, 2], params, t=t)
+    return fields_from_coherence_series(rho[3, 0], rho[3, 2], params)
 
 
 def rnd_signal(sample: FieldSample, mean_field_e: float) -> np.ndarray | float:

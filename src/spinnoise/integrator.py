@@ -115,8 +115,6 @@ def from_real(x: np.ndarray) -> np.ndarray:
 _CHUNK = 256
 # Steps per sub-block of the lifted stepping (a divisor of _CHUNK).
 _SUB = 16
-# Steps per range that a NumericError reports (a multiple of _CHUNK).
-_ERROR_SPAN = 4096
 
 
 @dataclass(frozen=True)
@@ -174,8 +172,6 @@ class Propagator:
     def __init__(self, params: SystemParams, dt: float):
         if dt <= 0:
             raise ConfigError(f"dt must be > 0, got {dt}")
-        self.params = params
-        self.dt = dt
         a, b = superoperator(params)
         aug = np.zeros((VEC_DIM + 1, VEC_DIM + 1), dtype=complex)
         aug[:VEC_DIM, :VEC_DIM] = a * dt
@@ -418,8 +414,8 @@ def _integrate(
     values from which a step could overflow), and the chunk's recorded
     steps go to ``sink`` as one trajectory-major (P * n_traj, n_rows, K)
     block of the K ``record`` coordinates.  A failure names the trajectory as
-    ``first_trajectory`` plus its row, the point, and the _ERROR_SPAN-step
-    range that holds the chunk.
+    ``first_trajectory`` plus its row, the point, and the chunk's step
+    range.
 
     A single trajectory is stepped beside a noise-free copy of itself: the
     product of a one-row matrix goes through a different BLAS kernel, and
@@ -481,10 +477,9 @@ def _integrate(
         finite = size <= safe_size
         if not finite.all():
             point, row = np.unravel_index(np.argmin(finite), finite.shape)
-            span = done - done % _ERROR_SPAN
             raise NumericError(
                 f"non-finite state in trajectory {first_trajectory + int(row)} during steps "
-                f"{span}..{min(span + _ERROR_SPAN, cfg.n_steps) - 1} of {cfg.n_steps}",
+                f"{done}..{done + chunk - 1} of {cfg.n_steps}",
                 point=int(point),
             )
         # Step done + k is held in row k of a trajectory; record from the

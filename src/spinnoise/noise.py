@@ -34,7 +34,6 @@ class NoiseStats:
 
     sigma_sq: float
     offdiag_var: float
-    step_dt: float
 
     @functools.cached_property
     def block_scale(self) -> np.ndarray:
@@ -47,7 +46,6 @@ class NoiseIncrement:
     """One sampled Hermitian increment (dimensionless, already times dt)."""
 
     entries: np.ndarray
-    step_dt: float
 
 
 def noise_stats(gamma_t: float, dt: float, n_atoms: float) -> NoiseStats:
@@ -63,7 +61,7 @@ def noise_stats(gamma_t: float, dt: float, n_atoms: float) -> NoiseStats:
     if n_atoms <= 0:
         raise DomainError(f"n_atoms must be > 0, got {n_atoms}")
     sigma_sq = 2.0 * gamma_t * dt / (3.0 * n_atoms)
-    return NoiseStats(sigma_sq=sigma_sq, offdiag_var=0.75 * sigma_sq, step_dt=dt)
+    return NoiseStats(sigma_sq=sigma_sq, offdiag_var=0.75 * sigma_sq)
 
 
 def sample_increment_block(
@@ -109,4 +107,4 @@ def sample_increment(stats: NoiseStats, rng: np.random.Generator) -> NoiseIncrem
     """
     block = sample_increment_block(stats, rng, 1)[0]
     entries = increment_matrix(block[0:3], block[3:6] + 1j * block[6:9])
-    return NoiseIncrement(entries=entries, step_dt=stats.step_dt)
+    return NoiseIncrement(entries=entries)

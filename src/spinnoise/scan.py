@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, write_manifest
+from .config import AXIS_KEYS, ExperimentConfig, write_manifest
 from .core import SQRT2, SystemParams
 from .detection import readout_matrix, shot_noise_floor, transmission
 from .exceptions import DomainError, NumericError
@@ -39,6 +39,7 @@ from .spectral import (
     video_average,
     welch_psd_batch,  # noqa: F401  (looked up on this module by perfbench/tracer.py)
     write_spectrum_csv,
+    write_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -82,13 +83,8 @@ def seed_key(master_seed: int, axis_value: float, trajectory_index: int) -> list
 
 
 def _point_metadata(cfg: ExperimentConfig, axis_value: float, mode: str) -> dict:
-    params_lab = {
-        "theta_deg": cfg.theta_deg,
-        "b_gauss": cfg.b_gauss,
-        "delta_hz": cfg.delta_hz,
-    }
-    axis_to_key = {"theta": "theta_deg", "b_field": "b_gauss", "detuning": "delta_hz"}
-    params_lab[axis_to_key[cfg.scan_axis]] = axis_value
+    params_lab = {key: getattr(cfg, key) for key in AXIS_KEYS.values()}
+    params_lab[AXIS_KEYS[cfg.scan_axis]] = axis_value
     return {
         **params_lab,
         "mode": mode,
@@ -448,9 +444,7 @@ def simulate_point(
     The series come from the ensemble of run_point itself, so trajectory 0
     is integrated once; ``n_workers`` processes share the trajectories.
     """
-    axis_value = {
-        "theta": cfg.theta_deg, "b_field": cfg.b_gauss, "detuning": cfg.delta_hz,
-    }[cfg.scan_axis]
+    axis_value = getattr(cfg, AXIS_KEYS[cfg.scan_axis])
     point = run_point(cfg, axis_value, keep_series=True, n_workers=n_workers)
     tcfg = cfg.trajectory_config()
     series = point.series
@@ -487,34 +481,22 @@ def write_scan(result: ScanResult, cfg: ExperimentConfig, outdir: str | Path) ->
 
 
 def write_mode_report_csv(report: ModeReport, path: str | Path) -> None:
-    lines = [
-        f"# initial={report.initial}",
-        f"# omega_l_rad_per_s={repr(float(report.omega_l))}",
-        f"# dominant_freq_hz={repr(float(report.dominant_freq_hz))}",
-    ]
+    metadata = {
+        "initial": report.initial,
+        "omega_l_rad_per_s": float(report.omega_l),
+        "dominant_freq_hz": float(report.dominant_freq_hz),
+    }
     for label, freq in zip(report.labels, report.dominant_freqs_hz):
-        lines.append(f"# dominant_{label}_hz={repr(float(freq))}")
-    lines.append("t_s," + ",".join(report.labels))
-    for i, t in enumerate(report.t):
-        row = [repr(float(t))] + [repr(float(report.populations[k, i])) for k in range(3)]
-        lines.append(",".join(row))
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        metadata[f"dominant_{label}_hz"] = float(freq)
+    write_table(path, metadata, {"t_s": report.t, **dict(zip(report.labels, report.populations))})
 
 
 def write_absorption_csv(
     rows: list[tuple[float, float]], cfg: ExperimentConfig, path: str | Path
 ) -> None:
-    lines = [
-        f"# delta_hz={repr(float(cfg.delta_hz))}",
-        f"# rabi_hz={repr(float(cfg.rabi_hz))}",
-        f"# b_gauss={repr(float(cfg.b_gauss))}",
-        f"# input_power_W={repr(float(cfg.input_power_W))}",
-        "theta_deg,absorption,transmission",
-    ]
-    for theta, absorption in rows:
-        lines.append(
-            f"{repr(float(theta))},{repr(float(absorption))},{repr(float(1.0 - absorption))}"
-        )
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    keys = ("delta_hz", "rabi_hz", "b_gauss", "input_power_W")
+    metadata = {key: float(getattr(cfg, key)) for key in keys}
+    theta, absorption = np.array(rows, dtype=float).reshape(-1, 2).T
+    write_table(
+        path, metadata, {"theta_deg": theta, "absorption": absorption, "transmission": 1.0 - absorption}
+    )

@@ -307,31 +307,41 @@ _CSV_META_KEYS = (
 )
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """One value as the package writes it: None as empty, bools as
+    true/false, floats by their shortest exact repr, anything else by str."""
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
+def write_table(path, metadata: dict, columns: dict) -> None:
+    """Write the package's table layout: one ``# key=value`` line per
+    metadata entry, in order, a header of the column names, then one row per
+    sample of the 1-D float columns, each value by its exact repr."""
+    lines = [f"# {key}={format_value(value)}" for key, value in metadata.items()]
+    lines.append(",".join(columns))
+    # A generator, so the float lists behind the cells are freed once the
+    # rows are built, before the text is joined.
+    cells = (map(repr, np.asarray(column, dtype=float).tolist()) for column in columns.values())
+    lines.extend(map(",".join, zip(*cells)))
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def write_spectrum_csv(spec: SpectrumRecord, path) -> None:
-    """Write one spectrum in the package CSV layout (metadata, header, bins)."""
+    """Write one spectrum as a table: the _CSV_META_KEYS metadata first, the
+    rest sorted, then freq_hz and psd."""
     meta = dict(spec.metadata)
     meta.setdefault("rbw_hz", spec.rbw)
     meta.setdefault("n_averages", spec.n_averages)
-    lines = []
-    for key in _CSV_META_KEYS:
-        if key in meta:
-            lines.append(f"# {key}={_format_value(meta[key])}")
-    for key in sorted(meta):
-        if key not in _CSV_META_KEYS:
-            lines.append(f"# {key}={_format_value(meta[key])}")
-    lines.append("freq_hz,psd")
-    for f, p in zip(spec.freqs, spec.psd):
-        lines.append(f"{float(f)!r},{float(p)!r}")
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    order = [key for key in _CSV_META_KEYS if key in meta]
+    order += sorted(key for key in meta if key not in _CSV_META_KEYS)
+    write_table(path, {key: meta[key] for key in order}, {"freq_hz": spec.freqs, "psd": spec.psd})
 
 
 def read_spectrum_csv(path) -> SpectrumRecord:

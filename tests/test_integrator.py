@@ -248,8 +248,8 @@ class TestRealCoordinates:
 
 class TestEngine:
     def test_batch_of_one_matches_repeated_step(self):
-        # Crosses the 4096-step chunk boundary; neither the burn-in nor the
-        # stride divides the chunk length.
+        # Runs over several 256-step chunks and ends in a partial one;
+        # neither the burn-in nor the stride divides the chunk length.
         p = params(b_gauss=1.0, rabi_hz=40e6, theta_deg=30.0, delta_hz=1.5e9, n_atoms=1e5)
         cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=5000, burn_in_steps=37, record_stride=3)
         rho0 = steady_state(p)
@@ -285,9 +285,9 @@ class TestEngine:
         rho = np.full((4, 4), 1e308, dtype=complex)
         cfg = TrajectoryConfig(dt=1e-8, n_steps=5000)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match=r"trajectory 0 during steps 0\.\.4095 of 5000"):
+            with pytest.raises(NumericError, match=r"trajectory 0 during steps 0\.\.255 of 5000"):
                 evolve_ensemble_coherences(params(), cfg, [[0], [1], [2]], rho0=rho)
-            with pytest.raises(NumericError, match=r"trajectory 0 during steps 0\.\.4095"):
+            with pytest.raises(NumericError, match=r"trajectory 0 during steps 0\.\.255"):
                 evolve(rho, params(), cfg, np.random.default_rng(0))
 
 
@@ -358,7 +358,8 @@ class TestStackedPoints:
 
     @pytest.mark.parametrize("n_traj", [1, 3])
     def test_stacked_records_equal_separate_runs(self, n_traj):
-        # Crosses the 4096-step error span; burn-in and stride divide neither.
+        # Runs over several 256-step chunks and ends in a partial one; burn-in
+        # and stride divide neither.
         cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=4500, burn_in_steps=37, record_stride=3)
         points = self.points()
         starts = [steady_state(p) for p in points]
@@ -400,7 +401,7 @@ class TestStackedPoints:
         cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=5000)
         keys = [[0, t] for t in range(6)]
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match=r"trajectory 4 during steps 0\.\.4095 of 5000") as info:
+            with pytest.raises(NumericError, match=r"trajectory 4 during steps 0\.\.255 of 5000") as info:
                 evolve_ensemble_coherences(points, cfg, keys, rho0=starts, first_trajectory=4)
         assert info.value.point == 1
 

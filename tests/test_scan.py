@@ -12,6 +12,7 @@ from spinnoise.detection import readout_matrix, transmission
 from spinnoise.exceptions import ConfigError, DomainError, NumericError
 from spinnoise.integrator import TrajectoryConfig, evolve_ensemble_coherences, steady_state
 from spinnoise.scan import (
+    ModeReport,
     absorption_scan,
     oscillation_mode_report,
     perpendicular_field_series,
@@ -19,6 +20,7 @@ from spinnoise.scan import (
     run_scan,
     seed_key,
     simulate_point,
+    write_absorption_csv,
     write_mode_report_csv,
     write_scan,
 )
@@ -436,6 +438,30 @@ class TestOscillationModes:
         header = [l for l in lines if l.startswith("t_s,")][0]
         assert header == "t_s,pop_plus_pi4,pop_minus_pi4,pop_zero_z"
 
+    def test_csv_layout_is_exact(self, tmp_path):
+        report = ModeReport(
+            initial="x",
+            omega_l=3,
+            t=np.array([0.0, 0.1]),
+            labels=("pop_x", "pop_y", "pop_zero_z"),
+            populations=np.array([[1.0, 2.0 / 3.0], [0.0, 1e-17], [0.0, 1.0 / 3.0]]),
+            dominant_freqs_hz=(0.954929658551372, 0.0, 0.954929658551372),
+            dominant_freq_hz=0.954929658551372,
+        )
+        path = tmp_path / "modes.csv"
+        write_mode_report_csv(report, path)
+        assert path.read_bytes() == (
+            b"# initial=x\n"
+            b"# omega_l_rad_per_s=3.0\n"
+            b"# dominant_freq_hz=0.954929658551372\n"
+            b"# dominant_pop_x_hz=0.954929658551372\n"
+            b"# dominant_pop_y_hz=0.0\n"
+            b"# dominant_pop_zero_z_hz=0.954929658551372\n"
+            b"t_s,pop_x,pop_y,pop_zero_z\n"
+            b"0.0,1.0,0.0,0.0\n"
+            b"0.1,0.6666666666666666,1e-17,0.3333333333333333\n"
+        )
+
 
 class TestAbsorptionScan:
     def test_no_light_no_absorption(self):
@@ -448,6 +474,21 @@ class TestAbsorptionScan:
         rows = absorption_scan(cfg, np.array([20.0]))
         direct = 1.0 - transmission(cfg.system_params(20.0), cfg.detector_params())
         assert rows[0][1] == pytest.approx(direct, rel=1e-12)
+
+    def test_csv_layout_is_exact(self, tmp_path):
+        cfg = tiny_cfg(delta_hz=0.3e9, rabi_hz=30e6, input_power_W=1.5e-3)
+        path = tmp_path / "absorption.csv"
+        write_absorption_csv([(0.0, 0.25), (54.7, 1.0 / 3.0), (90.0, 1e-20)], cfg, path)
+        assert path.read_bytes() == (
+            b"# delta_hz=300000000.0\n"
+            b"# rabi_hz=30000000.0\n"
+            b"# b_gauss=1.0\n"
+            b"# input_power_W=0.0015\n"
+            b"theta_deg,absorption,transmission\n"
+            b"0.0,0.25,0.75\n"
+            b"54.7,0.3333333333333333,0.6666666666666667\n"
+            b"90.0,1e-20,1.0\n"
+        )
 
 
 class TestSimulatePoint:

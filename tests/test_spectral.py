@@ -19,6 +19,7 @@ from spinnoise.spectral import (
     welch_psd,
     welch_psd_batch,
     write_spectrum_csv,
+    write_table,
 )
 
 DT = 1e-6  # 1 MHz sampling for the synthetic tests
@@ -351,3 +352,29 @@ class TestCsvRoundTrip:
         header_idx = text.index("freq_hz,psd")
         assert header_idx == len(meta_lines)
         assert len(text) == header_idx + 1 + 3
+
+    def test_table_layout_is_exact(self, tmp_path):
+        metadata = {
+            "z_first": 0.1, "vbw_hz": None, "shot_floor": True, "clamped": False,
+            "seed": 7, "mode": "end", "rbw_hz": np.float64(91e3),
+        }
+        columns = {"t_s": np.array([0.0, 1e-300]), "psd": np.array([1.0 / 3.0, -0.0])}
+        path = tmp_path / "table.csv"
+        write_table(path, metadata, columns)
+        assert path.read_bytes() == (
+            b"# z_first=0.1\n"
+            b"# vbw_hz=\n"
+            b"# shot_floor=true\n"
+            b"# clamped=false\n"
+            b"# seed=7\n"
+            b"# mode=end\n"
+            b"# rbw_hz=91000.0\n"
+            b"t_s,psd\n"
+            b"0.0,0.3333333333333333\n"
+            b"1e-300,-0.0\n"
+        )
+        rows = path.read_text().splitlines()[-2:]
+        back = np.array([[float(v) for v in row.split(",")] for row in rows])
+        expected = np.column_stack(list(columns.values()))
+        assert np.array_equal(back, expected)
+        assert np.array_equal(np.signbit(back), np.signbit(expected))
