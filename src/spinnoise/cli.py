@@ -4,7 +4,7 @@ Subcommands:
     simulate     one parameter point: signal time series plus averaged PSDs
     scan         polarization / field / detuning scan producing CSV spectra
     modes        free Larmor precession of the three reference initial states
-    absorption   absorbed fraction versus polarization angle
+    absorption   absorbed fraction along the configured scan axis
 
 Every run writes a ``run_manifest.cfg`` with the fully resolved
 configuration; re-running from that manifest reproduces the outputs
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_config, write_manifest
+from .config import AXIS_KEYS, load_config, write_manifest
 from .exceptions import SpinNoiseError
 from .scan import (
     absorption_scan,
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes: each steps a group of scan points, or a group of "
             "trajectories when there are fewer points than workers (default: usable CPUs)",
         )
-    p_abs = sub.add_parser("absorption", help="absorption versus polarization angle")
+    p_abs = sub.add_parser("absorption", help="absorption along the configured scan axis")
     add_common(p_abs)
     p_modes = sub.add_parser("modes", help="free spin precession reference modes")
     add_common(p_modes)
@@ -102,10 +102,8 @@ def _cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     t, rnd, end, point = simulate_point(cfg, n_workers=max(1, args.threads))
     series_path = outdir / "timeseries.csv"
-    metadata = {
-        "theta_deg": cfg.theta_deg, "b_gauss": cfg.b_gauss, "delta_hz": cfg.delta_hz,
-        "seed": cfg.master_seed,
-    }
+    metadata = {key: getattr(cfg, key) for key in AXIS_KEYS.values()}
+    metadata["seed"] = cfg.master_seed
     write_table(series_path, metadata, {"t_s": t, "rnd_au": rnd, "end_au": end})
     for mode, spec in point.spectra.items():
         write_spectrum_csv(spec, outdir / f"spectrum_{mode}.csv")
@@ -141,13 +139,13 @@ def _cmd_absorption(args) -> int:
     cfg = _resolve_config(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    thetas = cfg.axis_values() if cfg.scan_axis == "theta" else np.arange(0.0, 90.5, 1.0)
-    rows = absorption_scan(cfg, thetas)
+    rows = absorption_scan(cfg, cfg.axis_values())
     write_absorption_csv(rows, cfg, outdir / "absorption.csv")
     write_manifest(cfg, outdir / "run_manifest.cfg")
     best = max(rows, key=lambda r: r[1])
     print(
-        f"absorption: {len(rows)} angles, max {best[1]:.4g} at theta={best[0]:.1f} deg"
+        f"absorption: {len(rows)} points, max {best[1]:.4g} at "
+        f"{AXIS_KEYS[cfg.scan_axis]}={best[0]:g}"
     )
     return 0
 

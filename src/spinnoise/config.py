@@ -35,10 +35,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_optional_float(text: str):
-    return None if text.strip() == "" else float(text)
-
-
 def _parse_int(text: str) -> int:
     """An integer literal, exactly; or an integral float (1e5, 131072.0) of
     magnitude at most 2**53, where every integer is exact."""
@@ -51,80 +47,63 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
-def _parse_optional_int(text: str):
-    return None if text.strip() == "" else _parse_int(text)
+def _optional(parser):
+    """A blank value as None, anything else through ``parser``."""
+    return lambda text: None if text.strip() == "" else parser(text)
 
 
-# key -> (parser, default) ; defaults are the far-detuned bench-like point.
-KEY_SPECS: dict[str, tuple] = {
-    # physics
-    "b_gauss": (float, 1.0),
-    "rabi_hz": (float, 40e6),
-    "theta_deg": (float, 0.0),
-    "delta_hz": (float, 1.5e9),
-    "gamma0_hz": (float, 1.6e6),
-    "gamma_opt_hz": (float, 0.8e9),   # Doppler HWHM; the optical pole derives from it
-    "gamma_t_hz": (float, 30e3),
-    "gamma_r_hz": (float, 30e3),
-    "n_atoms": (float, 3.4e9),
-    "kappa": (float, 1.0),
-    "mean_field_au": (float, 1.0),
-    # trajectory
-    "dt_s": (float, 1.0 / 18e6),
-    "n_steps": (_parse_int, 131072),
-    "burn_in_steps": (_parse_optional_int, None),   # blank -> 5/gamma_t
-    "record_stride": (_parse_int, 1),
-    "n_trajectories": (_parse_int, 64),
-    "master_seed": (_parse_int, 12345),
-    # detector (key casing is part of the file format)
-    "responsivity_A_per_W": (float, 0.7),
-    "transimpedance_V_per_A": (float, 5e3),
-    "input_power_W": (float, 1e-3),
-    # spectral
-    "rbw_hz": (float, 91e3),
-    "vbw_hz": (_parse_optional_float, None),
-    "absolute_units": (_parse_bool, False),
-    # scan
-    "scan_axis": (str, "theta"),
-    "scan_start": (float, 0.0),
-    "scan_stop": (float, 90.0),
-    "scan_step": (float, 7.5),
-    "detection_mode": (str, "both"),
+# Field annotation -> parser of a config value of that type.
+_PARSERS = {
+    "float": float,
+    "int": _parse_int,
+    "int | None": _optional(_parse_int),
+    "float | None": _optional(float),
+    "bool": _parse_bool,
+    "str": str,
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved settings for a simulation, scan, or absorption run."""
+    """Fully resolved settings for a simulation, scan, or absorption run.
 
-    b_gauss: float
-    rabi_hz: float
-    theta_deg: float
-    delta_hz: float
-    gamma0_hz: float
-    gamma_opt_hz: float
-    gamma_t_hz: float
-    gamma_r_hz: float
-    n_atoms: float
-    kappa: float
-    mean_field_au: float
-    dt_s: float
-    n_steps: int
-    burn_in_steps: int | None
-    record_stride: int
-    n_trajectories: int
-    master_seed: int
-    responsivity_A_per_W: float
-    transimpedance_V_per_A: float
-    input_power_W: float
-    rbw_hz: float
-    vbw_hz: float | None
-    absolute_units: bool
-    scan_axis: str
-    scan_start: float
-    scan_stop: float
-    scan_step: float
-    detection_mode: str
+    Each field is one config key: its name, its default, and, through its
+    annotation, its parser in ``_PARSERS``.
+    """
+
+    # physics; the defaults are the far-detuned bench-like point
+    b_gauss: float = 1.0
+    rabi_hz: float = 40e6
+    theta_deg: float = 0.0
+    delta_hz: float = 1.5e9
+    gamma0_hz: float = 1.6e6
+    gamma_opt_hz: float = 0.8e9   # Doppler HWHM; the optical pole derives from it
+    gamma_t_hz: float = 30e3
+    gamma_r_hz: float = 30e3
+    n_atoms: float = 3.4e9
+    kappa: float = 1.0
+    mean_field_au: float = 1.0
+    # trajectory
+    dt_s: float = 1.0 / 18e6
+    n_steps: int = 131072
+    burn_in_steps: int | None = None   # blank -> 5/gamma_t
+    record_stride: int = 1
+    n_trajectories: int = 64
+    master_seed: int = 12345
+    # detector (key casing is part of the file format)
+    responsivity_A_per_W: float = 0.7
+    transimpedance_V_per_A: float = 5e3
+    input_power_W: float = 1e-3
+    # spectral
+    rbw_hz: float = 91e3
+    vbw_hz: float | None = None
+    absolute_units: bool = False
+    # scan
+    scan_axis: str = "theta"
+    scan_start: float = 0.0
+    scan_stop: float = 90.0
+    scan_step: float = 7.5
+    detection_mode: str = "both"
 
     def __post_init__(self):
         if self.scan_axis not in AXIS_KEYS:
@@ -204,6 +183,11 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# Config key -> parser, in declaration order; a field whose annotation has no
+# parser fails here, at import.
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Raw key=value pairs of one file; comments and blank lines skipped."""
     raw: dict[str, str] = {}
@@ -255,14 +239,12 @@ def load_config(
         raw[key.strip()] = value.strip()
 
     values = {}
-    for key, (parser, default) in KEY_SPECS.items():
+    for key, parser in _KEY_PARSERS.items():
         if key in raw:
             try:
                 values[key] = parser(raw.pop(key))
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"invalid value for key {key!r}: {exc}") from exc
-        else:
-            values[key] = default
     if raw:
         unknown = ", ".join(sorted(raw))
         raise ConfigError(f"unknown config key(s): {unknown}")
@@ -275,6 +257,6 @@ def write_manifest(cfg: ExperimentConfig, path: str | Path) -> None:
     # Freeze the derived burn-in so a rerun is bit-identical even if the
     # derivation rule changes.
     resolved["burn_in_steps"] = cfg.resolved_burn_in()
-    lines = [f"{key}={format_value(resolved[key])}" for key in KEY_SPECS]
+    lines = [f"{key}={format_value(value)}" for key, value in resolved.items()]
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

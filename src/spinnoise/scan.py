@@ -17,7 +17,7 @@ import csv
 import functools
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -343,19 +343,20 @@ def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
 
 
 def absorption_scan(
-    cfg: ExperimentConfig, thetas_deg: np.ndarray
+    cfg: ExperimentConfig, values: np.ndarray
 ) -> list[tuple[float, float]]:
-    """Absorbed fraction versus polarization angle (steady state only).
+    """Absorbed fraction at each value of the configured scan axis (steady
+    state only).
 
-    Each angle uses the configuration's own optical line, so absorption and
-    transmission see the same line as the spectra of a scan.
+    Each point is ``cfg.system_params(value)``, the configuration's own
+    optical line, so absorption and transmission see the same line as the
+    spectra of a scan.
     """
     detector = cfg.detector_params()
-    out = []
-    for theta in np.asarray(thetas_deg, dtype=float):
-        params = replace(cfg, theta_deg=float(theta)).system_params()
-        out.append((float(theta), 1.0 - transmission(params, detector)))
-    return out
+    return [
+        (value, 1.0 - transmission(cfg.system_params(value), detector))
+        for value in np.asarray(values, dtype=float).tolist()
+    ]
 
 
 # Initial states of the free-precession study, in the z basis {-1, 0, +1}.
@@ -494,9 +495,12 @@ def write_mode_report_csv(report: ModeReport, path: str | Path) -> None:
 def write_absorption_csv(
     rows: list[tuple[float, float]], cfg: ExperimentConfig, path: str | Path
 ) -> None:
+    """The absorption table: the scanned key's values, the absorbed and the
+    transmitted fraction; the fixed keys of the line as metadata."""
+    axis_key = AXIS_KEYS[cfg.scan_axis]
     keys = ("delta_hz", "rabi_hz", "b_gauss", "input_power_W")
-    metadata = {key: float(getattr(cfg, key)) for key in keys}
-    theta, absorption = np.array(rows, dtype=float).reshape(-1, 2).T
+    metadata = {key: float(getattr(cfg, key)) for key in keys if key != axis_key}
+    values, absorption = np.array(rows, dtype=float).reshape(-1, 2).T
     write_table(
-        path, metadata, {"theta_deg": theta, "absorption": absorption, "transmission": 1.0 - absorption}
+        path, metadata, {axis_key: values, "absorption": absorption, "transmission": 1.0 - absorption}
     )

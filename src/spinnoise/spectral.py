@@ -319,18 +319,24 @@ def format_value(value) -> str:
     return str(value)
 
 
+# Rows formatted and written at a time by write_table: the text of a block,
+# not of the whole table, is what it holds.
+_TABLE_BLOCK_ROWS = 4096
+
+
 def write_table(path, metadata: dict, columns: dict) -> None:
     """Write the package's table layout: one ``# key=value`` line per
     metadata entry, in order, a header of the column names, then one row per
     sample of the 1-D float columns, each value by its exact repr."""
-    lines = [f"# {key}={format_value(value)}" for key, value in metadata.items()]
-    lines.append(",".join(columns))
-    # A generator, so the float lists behind the cells are freed once the
-    # rows are built, before the text is joined.
-    cells = (map(repr, np.asarray(column, dtype=float).tolist()) for column in columns.values())
-    lines.extend(map(",".join, zip(*cells)))
+    head = [f"# {key}={format_value(value)}" for key, value in metadata.items()]
+    head.append(",".join(columns))
+    arrays = [np.asarray(column, dtype=float) for column in columns.values()]
+    n_rows = min(map(len, arrays), default=0)
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(head) + "\n")
+        for start in range(0, n_rows, _TABLE_BLOCK_ROWS):
+            cells = (map(repr, array[start : start + _TABLE_BLOCK_ROWS].tolist()) for array in arrays)
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_spectrum_csv(spec: SpectrumRecord, path) -> None:

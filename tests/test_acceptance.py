@@ -72,13 +72,13 @@ def peak_powers(scan_result, mode, f0):
 @pytest.fixture(scope="module")
 def far_scan():
     cfg = scan_config(delta_hz=1.5e9, rabi_hz=40e6, input_power_W=1.5e-3)
-    return run_scan(cfg)
+    return run_scan(cfg, n_workers=2)
 
 
 @pytest.fixture(scope="module")
 def near_scan():
     cfg = scan_config(delta_hz=0.3e9, rabi_hz=30e6, input_power_W=1e-3)
-    return run_scan(cfg)
+    return run_scan(cfg, n_workers=2)
 
 
 @pytest.fixture(scope="module")

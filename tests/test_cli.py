@@ -122,6 +122,17 @@ class TestAbsorption:
         assert len(data) == 7  # 0..90 in 15-deg steps
         assert "max" in capsys.readouterr().out
 
+    def test_field_axis_writes_the_field_grid(self, tmp_path):
+        rc = main([
+            "absorption", "--out", str(tmp_path), "--set", "scan_axis=b_field",
+            "--set", "scan_start=0", "--set", "scan_stop=2", "--set", "scan_step=0.5",
+        ])
+        assert rc == 0
+        lines = (tmp_path / "absorption.csv").read_text().splitlines()
+        body = [line for line in lines if not line.startswith("#")]
+        assert body[0] == "b_gauss,absorption,transmission"
+        assert [float(row.split(",")[0]) for row in body[1:]] == [0.0, 0.5, 1.0, 1.5, 2.0]
+
 
 class TestSeedOption:
     def test_large_seed_reaches_the_manifest_exactly(self, tmp_path):

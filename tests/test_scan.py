@@ -1,5 +1,6 @@
 import logging
 from concurrent.futures import Future
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,40 @@ def tiny_cfg(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return load_config(overrides=[f"{k}={v}" for k, v in base.items()])
+
+
+# Every config key, in declaration order, as text for a value other than its
+# default.
+NON_DEFAULT_TEXT = {
+    "b_gauss": "0.7",
+    "rabi_hz": "3e7",
+    "theta_deg": "54.7",
+    "delta_hz": "-3e8",
+    "gamma0_hz": "1.7e6",
+    "gamma_opt_hz": "0.1e9",
+    "gamma_t_hz": "2.5e4",
+    "gamma_r_hz": "1e4",
+    "n_atoms": "1e10",
+    "kappa": "0.3",
+    "mean_field_au": "2",
+    "dt_s": "5e-8",
+    "n_steps": "4096",
+    "burn_in_steps": "37",
+    "record_stride": "3",
+    "n_trajectories": "5",
+    "master_seed": "12345678901234567891",
+    "responsivity_A_per_W": "0.65",
+    "transimpedance_V_per_A": "1e4",
+    "input_power_W": "1.5e-3",
+    "rbw_hz": "30e3",
+    "vbw_hz": "2e3",
+    "absolute_units": "true",
+    "scan_axis": "detuning",
+    "scan_start": "1e9",
+    "scan_stop": "2e9",
+    "scan_step": "0.25e9",
+    "detection_mode": "end",
+}
 
 
 class TestConfig:
@@ -119,6 +154,58 @@ class TestConfig:
         resolved = cfg.resolved_dict()
         resolved["burn_in_steps"] = cfg.resolved_burn_in()
         assert back.resolved_dict() == resolved
+
+    def test_default_manifest_is_exact(self, tmp_path):
+        # Every key in declaration order; the blank burn-in is resolved.
+        path = tmp_path / "run_manifest.cfg"
+        write_manifest(load_config(), path)
+        assert path.read_bytes() == (
+            b"b_gauss=1.0\n"
+            b"rabi_hz=40000000.0\n"
+            b"theta_deg=0.0\n"
+            b"delta_hz=1500000000.0\n"
+            b"gamma0_hz=1600000.0\n"
+            b"gamma_opt_hz=800000000.0\n"
+            b"gamma_t_hz=30000.0\n"
+            b"gamma_r_hz=30000.0\n"
+            b"n_atoms=3400000000.0\n"
+            b"kappa=1.0\n"
+            b"mean_field_au=1.0\n"
+            b"dt_s=5.5555555555555555e-08\n"
+            b"n_steps=131072\n"
+            b"burn_in_steps=478\n"
+            b"record_stride=1\n"
+            b"n_trajectories=64\n"
+            b"master_seed=12345\n"
+            b"responsivity_A_per_W=0.7\n"
+            b"transimpedance_V_per_A=5000.0\n"
+            b"input_power_W=0.001\n"
+            b"rbw_hz=91000.0\n"
+            b"vbw_hz=\n"
+            b"absolute_units=false\n"
+            b"scan_axis=theta\n"
+            b"scan_start=0.0\n"
+            b"scan_stop=90.0\n"
+            b"scan_step=7.5\n"
+            b"detection_mode=both\n"
+        )
+
+    @pytest.mark.parametrize("blank", [(), ("burn_in_steps", "vbw_hz")])
+    def test_every_key_round_trips_through_the_manifest(self, tmp_path, blank):
+        text = {**NON_DEFAULT_TEXT, **{key: "" for key in blank}}
+        assert list(text) == [f.name for f in fields(ExperimentConfig)]
+        cfg = load_config(overrides=[f"{key}={value}" for key, value in text.items()])
+        default = load_config()
+        for key in text.keys() - set(blank):
+            assert getattr(cfg, key) != getattr(default, key), key
+        path = tmp_path / "manifest.cfg"
+        write_manifest(cfg, path)
+        back = load_config(path=path)
+        assert back == replace(cfg, burn_in_steps=cfg.resolved_burn_in())
+        assert back.master_seed == 12345678901234567891 and back.absolute_units is True
+        assert (back.vbw_hz is None) == ("vbw_hz" in blank)
+        write_manifest(back, tmp_path / "again.cfg")
+        assert (tmp_path / "again.cfg").read_bytes() == path.read_bytes()
 
 
 class TestSeeds:
@@ -488,6 +575,30 @@ class TestAbsorptionScan:
             b"0.0,0.25,0.75\n"
             b"54.7,0.3333333333333333,0.6666666666666667\n"
             b"90.0,1e-20,1.0\n"
+        )
+
+    def test_field_axis_rows_are_the_configured_field_points(self):
+        cfg = tiny_cfg(
+            delta_hz=0.3e9, rabi_hz=30e6, theta_deg=40.0,
+            scan_axis="b_field", scan_start=0.0, scan_stop=2.0, scan_step=0.5,
+        )
+        detector = cfg.detector_params()
+        rows = absorption_scan(cfg, cfg.axis_values())
+        assert [b for b, _ in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        for b, absorbed in rows:
+            assert absorbed == 1.0 - transmission(cfg.system_params(b), detector)
+
+    def test_csv_names_the_scanned_key(self, tmp_path):
+        cfg = tiny_cfg(delta_hz=0.3e9, rabi_hz=30e6, scan_axis="b_field")
+        path = tmp_path / "absorption.csv"
+        write_absorption_csv([(0.0, 0.25), (0.5, 0.5)], cfg, path)
+        assert path.read_bytes() == (
+            b"# delta_hz=300000000.0\n"
+            b"# rabi_hz=30000000.0\n"
+            b"# input_power_W=0.001\n"
+            b"b_gauss,absorption,transmission\n"
+            b"0.0,0.25,0.75\n"
+            b"0.5,0.5,0.5\n"
         )
 
 
