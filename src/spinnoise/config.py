@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"detection_mode must be one of {DETECTION_MODES}, got {self.detection_mode!r}"
             )
+        if not 0.0 < self.dt_s < math.inf:
+            raise ConfigError(f"dt_s must be finite and > 0, got {self.dt_s}")
         if self.scan_step <= 0:
             raise ConfigError(f"scan_step must be > 0, got {self.scan_step}")
         if self.scan_stop < self.scan_start:

@@ -22,8 +22,11 @@ is the single-step reference on the complex matrix.  The engine steps
 several parameter points at once.  It has no per-step loop: it advances
 sub-blocks of _SUB steps with lifted operators (powers of E_real^T and
 their sums), so a chunk of steps is a few matrix products over the
-trajectories' noise, and it hands the recorded rows to a sink chunk by
-chunk.
+trajectories' raw standard-normal draws, and it hands the recorded rows
+to a sink chunk by chunk.  The lifted operators carry the per-coordinate
+noise scale and a fixed linear record map (a coordinate selection, or the
+detection readout), so those products go from the draws to the recorded
+signals directly.
 """
 
 from __future__ import annotations
@@ -48,7 +51,11 @@ from .core import (
     _rhs_unchecked,
 )
 from .exceptions import ConfigError, DomainError, NumericError, SteadyStateError
-from .noise import NoiseStats, noise_stats, sample_increment, sample_increment_block
+from .noise import (
+    noise_stats,
+    sample_increment,
+    sample_increment_block,  # noqa: F401  (looked up on this module by perfbench/tracer.py)
+)
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +66,7 @@ VEC_DIM = DIM * DIM
 # the column order of sample_increment_block (three populations, then the
 # real and the imaginary parts of the lower entries (1,0) (2,0) (2,1)); the
 # recorded optical coherences rho[3,0] and rho[3,2] come last, as
-# (Re, Im, Re, Im), so that slice is a float view of two complex numbers.
+# (Re, Im, Re, Im), so their record is a float view of two complex numbers.
 REAL_COORDS = (
     (0, 0, "re"), (1, 1, "re"), (2, 2, "re"),
     (1, 0, "re"), (2, 0, "re"), (2, 1, "re"),
@@ -69,6 +76,9 @@ REAL_COORDS = (
 )
 _NOISE_COORDS = slice(0, 9)
 _COHERENCE_COORDS = slice(12, 16)
+# Record maps (16, K): the recorded row of a state x is x @ R.
+_ALL_RECORD = np.eye(VEC_DIM)
+_COHERENCE_RECORD = _ALL_RECORD[:, _COHERENCE_COORDS]
 
 
 def _real_basis() -> tuple[np.ndarray, np.ndarray]:
@@ -198,33 +208,33 @@ def _cached_propagator(params: SystemParams, dt: float) -> Propagator:
 class _Lifted:
     """One point's operators that advance a sub-block of up to _SUB steps.
 
-    With M = ``real_matrix_t``, c = ``real_offset`` and n_i the noise of
-    step i of a sub-block that starts in state y, the state after its
-    step r is
+    With M = ``real_matrix_t``, c = ``real_offset``, s the noise scale
+    (``NoiseStats.block_scale``) and z_i the standard normals of step i of
+    a sub-block that starts in state y, the state after its step r is
 
-        x_r = y M^(r+1) + sum_{i<=r} n_i M^(r-i) + O_r,
-        O_r = c (M^0 + ... + M^r).
+        x_r = y M^(r+1) + sum_{i<=r} z_i diag(s) M^(r-i)[:9] + O_r,
+        O_r = c (M^0 + ... + M^r),
 
-    Only the first nine coordinates of n_i are nonzero, so a sub-block's
-    noise is one row of 9 _SUB values.  ``start``, ``noise`` and ``offset``
-    give the recorded coordinates of all _SUB steps as one row,
-    y @ start + n @ noise + offset (K recorded coordinates per step), and
-    the full end state is y @ power + n @ end_noise + end_offset.  The
+    since only the first nine coordinates take noise.  A sub-block's draws
+    are one row of 9 _SUB values.  Its record is x_r @ R for a fixed
+    (16, K) record map R: ``start``, ``noise`` and ``offset`` give the
+    records of all _SUB steps as one row, y @ start + z @ noise + offset,
+    and the full end state is y @ power + z @ end_noise + end_offset.  The
     noise map is block upper-triangular, so a step's record does not read
-    the noise of later steps: the record of a partial sub-block at the end
+    the draws of later steps: the record of a partial sub-block at the end
     of a run is the same product, whatever its row holds past the end.  No
     step of a sub-block that starts in y can leave the float range while
     max |y| <= ``safe_size`` (up to the offset and noise, which are of
     order one).  The arrays are read-only: one cached set serves every
-    call for the point.
+    call for the point and record map.
     """
 
     power: np.ndarray       # (16, 16): M^_SUB
-    end_noise: np.ndarray   # (9 _SUB, 16): rows 9i..9i+8 are M^(_SUB-1-i)[:9]
+    end_noise: np.ndarray   # (9 _SUB, 16): rows 9i..9i+8 are diag(s) M^(_SUB-1-i)[:9]
     end_offset: np.ndarray  # (16,): O_(_SUB-1)
-    start: np.ndarray       # (16, _SUB K): column block r is M^(r+1)[:, rec]
-    noise: np.ndarray       # (9 _SUB, _SUB K): block (i, r) is M^(r-i)[:9, rec], 0 for i > r
-    offset: np.ndarray      # (_SUB K,): block r is O_r[rec]
+    start: np.ndarray       # (16, _SUB K): column block r is M^(r+1) R
+    noise: np.ndarray       # (9 _SUB, _SUB K): block (i, r) is diag(s) M^(r-i)[:9] R, 0 for i > r
+    offset: np.ndarray      # (_SUB K,): block r is O_r R
     safe_size: float
 
     def __post_init__(self):
@@ -233,12 +243,17 @@ class _Lifted:
                 value.flags.writeable = False
 
 
+def _lifted(params: SystemParams, dt: float, record: np.ndarray) -> _Lifted:
+    """The lifted operators of one point with the (16, K) record map ``record``."""
+    return _cached_lifted(params, dt, record.shape[1], record.tobytes())
+
+
 @functools.lru_cache(maxsize=32)
-def _lifted(params: SystemParams, dt: float, first: int, stop: int) -> _Lifted:
-    """The lifted operators of one point, recording coordinates first..stop-1."""
+def _cached_lifted(params: SystemParams, dt: float, k: int, record: bytes) -> _Lifted:
     prop = _cached_propagator(params, dt)
     m, c = prop.real_matrix_t, prop.real_offset
-    rec, k = slice(first, stop), stop - first
+    r_map = np.frombuffer(record).reshape(VEC_DIM, k)
+    scale = noise_stats(params.gamma_t, dt, params.n_atoms).block_scale
     powers = np.empty((_SUB + 1, VEC_DIM, VEC_DIM))
     powers[0] = np.eye(VEC_DIM)
     offsets = np.empty((_SUB, VEC_DIM))
@@ -247,17 +262,20 @@ def _lifted(params: SystemParams, dt: float, first: int, stop: int) -> _Lifted:
         powers[r] = powers[r - 1] @ m
     for r in range(1, _SUB):
         offsets[r] = offsets[r - 1] @ m + c
+    # diag(s) M^r[:9], and its record, for r < _SUB.
+    kicks = scale[:, None] * powers[:_SUB, _NOISE_COORDS]
+    kick_records = kicks @ r_map
     noise = np.zeros((_SUB, 9, _SUB, k))
     for i in range(_SUB):
         for r in range(i, _SUB):
-            noise[i, :, r] = powers[r - i, _NOISE_COORDS, rec]
+            noise[i, :, r] = kick_records[r - i]
     return _Lifted(
         power=powers[_SUB],
-        end_noise=powers[_SUB - 1 :: -1, _NOISE_COORDS].reshape(9 * _SUB, VEC_DIM),
+        end_noise=kicks[::-1].reshape(9 * _SUB, VEC_DIM),
         end_offset=offsets[_SUB - 1],
-        start=powers[1:, :, rec].transpose(1, 0, 2).reshape(VEC_DIM, _SUB * k),
+        start=(powers[1:] @ r_map).transpose(1, 0, 2).reshape(VEC_DIM, _SUB * k),
         noise=noise.reshape(9 * _SUB, _SUB * k),
-        offset=offsets[:, rec].reshape(_SUB * k),
+        offset=(offsets @ r_map).reshape(_SUB * k),
         # |(y M^r)_k| <= max|y| * sum_j |M^r_jk|.
         safe_size=np.finfo(float).max / max(1.0, np.abs(powers[1:]).sum(axis=1).max()),
     )
@@ -307,7 +325,7 @@ def evolve(
     _warn_if_aliasing(params, cfg.dt)
     x0 = to_real(rho0)[None, None, :]
     out = np.empty((cfg.n_recorded, 1, VEC_DIM))
-    _integrate([params], cfg, [rng], x0, slice(None), _writer(out), with_noise)
+    _integrate([params], cfg, [rng], x0, _ALL_RECORD[None], _writer(out), with_noise)
     return from_real(out[:, 0, :])
 
 
@@ -319,8 +337,10 @@ def evolve_ensemble_coherences(
     with_noise: bool = True,
     first_trajectory: int = 0,
     sink: Callable[[np.ndarray], None] | None = None,
+    readout: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched trajectories, recording only the two optical coherences.
+    """Batched trajectories, recording the two optical coherences or the
+    signals read out of them.
 
     Each entry of ``seed_keys`` seeds one trajectory's independent
     generator (any value np.random.default_rng accepts), so a trajectory's
@@ -334,11 +354,17 @@ def evolve_ensemble_coherences(
     within a larger ensemble split into batches, and carries the index of
     the failing point in ``point``.
 
-    The record is (n_recorded, n_keys, 2) complex: columns are rho[3,0] and
-    rho[3,2] after each recorded step.  Without ``sink`` it is returned.
-    With ``sink`` it is never held: sink receives it in consecutive blocks
-    of rows, each trajectory-major, (n_keys, rows, 2), and the returned
-    record is empty (no rows).
+    Without ``readout`` the record is (n_recorded, n_keys, 2) complex:
+    columns are rho[3,0] and rho[3,2] after each recorded step.  With
+    ``readout``, a real (4, M) map of the coherence coordinates
+    (Re rho[3,0], Im rho[3,0], Re rho[3,2], Im rho[3,2]) to M signals
+    (``detection.readout_matrix``), or one such map per point, the record
+    is the (n_recorded, n_keys, M) real signals.  The readout is part of
+    the engine's lifted operators, so no coherence is formed on the way.
+    Without ``sink`` the record is returned.  With ``sink`` it is never
+    held: sink receives it in consecutive blocks of rows, each
+    trajectory-major, (n_keys, rows, 2) complex or (n_keys, rows, M) real,
+    and the returned record is empty (no rows).
     """
     points = [params] if isinstance(params, SystemParams) else list(params)
     n_keys = len(seed_keys)
@@ -359,16 +385,29 @@ def evolve_ensemble_coherences(
         raise DomainError(f"rho0 must be one 4x4 state or one per point, got {starts.shape}")
     for rho in starts:
         require_hermitian(rho)
+    n_rows = cfg.n_recorded if sink is None else 0
+    if readout is None:
+        records = np.broadcast_to(_COHERENCE_RECORD, (len(points),) + _COHERENCE_RECORD.shape)
+        out = np.empty((n_rows, n_keys, 2), dtype=complex)
+        target = _writer(out.view(float)) if sink is None else (
+            lambda rows: sink(rows.view(complex))
+        )
+    else:
+        maps = np.asarray(readout, dtype=float)
+        if maps.ndim == 2:
+            maps = np.broadcast_to(maps, (len(points),) + maps.shape)
+        if maps.ndim != 3 or maps.shape[:2] != (len(points), 4):
+            raise DomainError(f"readout must be one (4, M) map or one per point, got {maps.shape}")
+        records = np.zeros((len(points), VEC_DIM, maps.shape[2]))
+        records[:, _COHERENCE_COORDS] = maps
+        out = np.empty((n_rows, n_keys, maps.shape[2]))
+        target = _writer(out) if sink is None else sink
     rngs = [np.random.default_rng(key) for key in seed_keys]
     n_traj = n_keys // len(points)
     # Converted one state at a time, as for a single point: a product of
     # several rows takes another BLAS kernel and could round differently.
     x0 = np.stack([np.tile(to_real(rho), (n_traj, 1)) for rho in starts])
-    out = np.empty((cfg.n_recorded if sink is None else 0, n_keys, 2), dtype=complex)
-    target = _writer(out.view(float)) if sink is None else (
-        lambda rows: sink(rows.view(complex))
-    )
-    _integrate(points, cfg, rngs, x0, _COHERENCE_COORDS, target, with_noise, first_trajectory)
+    _integrate(points, cfg, rngs, x0, records, target, with_noise, first_trajectory)
     return out
 
 
@@ -390,7 +429,7 @@ def _integrate(
     cfg: TrajectoryConfig,
     rngs: list,
     x0: np.ndarray,
-    record: slice,
+    records: np.ndarray,
     sink: Callable[[np.ndarray], None],
     with_noise: bool,
     first_trajectory: int = 0,
@@ -399,34 +438,35 @@ def _integrate(
 
     Advances the (P, n_traj, 16) states ``x0`` of P points by cfg.n_steps
     steps of x' = x @ E_real^T + c_real + noise, where the noise comes from
-    each trajectory's generator (``rngs``, point by point).  Hermiticity
-    holds by construction.
+    each trajectory's generator (``rngs``, point by point), and records
+    x @ R after each recorded step, with R = ``records[p]``, the (16, K)
+    record map of point p.  Hermiticity holds by construction.
 
     Work proceeds in chunks of _CHUNK steps, so every buffer stays
-    cache-sized whatever the run length.  Each trajectory draws the noise
-    of a chunk as one contiguous (chunk, 9) block, read in place as one
-    row of 9 _SUB values per sub-block.  With the point's lifted
-    operators (``_Lifted``), one matrix product gives the noise part of
-    every sub-block's end state, chunk // _SUB coarse steps
-    y <- y M^_SUB + F_b carry the state across the sub-blocks, and two
-    more products give the ``record`` coordinates of every step.  After
-    each chunk the sub-block states are checked for non-finite values (or
-    values from which a step could overflow), and the chunk's recorded
-    steps go to ``sink`` as one trajectory-major (P * n_traj, n_rows, K)
-    block of the K ``record`` coordinates.  A failure names the trajectory as
-    ``first_trajectory`` plus its row, the point, and the chunk's step
-    range.
+    cache-sized whatever the run length.  Each trajectory draws the
+    standard normals of a chunk as one contiguous (chunk, 9) block, read
+    in place as one row of 9 _SUB values per sub-block; the noise scale is
+    in the lifted operators.  With the point's lifted operators
+    (``_Lifted``), one matrix product gives the noise part of every
+    sub-block's end state, chunk // _SUB coarse steps y <- y M^_SUB + F_b
+    carry the state across the sub-blocks, and two more products give the
+    record of every step.  After each chunk the sub-block states are
+    checked for non-finite values (or values from which a step could
+    overflow), and the chunk's recorded steps go to ``sink`` as one
+    trajectory-major (P * n_traj, n_rows, K) block.  A failure names the
+    trajectory as ``first_trajectory`` plus its row, the point, and the
+    chunk's step range.
 
     A single trajectory is stepped beside a noise-free copy of itself: the
     product of a one-row matrix goes through a different BLAS kernel, and
     this way every trajectory's bits are the same whatever the batch size.
     """
     n_points, n_traj, _ = x0.shape
-    first_coord, stop_coord, _ = record.indices(VEC_DIM)
-    n_rec = stop_coord - first_coord
-    ops = [_lifted(p, cfg.dt, first_coord, stop_coord) for p in params]
-    stats = [noise_stats(p.gamma_t, cfg.dt, p.n_atoms) for p in params]
-    noisy = [with_noise and s.sigma_sq > 0.0 for s in stats]
+    n_rec = records.shape[2]
+    ops = [_lifted(p, cfg.dt, r) for p, r in zip(params, records)]
+    noisy = [
+        with_noise and noise_stats(p.gamma_t, cfg.dt, p.n_atoms).sigma_sq > 0.0 for p in params
+    ]
     # Per-point operators, broadcast over trajectories and sub-blocks.
     power = np.stack([op.power for op in ops])
     end_noise = np.stack([op.end_noise for op in ops])[:, None]
@@ -438,8 +478,8 @@ def _integrate(
     width = max(n_traj, 2)
     n_sub = -(-min(_CHUNK, cfg.n_steps) // _SUB)
     capacity = n_sub * _SUB
-    # Each trajectory's noise of a chunk, drawn in place and read as one
-    # row per sub-block; the noise-free copy's rows stay zero.
+    # Each trajectory's standard normals of a chunk, drawn in place and
+    # read as one row per sub-block; the noise-free copy's rows stay zero.
     noise = np.zeros((n_points, width, capacity, 9))
     noise_rows = noise.reshape(n_points, width, n_sub, 9 * _SUB)
     # Sub-block by sub-block, so that a coarse step reads and writes
@@ -459,7 +499,7 @@ def _integrate(
         full = chunk // _SUB
         for p in range(n_points):
             if noisy[p]:
-                _draw_noise_chunk(stats[p], rngs[p * n_traj : (p + 1) * n_traj], chunk, noise[p])
+                _draw_noise_chunk(rngs[p * n_traj : (p + 1) * n_traj], chunk, noise[p])
         # numpy calls BLAS per trajectory and point (per point for the
         # coarse steps), and OpenBLAS runs products of these sizes on one
         # thread, so concurrent worker processes do not oversubscribe the
@@ -497,14 +537,17 @@ def _integrate(
         done += chunk
 
 
-def _draw_noise_chunk(stats: NoiseStats, rngs: list, chunk: int, noise: np.ndarray) -> None:
-    """Draw chunk steps of noise for each trajectory into noise[j, :chunk].
+def _draw_noise_chunk(rngs: list, chunk: int, noise: np.ndarray) -> None:
+    """Draw chunk steps of standard normals for each trajectory into
+    noise[j, :chunk].
 
-    Trajectory j draws one (chunk, 9) block from rngs[j]; its columns are
-    already in the order of the noise-driven real coordinates.
+    Trajectory j draws one (chunk, 9) block from rngs[j], the draw of
+    ``sample_increment_block`` without its scale, which the lifted
+    operators carry; its columns are in the order of the noise-driven real
+    coordinates.
     """
     for rng, block in zip(rngs, noise):
-        sample_increment_block(stats, rng, chunk, out=block[:chunk])
+        rng.standard_normal(out=block[:chunk])
 
 
 def _warn_if_aliasing(params: SystemParams, dt: float) -> None:

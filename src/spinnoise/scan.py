@@ -1,13 +1,14 @@
 """Experiment orchestration: polarization, field, and detuning scans.
 
 Each axis point runs an independent ensemble of noisy trajectories from the
-deterministic steady state, synthesizes the rotation- and ellipticity-noise
+deterministic steady state, records the rotation- and ellipticity-noise
 signals, and averages their Welch PSDs.  A task steps a contiguous group of
-points together and streams their signals into the Welch estimate, so no
-coherence record is held.  Trajectory seeds derive from (master_seed,
-axis-value bits, trajectory index), so any sub-range of a scan, and any
-grouping of points and trajectories into tasks, reproduces exactly the
-corresponding rows of the full scan.
+points together; the engine records their signals directly (the readout is
+part of its operators) and streams them into the Welch estimate, so no
+coherence or signal record is held.  Trajectory seeds derive from
+(master_seed, axis-value bits, trajectory index), so any sub-range of a
+scan, and any grouping of points and trajectories into tasks, reproduces
+exactly the corresponding rows of the full scan.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import AXIS_KEYS, ExperimentConfig, write_manifest
-from .core import SQRT2, SystemParams
+from .core import SQRT2
 from .detection import readout_matrix, shot_noise_floor, transmission
 from .exceptions import DomainError, NumericError
 from .integrator import (
@@ -97,12 +98,13 @@ def _point_metadata(cfg: ExperimentConfig, axis_value: float, mode: str) -> dict
 def perpendicular_field_series(
     coords: np.ndarray, readouts: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Signals of P points' (rows, P * n_traj, 4) coherence coordinates
-    through their (P, 4, M) readouts, into the (rows, P * M * n_traj)
-    ``out`` (columns by point, mode, trajectory).  Either may be a
-    transposed view: ``out`` is only split along its columns, which numpy
-    does without a copy.  The four products are summed elementwise, not by
-    matmul, so no bit depends on the layout.
+    """Signals of P points' (rows, P * n_traj, 4) held coherence
+    coordinates through their (P, 4, M) readouts, into the
+    (rows, P * M * n_traj) ``out`` (columns by point, mode, trajectory).
+    Either may be a transposed view: ``out`` is only split along its
+    columns, which numpy does without a copy.  The four products are
+    summed elementwise, not by matmul, so no bit depends on the layout.
+    Scans do not use it: their engine call records the signals directly.
     """
     rows = len(coords)
     n_points, _, n_modes = readouts.shape
@@ -145,21 +147,26 @@ class _PointPart:
     series: np.ndarray | None = None           # [RND, END] of trajectory 0, when kept
 
 
-class _Stream:
-    """Sink of the engine for a task's points: reads the signals of every
-    point, mode and trajectory (columns in that order) out of each chunk of
-    coherences and pushes them into one streaming Welch accumulator."""
+# Columns of the signals the engine records for every point.
+_SIGNAL_MODES = ("rnd", "end")
 
-    def __init__(self, cfg: ExperimentConfig, params: list[SystemParams], n_traj: int,
+
+class _Stream:
+    """Sink of the engine for a task's points: takes each chunk of [RND, END]
+    signals of every point and trajectory and pushes the configured modes'
+    columns, by point, mode and trajectory, into one streaming Welch
+    accumulator."""
+
+    def __init__(self, cfg: ExperimentConfig, n_points: int, n_traj: int,
                  series_length: int | None):
         tcfg = cfg.trajectory_config()
         self.modes = cfg.modes()
+        self.mode_columns = [_SIGNAL_MODES.index(mode) for mode in self.modes]
+        self.n_points = n_points
         self.n_traj = n_traj
-        self.readouts = np.stack([readout_matrix(p, cfg.mean_field_au, self.modes) for p in params])
         self.welch = WelchAccumulator(
-            len(params) * len(self.modes) * n_traj, tcfg.dt * tcfg.record_stride, cfg.rbw_hz
+            n_points * len(self.modes) * n_traj, tcfg.dt * tcfg.record_stride, cfg.rbw_hz
         )
-        self.series_readout = readout_matrix(params[0], cfg.mean_field_au)[None]
         self.series = None if series_length is None else np.empty((series_length, 2))
         self.filled = 0
 
@@ -168,19 +175,19 @@ class _Stream:
         return slice(start, start + self.n_traj)
 
     def __call__(self, rows: np.ndarray) -> None:
-        # The engine's block is trajectory-major, (P * n_traj, n, 2); the
-        # readout sees it as (n, P * n_traj, 4) coordinates, (Re, Im) of
-        # rho[3,0] and rho[3,2], and writes the signals trace-major, so the
-        # accumulator copies contiguous rows.
-        coords = rows.view(float).transpose(1, 0, 2)
-        n = len(coords)
-        signals = np.empty((self.welch.n_traces, n))
-        perpendicular_field_series(coords, self.readouts, signals.T)
+        # The engine's block is trajectory-major, (P * n_traj, n, 2).  Each
+        # mode's column is copied into one trace-major buffer, so the
+        # accumulator copies contiguous rows; a fancy-indexed copy would
+        # add a second chunk-sized temporary, which measurably slowed the
+        # accumulator's own allocations.
+        n = rows.shape[1]
         if self.series is not None:
-            perpendicular_field_series(
-                coords[:, :1], self.series_readout, self.series[self.filled : self.filled + n]
-            )
-        self.welch.push(signals.T)
+            self.series[self.filled : self.filled + n] = rows[0]
+        by_mode = rows.reshape(self.n_points, self.n_traj, n, 2).transpose(0, 3, 1, 2)
+        signals = np.empty((self.n_points, len(self.modes), self.n_traj, n))
+        for m, column in enumerate(self.mode_columns):
+            signals[:, m] = by_mode[:, column]
+        self.welch.push(signals.reshape(self.welch.n_traces, n).T)
         self.filled += n
 
 
@@ -199,9 +206,9 @@ def _run_task(
 ) -> list[_PointPart]:
     """Per-trajectory PSDs of a group of points over one trajectory range.
 
-    All points are stepped together in one engine call; their signals are
-    read out and Welch-averaged chunk by chunk, so no coherence record is
-    held.  The group holding trajectory 0 also reports each point's
+    All points are stepped together in one engine call, which records
+    their signals; these are Welch-averaged chunk by chunk, so no record
+    is held.  The group holding trajectory 0 also reports each point's
     transmission and, with ``keep_series`` (one point only), trajectory 0's
     [RND, END].  A trajectory's PSDs depend only on its seed, not on the
     grouping.  An exception carries the failing point's ``axis_value``.
@@ -215,10 +222,12 @@ def _run_task(
             rho0.append(steady_state(params[-1]))
     keys = [seed_key(cfg.master_seed, value, t) for value in values for t in trajectories]
     keep = keep_series and trajectories.start == 0
-    stream = _Stream(cfg, params, len(trajectories), tcfg.n_recorded if keep else None)
+    stream = _Stream(cfg, len(params), len(trajectories), tcfg.n_recorded if keep else None)
+    readouts = np.stack([readout_matrix(p, cfg.mean_field_au, _SIGNAL_MODES) for p in params])
     try:
         evolve_ensemble_coherences(
-            params, tcfg, keys, rho0=rho0, first_trajectory=trajectories.start, sink=stream
+            params, tcfg, keys, rho0=rho0, first_trajectory=trajectories.start, sink=stream,
+            readout=readouts,
         )
     except NumericError as exc:
         exc.axis_value = float(values[exc.point])

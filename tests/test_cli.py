@@ -181,3 +181,11 @@ class TestErrors:
         rc = main(["scan", "--out", str(tmp_path), "--set", "delta_hz=blue"])
         assert rc == 1
         assert "delta_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["absorption", "simulate"])
+    @pytest.mark.parametrize("dt", ["0", "-1e-8"])
+    def test_non_positive_step_length_reported(self, tmp_path, capsys, command, dt):
+        rc = main([command, "--out", str(tmp_path / "out"), "--set", f"dt_s={dt}"] + TINY)
+        assert rc == 1
+        assert "dt_s" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -3,7 +3,9 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from spinnoise import integrator
 from spinnoise.core import SystemParams, equilibrium_rho, liouville_rhs
+from spinnoise.detection import readout_matrix
 from spinnoise.exceptions import (
     ConfigError,
     ContractViolationError,
@@ -24,6 +26,7 @@ from spinnoise.integrator import (
     superoperator,
     to_real,
 )
+from spinnoise.noise import noise_stats, sample_increment_block
 
 from _ou_oracle import real_drift, real_from_mat, mat_from_real
 
@@ -409,6 +412,90 @@ class TestStackedPoints:
         cfg = TrajectoryConfig(dt=1e-8, n_steps=10)
         with pytest.raises(DomainError, match="split evenly"):
             evolve_ensemble_coherences(self.points()[:2], cfg, [[0], [1], [2]])
+
+
+class TestFusedReadout:
+    """The engine's lifted operators carry the noise scale and a readout, so
+    one call goes from standard-normal draws to the detected signals."""
+
+    CFG = TrajectoryConfig(dt=1.0 / 18e6, n_steps=5000, burn_in_steps=37, record_stride=3)
+
+    @staticmethod
+    def readouts(points):
+        return np.stack([readout_matrix(p, 1.7) for p in points])
+
+    def test_signals_equal_held_coherences_through_the_readout(self):
+        # Two stacked points, over several chunks and into a partial one;
+        # burn-in and stride divide neither.
+        points = TestStackedPoints.points()[:2]
+        starts = [steady_state(p) for p in points]
+        keys = [[14, point, t] for point in range(2) for t in range(3)]
+        readouts = self.readouts(points)
+        signals = evolve_ensemble_coherences(points, self.CFG, keys, rho0=starts, readout=readouts)
+        coherences = evolve_ensemble_coherences(points, self.CFG, keys, rho0=starts)
+        assert signals.shape == (self.CFG.n_recorded, 6, 2) and signals.dtype == float
+        coords = coherences.view(float).reshape(self.CFG.n_recorded, 2, 3, 4)
+        expected = np.einsum("npti,pim->nptm", coords, readouts).reshape(signals.shape)
+        scale = np.abs(expected).max()
+        assert np.max(np.abs(signals - expected)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n_traj", [1, 2, 3, 17])
+    def test_signal_columns_do_not_depend_on_the_batch(self, n_traj):
+        p = TestStackedPoints.points()[1]
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=1000, burn_in_steps=37, record_stride=3)
+        g = readout_matrix(p, 1.7)
+        keys = [[15, t] for t in range(n_traj)]
+        ensemble = evolve_ensemble_coherences(p, cfg, keys, rho0=steady_state(p), readout=g)
+        for j, key in enumerate(keys):
+            alone = evolve_ensemble_coherences(p, cfg, [key], rho0=steady_state(p), readout=g)
+            assert np.array_equal(ensemble[:, j], alone[:, 0])
+
+    @pytest.mark.parametrize("n_traj", [1, 3])
+    def test_stacked_signals_equal_separate_runs(self, n_traj):
+        points = TestStackedPoints.points()
+        starts = [steady_state(p) for p in points]
+        keys = [[16, point, t] for point in range(len(points)) for t in range(n_traj)]
+        readouts = self.readouts(points)
+        stacked = evolve_ensemble_coherences(points, self.CFG, keys, rho0=starts, readout=readouts)
+        for i, (p, rho0) in enumerate(zip(points, starts)):
+            alone = evolve_ensemble_coherences(
+                p, self.CFG, keys[i * n_traj : (i + 1) * n_traj], rho0=rho0, readout=readouts[i]
+            )
+            assert np.array_equal(stacked[:, i * n_traj : (i + 1) * n_traj], alone)
+
+    def test_sink_blocks_equal_the_held_signals(self):
+        points = TestStackedPoints.points()[:2]
+        keys = [[17, point, t] for point in range(2) for t in range(3)]
+        readouts = self.readouts(points)[..., 1:]
+        blocks = []
+        held = evolve_ensemble_coherences(
+            points, self.CFG, keys, readout=readouts, sink=lambda rows: blocks.append(rows.copy())
+        )
+        assert held.shape == (0, 6, 1)
+        assert all(block.dtype == float and block.shape[0] == 6 for block in blocks)
+        assert np.array_equal(
+            np.concatenate(blocks, axis=1).transpose(1, 0, 2),
+            evolve_ensemble_coherences(points, self.CFG, keys, readout=readouts),
+        )
+
+    def test_readout_shape_is_checked(self):
+        points = TestStackedPoints.points()[:2]
+        with pytest.raises(DomainError, match="readout"):
+            evolve_ensemble_coherences(
+                points, self.CFG, [[0], [1]], readout=self.readouts(points[:1] * 3)
+            )
+
+    def test_raw_draws_times_scale_are_the_increment_block(self):
+        # The engine draws standard normals; the lifted operators hold the
+        # scale.  Two chunks of one trajectory's draws against the noise
+        # generator's scaled blocks of the same lengths.
+        stats = noise_stats(3e4, 1.0 / 18e6, 1e5)
+        rng_raw, rng_block = np.random.default_rng([18, 0]), np.random.default_rng([18, 0])
+        raw = np.zeros((1, 256, 9))
+        for chunk in (256, 100):
+            integrator._draw_noise_chunk([rng_raw], chunk, raw)
+            block = sample_increment_block(stats, rng_block, chunk)
+            assert np.array_equal(raw[0, :chunk] * stats.block_scale, block)
 
 
 class TestEnsemble:

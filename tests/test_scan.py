@@ -16,7 +16,6 @@ from spinnoise.scan import (
     ModeReport,
     absorption_scan,
     oscillation_mode_report,
-    perpendicular_field_series,
     run_point,
     run_scan,
     seed_key,
@@ -91,6 +90,11 @@ class TestConfig:
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="rabi_hz"):
             load_config(overrides=["rabi_hz=fast"])
+
+    @pytest.mark.parametrize("text", ["0", "-1e-8", "nan", "inf"])
+    def test_step_length_must_be_positive_and_finite(self, text):
+        with pytest.raises(ConfigError, match="dt_s"):
+            load_config(overrides=[f"dt_s={text}"])
 
     @pytest.mark.parametrize(
         "key", ["n_steps", "record_stride", "n_trajectories", "master_seed", "burn_in_steps"]
@@ -338,8 +342,8 @@ class TestTrajectoryGroups:
         # in the second group under two and three workers.
         draw = integrator._draw_noise_chunk
 
-        def poisoned(stats, rngs, chunk, noise):
-            draw(stats, rngs, chunk, noise)
+        def poisoned(rngs, chunk, noise):
+            draw(rngs, chunk, noise)
             for j, rng in enumerate(rngs):
                 if rng.bit_generator.seed_seq.entropy[2] == 2:
                     noise[j, 0, 0] = np.inf
@@ -436,8 +440,8 @@ class TestScanTasks:
         draw = integrator._draw_noise_chunk
         bits = seed_key(0, 15.0, 0)[1]
 
-        def poisoned(stats, rngs, chunk, noise):
-            draw(stats, rngs, chunk, noise)
+        def poisoned(rngs, chunk, noise):
+            draw(rngs, chunk, noise)
             for j, rng in enumerate(rngs):
                 if list(rng.bit_generator.seed_seq.entropy[1:]) == [bits, 1]:
                     noise[j, 0, 0] = np.inf
@@ -624,15 +628,13 @@ class TestSimulatePoint:
         assert len(calls) == 1
         (params, tcfg, keys), kwargs = calls[0]
         assert kwargs.pop("sink") is not None
-        # The same integration, recorded whole: the series is its column 0.
-        coherences = evolve_ensemble_coherences(params, tcfg, keys, **kwargs)
-        assert coherences.shape == (tcfg.n_recorded, cfg.n_trajectories, 2)
-        series = perpendicular_field_series(
-            coherences.view(float)[:, :1], readout_matrix(params[0], cfg.mean_field_au)[None],
-            np.empty((tcfg.n_recorded, 2)),
-        )
-        assert np.array_equal(rnd, series[:, 0])
-        assert np.array_equal(end, series[:, 1])
+        assert np.array_equal(kwargs["readout"][0], readout_matrix(params[0], cfg.mean_field_au))
+        # The same integration, its signals recorded whole: the series is
+        # their column 0.
+        signals = evolve_ensemble_coherences(params, tcfg, keys, **kwargs)
+        assert signals.shape == (tcfg.n_recorded, cfg.n_trajectories, 2)
+        assert np.array_equal(rnd, signals[:, 0, 0])
+        assert np.array_equal(end, signals[:, 0, 1])
 
 
 class TestWriteScan:
