@@ -116,6 +116,9 @@ class ExperimentConfig:
             )
         if not 0.0 < self.dt_s < math.inf:
             raise ConfigError(f"dt_s must be finite and > 0, got {self.dt_s}")
+        for key in ("scan_start", "scan_stop", "scan_step"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.scan_step <= 0:
             raise ConfigError(f"scan_step must be > 0, got {self.scan_step}")
         if self.scan_stop < self.scan_start:

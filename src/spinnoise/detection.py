@@ -15,7 +15,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.constants
 
 from .core import SQRT2, SQRT3, SystemParams, require_hermitian
 from .exceptions import DomainError
@@ -26,7 +25,13 @@ logger = logging.getLogger(__name__)
 #: Probe wavelength (m); sets the photon energy used in the absorption model.
 PROBE_WAVELENGTH_M = 1.083e-6
 
-PHOTON_ENERGY_J = scipy.constants.h * scipy.constants.c / PROBE_WAVELENGTH_M
+#: Exact SI values of the Planck constant (J s), the speed of light (m/s)
+#: and the elementary charge (C).
+PLANCK_J_S = 6.62607015e-34
+SPEED_OF_LIGHT_M_PER_S = 299792458.0
+ELEMENTARY_CHARGE_C = 1.602176634e-19
+
+PHOTON_ENERGY_J = PLANCK_J_S * SPEED_OF_LIGHT_M_PER_S / PROBE_WAVELENGTH_M
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ def shot_noise_floor(detector: DetectorParams, transmission_fraction: float) -> 
     detected_power = transmission_fraction * detector.input_power
     return (
         2.0
-        * scipy.constants.elementary_charge
+        * ELEMENTARY_CHARGE_C
         * detector.responsivity
         * detected_power
         * detector.transimpedance**2

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .exceptions import DomainError
 
@@ -74,12 +73,26 @@ def hann_window(n: int) -> np.ndarray:
     return w[:-1]
 
 
+def next_fast_len(target: int) -> int:
+    """The smallest n >= target >= 1 whose prime factors are all <= 11, as
+    ``scipy.fft.next_fast_len(target)`` gives it: a fast FFT length."""
+    n = max(1, target)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def segment_length(dt: float, rbw_target: float) -> int:
     """FFT segment length whose Hann ENBW approximates rbw_target."""
     if rbw_target <= 0:
         raise DomainError(f"rbw_target must be > 0, got {rbw_target}")
     n_exact = HANN_ENBW_BINS / (rbw_target * dt)
-    return scipy.fft.next_fast_len(max(8, round(n_exact)))
+    return next_fast_len(max(8, round(n_exact)))
 
 
 def welch_psd(
@@ -167,7 +180,7 @@ class WelchAccumulator:
             segments = np.lib.stride_tricks.sliding_window_view(
                 traces, self.nseg, axis=1
             )[:, :: self.hop]
-            spectra = scipy.fft.rfft(segments * self.window, axis=-1)
+            spectra = np.fft.rfft(segments * self.window, axis=-1)
             power = np.square(spectra.real)
             power += np.square(spectra.imag)
             for s in range(n_new):
@@ -192,7 +205,7 @@ class WelchAccumulator:
         # doubled to fold in the negative frequencies.
         psd *= 1.0 / (fs * np.sum(self.window**2))
         psd[:, 1 : None if self.nseg % 2 else -1] *= 2.0
-        freqs = scipy.fft.rfftfreq(self.nseg, 1.0 / fs)
+        freqs = np.fft.rfftfreq(self.nseg, 1.0 / fs)
         rbw = HANN_ENBW_BINS / (self.nseg * self.dt)
         meta = dict(metadata or {})
         return [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from spinnoise.core import (
@@ -12,6 +13,7 @@ from spinnoise.core import (
     decompose_polarization,
     doppler_pole,
     equilibrium_rho,
+    faddeeva,
     larmor_from_field,
     liouville_rhs,
 )
@@ -286,3 +288,45 @@ class TestDopplerPole:
             doppler_pole(1.5e9, -1.0, 0.8e6)
         with pytest.raises(DomainError):
             doppler_pole(1.5e9, 0.8e9, -1.0)
+
+
+def wofz_pole(delta, doppler_hwhm, gamma_h):
+    """doppler_pole's formula evaluated with scipy's Faddeeva function."""
+    scale = doppler_hwhm / np.sqrt(np.log(2.0))
+    mean = 1j * np.sqrt(np.pi) * np.conj(scipy.special.wofz((delta + 1j * gamma_h) / scale)) / scale
+    return (1.0 / mean).real, -(1.0 / mean).imag
+
+
+class TestFaddeeva:
+    def test_matches_scipy_wofz(self):
+        re = np.concatenate([-np.logspace(-8, 6, 300), np.logspace(-8, 6, 300)])
+        im = np.concatenate([[0.0], np.logspace(-12, 6, 19)])
+        z = re[:, None] + 1j * im[None, :]
+        want = scipy.special.wofz(z)
+        assert np.max(np.abs(faddeeva(z) - want) / np.abs(want)) <= 1e-13
+
+    def test_real_part_keeps_its_relative_accuracy_near_the_axis(self):
+        # There Re w is exp(-x^2) plus a term in Im z, far below |w|.
+        x = np.concatenate([-np.logspace(np.log10(2.0), 6, 400), np.linspace(2.0, 12.0, 2001)])
+        for y in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.049, 0.051, 0.5):
+            want = scipy.special.wofz(x + 1j * y).real
+            got = faddeeva(x + 1j * y).real
+            nonzero = want != 0.0
+            assert np.array_equal(got[~nonzero], want[~nonzero]), y
+            assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 1e-12, y
+
+    def test_keeps_the_shape(self):
+        assert faddeeva(1.0 + 1j).shape == ()
+        assert faddeeva(np.ones((2, 3))).shape == (2, 3)
+
+    def test_lower_half_plane_rejected(self):
+        with pytest.raises(DomainError):
+            faddeeva(1.0 - 1e-3j)
+
+    def test_doppler_pole_matches_scipy_wofz(self):
+        for delta in np.concatenate([-np.linspace(1e6, 50e9, 101), np.linspace(1e6, 50e9, 101)]):
+            for hwhm in (0.3e9, 0.8e9, 1.5e9, 2e9):
+                for gamma_h in (0.0, 1.0, 1e3, 1e5, 0.8e6, 1e7):
+                    got = doppler_pole(delta, hwhm, gamma_h)
+                    want = wofz_pole(delta, hwhm, gamma_h)
+                    assert got == pytest.approx(want, rel=1e-11, abs=0.0), (delta, hwhm, gamma_h)

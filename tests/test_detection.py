@@ -2,8 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.constants
 from hypothesis import given, settings, strategies as st
 
+from spinnoise import detection
 from spinnoise.core import SystemParams, equilibrium_rho
 from spinnoise.detection import (
     DetectorParams,
@@ -182,6 +184,16 @@ class TestTransmission:
             t = transmission(p, self.detector)
         assert t == 0.0
         assert any("clamped" in rec.message for rec in caplog.records)
+
+
+class TestConstants:
+    def test_same_bits_as_scipy_constants(self):
+        assert detection.PLANCK_J_S == scipy.constants.h
+        assert detection.SPEED_OF_LIGHT_M_PER_S == scipy.constants.c
+        assert detection.ELEMENTARY_CHARGE_C == scipy.constants.elementary_charge
+        assert detection.PHOTON_ENERGY_J == (
+            scipy.constants.h * scipy.constants.c / detection.PROBE_WAVELENGTH_M
+        )
 
 
 class TestShotNoiseFloor:

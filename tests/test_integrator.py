@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from spinnoise import integrator
+from spinnoise.config import load_config
 from spinnoise.core import SystemParams, equilibrium_rho, liouville_rhs
 from spinnoise.detection import readout_matrix
 from spinnoise.exceptions import (
@@ -15,6 +17,8 @@ from spinnoise.exceptions import (
 )
 from spinnoise.integrator import (
     Propagator,
+    VEC_DIM,
+    _expm,
     TrajectoryConfig,
     evolve,
     evolve_ensemble_coherences,
@@ -121,6 +125,56 @@ class TestPropagator:
 
         gap1, gap2 = euler_gap(1e-8), euler_gap(5e-9)
         assert gap1 / gap2 == pytest.approx(4.0, rel=0.35)  # O(dt^2) difference
+
+
+def augmented(p, dt):
+    """The 17x17 matrix [[A, b], [0, 0]] dt whose exponential the propagator takes."""
+    a, b = superoperator(p)
+    aug = np.zeros((VEC_DIM + 1, VEC_DIM + 1), dtype=complex)
+    aug[:VEC_DIM, :VEC_DIM] = a * dt
+    aug[:VEC_DIM, VEC_DIM] = b * dt
+    return aug
+
+
+def expm_error(m):
+    """Largest deviation of _expm from scipy.linalg.expm, relative to its largest entry."""
+    want = scipy.linalg.expm(m)
+    return np.max(np.abs(_expm(m) - want)) / np.max(np.abs(want))
+
+
+class TestExpm:
+    @pytest.mark.parametrize(
+        "preset", ["fig3_end", "fig3_rnd", "fig5_absorption", "fig6_end", "fig6_rnd"]
+    )
+    def test_matches_scipy_on_every_preset_point(self, preset):
+        cfg = load_config(preset=preset)
+        for value in cfg.axis_values():
+            assert expm_error(augmented(cfg.system_params(value), cfg.dt_s)) <= 1e-12, value
+
+    def test_zero_matrix(self):
+        assert expm_error(np.zeros((17, 17), dtype=complex)) <= 1e-12
+
+    def test_far_preset_takes_seven_squarings(self):
+        # ||A dt||_1 is about 419 at the far preset: 2^6 < 419 / theta_13 <= 2^7.
+        cfg = load_config(preset="fig3_end")
+        aug = augmented(cfg.system_params(30.0), cfg.dt_s)
+        assert 2**6 < np.linalg.norm(aug, 1) / integrator._THETA13 <= 2**7
+        assert expm_error(aug) <= 1e-12
+
+    @given(
+        theta=st.floats(0.0, 180.0),
+        b_gauss=st.floats(0.0, 3.0),
+        delta_hz=st.floats(-5e9, 5e9),
+        rabi_hz=st.floats(0.0, 80e6),
+        dt=st.floats(1e-9, 1e-6),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_matches_scipy_on_drawn_points(self, theta, b_gauss, delta_hz, rabi_hz, dt):
+        # The exponential's condition number grows with ||A dt||_1 (up to about
+        # 2e4 here), so the bound does too past a norm of 1000.
+        p = params(b_gauss=b_gauss, rabi_hz=rabi_hz, theta_deg=theta, delta_hz=delta_hz)
+        aug = augmented(p, dt)
+        assert expm_error(aug) <= 1e-12 * max(1.0, np.linalg.norm(aug, 1) / 1000.0)
 
 
 class TestStep:

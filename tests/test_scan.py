@@ -96,6 +96,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dt_s"):
             load_config(overrides=[f"dt_s={text}"])
 
+    @pytest.mark.parametrize("key", ["scan_start", "scan_stop", "scan_step"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_scan_grid_must_be_finite(self, key, text):
+        with pytest.raises(ConfigError, match=key):
+            load_config(overrides=[f"{key}={text}"])
+
     @pytest.mark.parametrize(
         "key", ["n_steps", "record_stride", "n_trajectories", "master_seed", "burn_in_steps"]
     )

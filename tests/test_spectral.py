@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 
 from spinnoise.config import load_config
@@ -13,6 +14,7 @@ from spinnoise.spectral import (
     average_spectra,
     find_peak,
     hann_window,
+    next_fast_len,
     read_spectrum_csv,
     segment_length,
     video_average,
@@ -183,6 +185,12 @@ class TestHannWindow:
         nseg = segment_length(cfg.dt_s, cfg.rbw_hz)
         assert np.array_equal(hann_window(nseg), scipy.signal.get_window("hann", nseg))
         assert np.array_equal(WelchAccumulator(1, cfg.dt_s, cfg.rbw_hz).window, hann_window(nseg))
+
+
+class TestNextFastLen:
+    def test_same_as_scipy(self):
+        for n in range(1, 20001):
+            assert next_fast_len(n) == scipy.fft.next_fast_len(n), n
 
 
 class TestSpectrumRecord:
