@@ -17,7 +17,7 @@ from .core import (
     larmor_from_field,
     liouville_rhs,
 )
-from .noise import NoiseIncrement, NoiseStats, noise_stats, sample_increment
+from .noise import NoiseStats, noise_stats, sample_increment
 from .integrator import (
     Propagator,
     TrajectoryConfig,

@@ -3,7 +3,8 @@
 Subcommands:
     simulate     one parameter point: signal time series plus averaged PSDs
     scan         polarization / field / detuning scan producing CSV spectra
-    modes        free Larmor precession of the three reference initial states
+    modes        free Larmor precession of the three reference initial states,
+                 at the Larmor frequency of the configured field b_gauss
     absorption   absorbed fraction along the configured scan axis
 
 Every run writes a ``run_manifest.cfg`` with the fully resolved
@@ -19,9 +20,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import AXIS_KEYS, load_config, write_manifest
+from .core import larmor_from_field
 from .exceptions import SpinNoiseError
 from .scan import (
     absorption_scan,
@@ -81,11 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
     p_abs = sub.add_parser("absorption", help="absorption along the configured scan axis")
     add_common(p_abs)
-    p_modes = sub.add_parser("modes", help="free spin precession reference modes")
-    add_common(p_modes)
-    p_modes.add_argument(
-        "--omega-l-hz", type=float, default=1e6, help="Larmor frequency in Hz"
+    p_modes = sub.add_parser(
+        "modes", help="free spin precession reference modes at the field b_gauss"
     )
+    add_common(p_modes)
     return parser
 
 
@@ -98,9 +97,9 @@ def _resolve_config(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
+    t, rnd, end, point = simulate_point(cfg, n_workers=max(1, args.threads))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    t, rnd, end, point = simulate_point(cfg, n_workers=max(1, args.threads))
     series_path = outdir / "timeseries.csv"
     metadata = {key: getattr(cfg, key) for key in AXIS_KEYS.values()}
     metadata["seed"] = cfg.master_seed
@@ -122,11 +121,11 @@ def _cmd_scan(args) -> int:
 
 def _cmd_modes(args) -> int:
     cfg = _resolve_config(args)
+    omega_l = larmor_from_field(cfg.b_gauss)
+    reports = [oscillation_mode_report(omega_l, initial) for initial in MODE_INITIALS]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    omega_l = 2.0 * np.pi * args.omega_l_hz
-    for initial in MODE_INITIALS:
-        report = oscillation_mode_report(omega_l, initial)
+    for initial, report in zip(MODE_INITIALS, reports):
         write_mode_report_csv(report, outdir / f"modes_{initial}.csv")
         print(
             f"modes: {initial}: dominant frequency {report.dominant_freq_hz / 1e6:.6g} MHz"

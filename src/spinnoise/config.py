@@ -24,6 +24,9 @@ from .spectral import format_value
 # Scan axis -> the configuration key it sweeps.
 AXIS_KEYS = {"theta": "theta_deg", "b_field": "b_gauss", "detuning": "delta_hz"}
 DETECTION_MODES = ("rnd", "end", "both")
+# The most points a scan grid may hold: far beyond any scan the package
+# runs, and a bound on what a mistyped grid can ask to allocate.
+MAX_SCAN_POINTS = 10**6
 
 
 def _parse_bool(text: str) -> bool:
@@ -123,6 +126,12 @@ class ExperimentConfig:
             raise ConfigError(f"scan_step must be > 0, got {self.scan_step}")
         if self.scan_stop < self.scan_start:
             raise ConfigError("scan_stop must be >= scan_start")
+        if not self._grid_count() <= MAX_SCAN_POINTS:
+            raise ConfigError(
+                f"scan grid from scan_start={self.scan_start!r} to scan_stop={self.scan_stop!r} "
+                f"in steps of scan_step={self.scan_step!r} has {self._grid_count():g} points; "
+                f"at most {MAX_SCAN_POINTS} are allowed"
+            )
         if self.n_trajectories < 1:
             raise ConfigError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
 
@@ -175,10 +184,14 @@ class ExperimentConfig:
             input_power=self.input_power_W,
         )
 
+    def _grid_count(self) -> float:
+        """Points the scan grid is cut from: floor(span / step + 1.5), inf
+        where the span overflows the float range."""
+        return float(np.floor((self.scan_stop - self.scan_start) / self.scan_step + 1.5))
+
     def axis_values(self) -> np.ndarray:
         """Scan grid start, start+step, ..., up to scan_stop (inclusive)."""
-        count = int(math.floor((self.scan_stop - self.scan_start) / self.scan_step + 1.5))
-        values = self.scan_start + self.scan_step * np.arange(count)
+        values = self.scan_start + self.scan_step * np.arange(int(self._grid_count()))
         return values[values <= self.scan_stop + 1e-9 * self.scan_step]
 
     def modes(self) -> list[str]:

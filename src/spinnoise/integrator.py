@@ -24,9 +24,9 @@ sub-blocks of _SUB steps with lifted operators (powers of E_real^T and
 their sums), so a chunk of steps is a few matrix products over the
 trajectories' raw standard-normal draws, and it hands the recorded rows
 to a sink chunk by chunk.  The lifted operators carry the per-coordinate
-noise scale and a fixed linear record map (a coordinate selection, or the
-detection readout), so those products go from the draws to the recorded
-signals directly.
+noise scale and a fixed linear record map (all coordinates for ``evolve``,
+a readout of the optical coherences otherwise), so those products go from
+the draws to the recorded signals directly.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ VEC_DIM = DIM * DIM
 # the column order of sample_increment_block (three populations, then the
 # real and the imaginary parts of the lower entries (1,0) (2,0) (2,1)); the
 # recorded optical coherences rho[3,0] and rho[3,2] come last, as
-# (Re, Im, Re, Im), so their record is a float view of two complex numbers.
+# (Re, Im, Re, Im), so their default record is the float view of the two
+# complex numbers.
 REAL_COORDS = (
     (0, 0, "re"), (1, 1, "re"), (2, 2, "re"),
     (1, 0, "re"), (2, 0, "re"), (2, 1, "re"),
@@ -76,9 +77,6 @@ REAL_COORDS = (
 )
 _NOISE_COORDS = slice(0, 9)
 _COHERENCE_COORDS = slice(12, 16)
-# Record maps (16, K): the recorded row of a state x is x @ R.
-_ALL_RECORD = np.eye(VEC_DIM)
-_COHERENCE_RECORD = _ALL_RECORD[:, _COHERENCE_COORDS]
 
 
 def _real_basis() -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +254,7 @@ class _Lifted:
     of a run is the same product, whatever its row holds past the end.  No
     step of a sub-block that starts in y can leave the float range while
     max |y| <= ``safe_size`` (up to the offset and noise, which are of
-    order one).  The arrays are read-only: one cached set serves every
-    call for the point and record map.
+    order one).
     """
 
     power: np.ndarray       # (16, 16): M^_SUB
@@ -268,22 +265,12 @@ class _Lifted:
     offset: np.ndarray      # (_SUB K,): block r is O_r R
     safe_size: float
 
-    def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
 
-
-def _lifted(params: SystemParams, dt: float, record: np.ndarray) -> _Lifted:
-    """The lifted operators of one point with the (16, K) record map ``record``."""
-    return _cached_lifted(params, dt, record.shape[1], record.tobytes())
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_lifted(params: SystemParams, dt: float, k: int, record: bytes) -> _Lifted:
+def _lifted(params: SystemParams, dt: float, r_map: np.ndarray) -> _Lifted:
+    """The lifted operators of one point with the (16, K) record map ``r_map``."""
     prop = _cached_propagator(params, dt)
     m, c = prop.real_matrix_t, prop.real_offset
-    r_map = np.frombuffer(record).reshape(VEC_DIM, k)
+    k = r_map.shape[1]
     scale = noise_stats(params.gamma_t, dt, params.n_atoms).block_scale
     powers = np.empty((_SUB + 1, VEC_DIM, VEC_DIM))
     powers[0] = np.eye(VEC_DIM)
@@ -331,7 +318,7 @@ def step(
     out = v.reshape(DIM, DIM)
     if with_noise:
         stats = noise_stats(params.gamma_t, dt, params.n_atoms)
-        out = out + sample_increment(stats, rng).entries
+        out = out + sample_increment(stats, rng)
     out = hermitize(out)
     if not np.all(np.isfinite(out.view(float))):
         raise NumericError("non-finite density matrix after step")
@@ -356,7 +343,7 @@ def evolve(
     _warn_if_aliasing(params, cfg.dt)
     x0 = to_real(rho0)[None, None, :]
     out = np.empty((cfg.n_recorded, 1, VEC_DIM))
-    _integrate([params], cfg, [rng], x0, _ALL_RECORD[None], _writer(out), with_noise)
+    _integrate([params], cfg, [rng], x0, np.eye(VEC_DIM)[None], _writer(out), with_noise)
     return from_real(out[:, 0, :])
 
 
@@ -370,8 +357,8 @@ def evolve_ensemble_coherences(
     sink: Callable[[np.ndarray], None] | None = None,
     readout: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched trajectories, recording the two optical coherences or the
-    signals read out of them.
+    """Batched trajectories, recording real signals read out of the two
+    optical coherences.
 
     Each entry of ``seed_keys`` seeds one trajectory's independent
     generator (any value np.random.default_rng accepts), so a trajectory's
@@ -385,17 +372,17 @@ def evolve_ensemble_coherences(
     within a larger ensemble split into batches, and carries the index of
     the failing point in ``point``.
 
-    Without ``readout`` the record is (n_recorded, n_keys, 2) complex:
-    columns are rho[3,0] and rho[3,2] after each recorded step.  With
-    ``readout``, a real (4, M) map of the coherence coordinates
+    ``readout`` is a real (4, M) map of the coherence coordinates
     (Re rho[3,0], Im rho[3,0], Re rho[3,2], Im rho[3,2]) to M signals
-    (``detection.readout_matrix``), or one such map per point, the record
-    is the (n_recorded, n_keys, M) real signals.  The readout is part of
-    the engine's lifted operators, so no coherence is formed on the way.
-    Without ``sink`` the record is returned.  With ``sink`` it is never
-    held: sink receives it in consecutive blocks of rows, each
-    trajectory-major, (n_keys, rows, 2) complex or (n_keys, rows, M) real,
-    and the returned record is empty (no rows).
+    (``detection.readout_matrix``), or one such map per point; the record
+    is the (n_recorded, n_keys, M) real signals after each recorded step.
+    The default is the 4x4 identity, which records the four coordinates
+    themselves: ``.view(complex)`` of that record is rho[3,0] and
+    rho[3,2].  The readout is part of the engine's lifted operators, so no
+    coherence is formed on the way.  Without ``sink`` the record is
+    returned.  With ``sink`` it is never held: sink receives it in
+    consecutive trajectory-major blocks of rows, (n_keys, rows, M), and
+    the returned record is empty (no rows).
     """
     points = [params] if isinstance(params, SystemParams) else list(params)
     n_keys = len(seed_keys)
@@ -416,28 +403,21 @@ def evolve_ensemble_coherences(
         raise DomainError(f"rho0 must be one 4x4 state or one per point, got {starts.shape}")
     for rho in starts:
         require_hermitian(rho)
-    n_rows = cfg.n_recorded if sink is None else 0
-    if readout is None:
-        records = np.broadcast_to(_COHERENCE_RECORD, (len(points),) + _COHERENCE_RECORD.shape)
-        out = np.empty((n_rows, n_keys, 2), dtype=complex)
-        target = _writer(out.view(float)) if sink is None else (
-            lambda rows: sink(rows.view(complex))
-        )
-    else:
-        maps = np.asarray(readout, dtype=float)
-        if maps.ndim == 2:
-            maps = np.broadcast_to(maps, (len(points),) + maps.shape)
-        if maps.ndim != 3 or maps.shape[:2] != (len(points), 4):
-            raise DomainError(f"readout must be one (4, M) map or one per point, got {maps.shape}")
-        records = np.zeros((len(points), VEC_DIM, maps.shape[2]))
-        records[:, _COHERENCE_COORDS] = maps
-        out = np.empty((n_rows, n_keys, maps.shape[2]))
-        target = _writer(out) if sink is None else sink
+    maps = np.eye(4) if readout is None else np.asarray(readout, dtype=float)
+    if maps.ndim == 2:
+        maps = np.broadcast_to(maps, (len(points),) + maps.shape)
+    if maps.ndim != 3 or maps.shape[:2] != (len(points), 4):
+        raise DomainError(f"readout must be one (4, M) map or one per point, got {maps.shape}")
+    # Record maps (16, M): the recorded row of a state x is x @ R.
+    records = np.zeros((len(points), VEC_DIM, maps.shape[2]))
+    records[:, _COHERENCE_COORDS] = maps
+    out = np.empty((cfg.n_recorded if sink is None else 0, n_keys, maps.shape[2]))
     rngs = [np.random.default_rng(key) for key in seed_keys]
     n_traj = n_keys // len(points)
     # Converted one state at a time, as for a single point: a product of
     # several rows takes another BLAS kernel and could round differently.
     x0 = np.stack([np.tile(to_real(rho), (n_traj, 1)) for rho in starts])
+    target = _writer(out) if sink is None else sink
     _integrate(points, cfg, rngs, x0, records, target, with_noise, first_trajectory)
     return out
 

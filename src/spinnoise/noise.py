@@ -17,7 +17,6 @@ independent zero-mean Gaussians of variance 3 sigma^2 / 4.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +34,10 @@ class NoiseStats:
     sigma_sq: float
     offdiag_var: float
 
-    @functools.cached_property
+    @property
     def block_scale(self) -> np.ndarray:
         """Standard deviation of each column of sample_increment_block."""
         return np.repeat([np.sqrt(self.sigma_sq), np.sqrt(self.offdiag_var)], [3, 6])
-
-
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One sampled Hermitian increment (dimensionless, already times dt)."""
-
-    entries: np.ndarray
 
 
 def noise_stats(gamma_t: float, dt: float, n_atoms: float) -> NoiseStats:
@@ -64,9 +56,7 @@ def noise_stats(gamma_t: float, dt: float, n_atoms: float) -> NoiseStats:
     return NoiseStats(sigma_sq=sigma_sq, offdiag_var=0.75 * sigma_sq)
 
 
-def sample_increment_block(
-    stats: NoiseStats, rng: np.random.Generator, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def sample_increment_block(stats: NoiseStats, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n steps of noise at once, as an (n, 9) real block.
 
     Columns: the three populations, then the real parts and then the
@@ -74,19 +64,13 @@ def sample_increment_block(
     is the order of the integrator's noise-driven real coordinates.  Each
     block is one (n, 9) standard-normal draw scaled in place, so a given
     generator state yields a reproducible stream for a given blocking.
-    With ``out``, a C-contiguous (n, 9) float64 array, the block is drawn
-    into it and ``out`` is returned: the same values, no allocation.
+    Without variance the block is zeros and the generator is not consumed.
     """
-    if out is None:
-        out = np.empty((n, 9))
-    elif out.shape != (n, 9):
-        raise DomainError(f"out must have shape ({n}, 9), got {out.shape}")
     if stats.sigma_sq == 0.0:
-        out.fill(0.0)
-        return out
-    rng.standard_normal(out=out)
-    out *= stats.block_scale
-    return out
+        return np.zeros((n, 9))
+    block = rng.standard_normal((n, 9))
+    block *= stats.block_scale
+    return block
 
 
 def increment_matrix(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
@@ -99,12 +83,12 @@ def increment_matrix(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     return m
 
 
-def sample_increment(stats: NoiseStats, rng: np.random.Generator) -> NoiseIncrement:
-    """Draw a single per-step increment matrix.
+def sample_increment(stats: NoiseStats, rng: np.random.Generator) -> np.ndarray:
+    """Draw a single per-step increment, a 4x4 complex matrix
+    (dimensionless, already times dt).
 
     Hermitian by construction, with the excited row and column identically
     zero; deterministic for a given generator state.
     """
     block = sample_increment_block(stats, rng, 1)[0]
-    entries = increment_matrix(block[0:3], block[3:6] + 1j * block[6:9])
-    return NoiseIncrement(entries=entries)
+    return increment_matrix(block[0:3], block[3:6] + 1j * block[6:9])

@@ -37,6 +37,7 @@ from .spectral import (
     WelchAccumulator,
     average_spectra,
     replace_metadata,
+    require_series_length,
     video_average,
     welch_psd_batch,  # noqa: F401  (looked up on this module by perfbench/tracer.py)
     write_spectrum_csv,
@@ -176,10 +177,10 @@ class _Stream:
 
     def __call__(self, rows: np.ndarray) -> None:
         # The engine's block is trajectory-major, (P * n_traj, n, 2).  Each
-        # mode's column is copied into one trace-major buffer, so the
-        # accumulator copies contiguous rows; a fancy-indexed copy would
-        # add a second chunk-sized temporary, which measurably slowed the
-        # accumulator's own allocations.
+        # mode's column is copied into one trace-major buffer, the layout
+        # the accumulator takes; a fancy-indexed copy would add a second
+        # chunk-sized temporary, which measurably slowed the accumulator's
+        # own allocations.
         n = rows.shape[1]
         if self.series is not None:
             self.series[self.filled : self.filled + n] = rows[0]
@@ -187,7 +188,7 @@ class _Stream:
         signals = np.empty((self.n_points, len(self.modes), self.n_traj, n))
         for m, column in enumerate(self.mode_columns):
             signals[:, m] = by_mode[:, column]
-        self.welch.push(signals.reshape(self.welch.n_traces, n).T)
+        self.welch.push(signals.reshape(self.welch.n_traces, n))
         self.filled += n
 
 
@@ -256,9 +257,13 @@ def _run_values(
     """Scan points of ``values``, in order, over ``n_workers`` processes.
 
     The tasks of ``_scan_tasks`` run in one pool, or in this process when
-    there is only one.  A failing task logs the axis value of its failing
-    point; the tasks not yet started are cancelled and the error propagates.
+    there is only one.  A record too short for the Welch estimate at
+    ``rbw_hz`` fails before any task starts.  A failing task logs the axis
+    value of its failing point; the tasks not yet started are cancelled and
+    the error propagates.
     """
+    tcfg = cfg.trajectory_config()
+    require_series_length(tcfg.n_recorded, tcfg.dt * tcfg.record_stride, cfg.rbw_hz)
     layout = _scan_tasks(len(values), cfg.n_trajectories, n_workers)
     tasks = [(cfg, values[points.start : points.stop], group, keep_series) for points, group in layout]
     with contextlib.ExitStack() as stack:

@@ -95,6 +95,18 @@ def segment_length(dt: float, rbw_target: float) -> int:
     return next_fast_len(max(8, round(n_exact)))
 
 
+def require_series_length(n_samples: int, dt: float, rbw_target: float) -> None:
+    """Raise a DomainError unless n_samples samples of spacing dt hold the
+    two 50%-overlapped segments that a Welch estimate at rbw_target needs."""
+    nseg = segment_length(dt, rbw_target)
+    min_len = nseg + nseg - nseg // 2
+    if n_samples < min_len:
+        raise DomainError(
+            f"series too short for rbw={rbw_target:g} Hz: need at least "
+            f"{min_len} samples ({nseg}-sample segments), got {n_samples}"
+        )
+
+
 def welch_psd(
     signal: np.ndarray,
     dt: float,
@@ -124,26 +136,27 @@ def welch_psd_batch(
 
     The same estimate as ``scipy.signal.welch`` per column (periodic Hann
     window, 50% overlap, no detrending, one-sided density): one push of the
-    whole array into a WelchAccumulator.
+    whole array, trace-major, into a WelchAccumulator.
     """
     x = np.asarray(signals, dtype=float)
     if x.ndim != 2:
         raise DomainError(f"signals must be two-dimensional, got shape {x.shape}")
     accumulator = WelchAccumulator(x.shape[1], dt, rbw_target)
-    accumulator.push(x)
+    accumulator.push(x.T)
     return accumulator.records(metadata)
 
 
 class WelchAccumulator:
     """Streaming Welch PSD of n_traces signals fed in time order.
 
-    ``push`` takes the next (n, n_traces) samples, of any length.  Every
-    segment completed by them is windowed and transformed, and its power is
-    added to a running sum one segment at a time, in order; only the
-    samples of the unfinished segment are carried to the next push.  So the
-    spectra are the same bits however the series is cut into pushes, and
-    equal to the mean over segments of ``welch_psd_batch``.  One transform
-    call holds about _WELCH_BLOCK_SAMPLES windowed samples.
+    ``push`` takes the next n samples of every trace, trace-major as an
+    (n_traces, n) array, for any n.  Every segment completed by them is
+    windowed and transformed, and its power is added to a running sum one
+    segment at a time, in order; only the samples of the unfinished segment
+    are carried to the next push.  So the spectra are the same bits however
+    the series is cut into pushes, and equal to the mean over segments of
+    ``welch_psd_batch``.  One transform call holds about
+    _WELCH_BLOCK_SAMPLES windowed samples.
     """
 
     def __init__(self, n_traces: int, dt: float, rbw_target: float):
@@ -165,16 +178,16 @@ class WelchAccumulator:
 
     def push(self, samples: np.ndarray) -> None:
         x = np.asarray(samples, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n_traces:
+        if x.ndim != 2 or x.shape[0] != self.n_traces:
             raise DomainError(
-                f"expected samples of shape (n, {self.n_traces}), got {x.shape}"
+                f"expected samples of shape ({self.n_traces}, n), got {x.shape}"
             )
-        self.n_samples += len(x)
-        for start in range(0, len(x), self._push_span):
-            self._consume(x[start : start + self._push_span])
+        self.n_samples += x.shape[1]
+        for start in range(0, x.shape[1], self._push_span):
+            self._consume(x[:, start : start + self._push_span])
 
     def _consume(self, x: np.ndarray) -> None:
-        traces = np.concatenate([self._tail, x.T], axis=1)
+        traces = np.concatenate([self._tail, x], axis=1)
         n_new = max(0, 1 + (traces.shape[1] - self.nseg) // self.hop)
         if n_new:
             segments = np.lib.stride_tricks.sliding_window_view(
@@ -193,12 +206,7 @@ class WelchAccumulator:
     ) -> list[SpectrumRecord]:
         """The PSD of each trace (or of the ``traces`` slice of them) over
         all samples pushed so far."""
-        min_len = self.nseg + self.hop  # two 50%-overlapped segments
-        if self.n_samples < min_len:
-            raise DomainError(
-                f"series too short for rbw={self.rbw_target:g} Hz: need at least "
-                f"{min_len} samples ({self.nseg}-sample segments), got {self.n_samples}"
-            )
+        require_series_length(self.n_samples, self.dt, self.rbw_target)
         fs = 1.0 / self.dt
         psd = self._power[traces] / self.n_segments
         # Density scaling; every bin but DC (and Nyquist, for even nseg) is

@@ -286,7 +286,7 @@ def test_criterion_7_noise_generator_statistics():
     se = np.sqrt(np.outer(np.diag(cov), np.diag(cov)) / n)
     off_mask = ~np.eye(9, dtype=bool)
     cross_ok = np.all(np.abs(cov[off_mask]) < 4.0 * se[off_mask])
-    inc = sample_increment(stats, np.random.default_rng(7)).entries
+    inc = sample_increment(stats, np.random.default_rng(7))
     herm_ok = np.array_equal(inc, np.conj(inc.T)) and np.all(inc[3] == 0)
     ok = var_ok and cross_ok and herm_ok
     assert report(

@@ -1,4 +1,6 @@
+import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 import spinnoise
 from spinnoise.cli import main
+from spinnoise.core import larmor_from_field
 from spinnoise.spectral import read_spectrum_csv
 
 TINY = [
@@ -28,14 +31,37 @@ def read_meta(path):
 
 class TestModes:
     def test_three_reports_with_expected_frequencies(self, tmp_path, capsys):
-        rc = main(["modes", "--omega-l-hz", "1e6", "--out", str(tmp_path)])
+        # The Larmor frequency follows the configured field: 1.4 MHz at 0.5 G.
+        rc = main(["modes", "--set", "b_gauss=0.5", "--out", str(tmp_path)])
         assert rc == 0
-        expected = {"minus1_z": 1e6, "x": 2e6, "minus_pi_4": 1e6}
+        larmor_hz = larmor_from_field(0.5) / (2.0 * np.pi)
+        expected = {"minus1_z": larmor_hz, "x": 2.0 * larmor_hz, "minus_pi_4": larmor_hz}
         for initial, freq in expected.items():
             meta = read_meta(tmp_path / f"modes_{initial}.csv")
             assert float(meta["dominant_freq_hz"]) == pytest.approx(freq, abs=1.0)
         out = capsys.readouterr().out
         assert out.count("dominant frequency") == 3
+
+    def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["modes", "--set", "b_gauss=0.7", "--out", str(first)]) == 0
+        assert main(["modes", "--config", str(first / "run_manifest.cfg"), "--out", str(again)]) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+
+    def test_zero_field_reported_before_writing(self, tmp_path, capsys):
+        rc = main(["modes", "--set", "b_gauss=0", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "omega_l must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_takes_no_larmor_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["modes", "--omega-l-hz", "2e6", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestScan:
@@ -175,6 +201,17 @@ class TestImports:
         assert (tmp_path / "sim" / "spectrum_rnd.csv").is_file()
 
 
+class TestTracerHooks:
+    # The traced benchmark rebinds these names on the package; a program
+    # change that drops one would only show in a traced run.
+    def test_every_hooked_name_exists(self):
+        tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        hooks = runpy.run_path(str(tracer))["HOOKS"]
+        assert hooks
+        for module_name, attr, *_ in hooks:
+            assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+
+
 class TestErrors:
     def test_unknown_subcommand_exits_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -203,6 +240,27 @@ class TestErrors:
         rc = main([command, "--out", str(tmp_path / "out"), "--set", setting] + TINY)
         assert rc == 1
         assert setting.partition("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["absorption", "scan"])
+    @pytest.mark.parametrize(
+        "settings", [["scan_step=1e-300"], ["scan_start=-1e308", "scan_stop=1e308"]]
+    )
+    def test_overflowing_scan_grid_reported(self, tmp_path, capsys, command, settings):
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        rc = main([command, "--out", str(tmp_path / "out"), *overrides])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "scan_step" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_too_fine_rbw_reported_before_the_run(self, tmp_path, capsys):
+        # 64 trajectories of 2^17 steps by default: the error comes before
+        # any of them is stepped.
+        rc = main(["simulate", "--out", str(tmp_path / "out"), "--set", "rbw_hz=100"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: series too short for rbw=100 Hz")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["absorption", "simulate"])

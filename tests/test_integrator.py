@@ -328,7 +328,7 @@ class TestEngine:
         cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=4500, burn_in_steps=100, record_stride=2)
         rho0 = steady_state(p)
         keys = [[7, 0], [7, 1]]
-        coherences = evolve_ensemble_coherences(p, cfg, keys, rho0=rho0)
+        coherences = evolve_ensemble_coherences(p, cfg, keys, rho0=rho0).view(complex)
         for j, key in enumerate(keys):
             states = evolve(rho0, p, cfg, np.random.default_rng(key))
             assert np.allclose(coherences[:, j, 0], states[:, 3, 0], rtol=0.0, atol=1e-13)
@@ -396,8 +396,8 @@ class TestLiftedEngine:
         keys = [[13, point, t] for point in range(2) for t in range(3)]
         blocks = []
         evolve_ensemble_coherences(points, cfg, keys, sink=lambda rows: blocks.append(rows.copy()))
-        assert [block.shape for block in blocks] == [(6, 73, 2), (6, 86, 2), (6, 29, 2)]
-        assert all(block.dtype == complex for block in blocks)
+        assert [block.shape for block in blocks] == [(6, 73, 4), (6, 86, 4), (6, 29, 4)]
+        assert all(block.dtype == float for block in blocks)
         record = evolve_ensemble_coherences(points, cfg, keys)
         for key in range(6):
             assert np.array_equal(np.concatenate([block[key] for block in blocks]), record[:, key])
@@ -422,7 +422,7 @@ class TestStackedPoints:
         starts = [steady_state(p) for p in points]
         keys = [[5, point, t] for point in range(len(points)) for t in range(n_traj)]
         stacked = evolve_ensemble_coherences(points, cfg, keys, rho0=starts)
-        assert stacked.shape == (cfg.n_recorded, len(points) * n_traj, 2)
+        assert stacked.shape == (cfg.n_recorded, len(points) * n_traj, 4)
         for i, (p, rho0) in enumerate(zip(points, starts)):
             alone = evolve_ensemble_coherences(
                 p, cfg, keys[i * n_traj : (i + 1) * n_traj], rho0=rho0
@@ -444,7 +444,7 @@ class TestStackedPoints:
         keys = [[6, t] for t in range(4)]
         blocks = []
         held = evolve_ensemble_coherences(points, cfg, keys, sink=lambda rows: blocks.append(rows.copy()))
-        assert held.shape == (0, 4, 2)
+        assert held.shape == (0, 4, 4)
         assert all(block.shape[1] <= 256 for block in blocks)
         assert np.array_equal(
             np.concatenate(blocks, axis=1).transpose(1, 0, 2),
@@ -488,7 +488,7 @@ class TestFusedReadout:
         signals = evolve_ensemble_coherences(points, self.CFG, keys, rho0=starts, readout=readouts)
         coherences = evolve_ensemble_coherences(points, self.CFG, keys, rho0=starts)
         assert signals.shape == (self.CFG.n_recorded, 6, 2) and signals.dtype == float
-        coords = coherences.view(float).reshape(self.CFG.n_recorded, 2, 3, 4)
+        coords = coherences.reshape(self.CFG.n_recorded, 2, 3, 4)
         expected = np.einsum("npti,pim->nptm", coords, readouts).reshape(signals.shape)
         scale = np.abs(expected).max()
         assert np.max(np.abs(signals - expected)) <= 1e-13 * scale
@@ -530,6 +530,17 @@ class TestFusedReadout:
         assert np.array_equal(
             np.concatenate(blocks, axis=1).transpose(1, 0, 2),
             evolve_ensemble_coherences(points, self.CFG, keys, readout=readouts),
+        )
+
+    def test_default_record_is_the_identity_readout(self):
+        # The four coherence coordinates, (Re, Im) of rho[3,0] then of
+        # rho[3,2]: the same bits as an explicit 4x4 identity readout.
+        points = TestStackedPoints.points()[:2]
+        keys = [[19, point, t] for point in range(2) for t in range(2)]
+        default = evolve_ensemble_coherences(points, self.CFG, keys)
+        assert default.shape == (self.CFG.n_recorded, 4, 4) and default.dtype == float
+        assert np.array_equal(
+            default, evolve_ensemble_coherences(points, self.CFG, keys, readout=np.eye(4))
         )
 
     def test_readout_shape_is_checked(self):

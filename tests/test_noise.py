@@ -40,26 +40,26 @@ class TestSampleIncrement:
     def test_zero_variance_gives_zero_matrix(self):
         stats = noise_stats(0.0, 1e-8, 1e9)
         inc = sample_increment(stats, np.random.default_rng(0))
-        assert np.all(inc.entries == 0.0)
+        assert inc.shape == (4, 4) and np.all(inc == 0.0)
 
     def test_structure(self):
         stats = noise_stats(TWOPI * 30e3, 1 / 18e6, 1e6)
         rng = np.random.default_rng(42)
         for _ in range(20):
-            m = sample_increment(stats, rng).entries
+            m = sample_increment(stats, rng)
             assert np.array_equal(m, np.conj(m.T))  # Hermitian exactly
             assert np.all(m[3, :] == 0.0) and np.all(m[:, 3] == 0.0)
             assert np.all(np.imag(np.diag(m)) == 0.0)
 
     def test_seed_reproducibility(self):
         stats = noise_stats(TWOPI * 30e3, 1 / 18e6, 1e6)
-        a = sample_increment(stats, np.random.default_rng(123)).entries
-        b = sample_increment(stats, np.random.default_rng(123)).entries
+        a = sample_increment(stats, np.random.default_rng(123))
+        b = sample_increment(stats, np.random.default_rng(123))
         assert np.array_equal(a, b)
 
     def test_single_matches_block_head(self):
         stats = noise_stats(TWOPI * 30e3, 1 / 18e6, 1e6)
-        single = sample_increment(stats, np.random.default_rng(5)).entries
+        single = sample_increment(stats, np.random.default_rng(5))
         block = sample_increment_block(stats, np.random.default_rng(5), 1)
         diag, off = block[:, 0:3], block[:, 3:6] + 1j * block[:, 6:9]
         assert np.array_equal(single, increment_matrix(diag[0], off[0]))
@@ -74,24 +74,12 @@ class TestSampleIncrement:
         off = np.sqrt(stats.offdiag_var) * (draws[:, 3:6] + 1j * draws[:, 6:9])
         assert np.array_equal(block, np.hstack([diag, off.real, off.imag]))
 
-    def test_block_drawn_into_out(self):
-        stats = noise_stats(TWOPI * 30e3, 1 / 18e6, 1e6)
-        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
-        allocated = sample_increment_block(stats, rng_a, 300)
-        buf = np.full((300, 9), np.nan)
-        assert sample_increment_block(stats, rng_b, 300, out=buf) is buf
-        assert np.array_equal(buf, allocated)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        with pytest.raises(DomainError, match="shape"):
-            sample_increment_block(stats, rng_b, 299, out=buf)
-
-    def test_zero_variance_block_into_out(self):
+    def test_zero_variance_block_is_zeros_without_a_draw(self):
         stats = noise_stats(0.0, 1e-8, 1e9)
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        buf = np.ones((4, 9))
-        assert sample_increment_block(stats, rng, 4, out=buf) is buf
-        assert np.all(buf == 0.0)
+        block = sample_increment_block(stats, rng, 4)
+        assert block.shape == (4, 9) and np.all(block == 0.0)
         assert rng.bit_generator.state == before
 
     def test_quick_statistics(self):

@@ -7,7 +7,7 @@ import pytest
 
 from spinnoise import detection, integrator, scan
 
-from spinnoise.config import ExperimentConfig, load_config, write_manifest
+from spinnoise.config import MAX_SCAN_POINTS, ExperimentConfig, load_config, write_manifest
 from spinnoise.core import SystemParams
 from spinnoise.detection import readout_matrix, transmission
 from spinnoise.exceptions import ConfigError, DomainError, NumericError
@@ -101,6 +101,20 @@ class TestConfig:
     def test_scan_grid_must_be_finite(self, key, text):
         with pytest.raises(ConfigError, match=key):
             load_config(overrides=[f"{key}={text}"])
+
+    @pytest.mark.parametrize(
+        "overrides", [["scan_step=1e-300"], ["scan_start=-1e308", "scan_stop=1e308"]]
+    )
+    def test_scan_grid_point_count_is_bounded(self, overrides):
+        # 9e301 points, and a span that overflows to inf.
+        with pytest.raises(ConfigError, match=f"at most {MAX_SCAN_POINTS}"):
+            load_config(overrides=overrides)
+
+    def test_largest_scan_grid_is_allowed(self):
+        cfg = ExperimentConfig(scan_start=0.0, scan_stop=MAX_SCAN_POINTS - 1.0, scan_step=1.0)
+        assert cfg.axis_values().size == MAX_SCAN_POINTS
+        with pytest.raises(ConfigError, match="scan_step"):
+            replace(cfg, scan_stop=float(MAX_SCAN_POINTS))
 
     @pytest.mark.parametrize(
         "key", ["n_steps", "record_stride", "n_trajectories", "master_seed", "burn_in_steps"]
@@ -360,6 +374,18 @@ class TestTrajectoryGroups:
             with pytest.raises(NumericError, match="non-finite state in trajectory 2 during"):
                 run_point(cfg, 7.5, n_workers=n_workers)
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_too_fine_rbw_fails_before_any_step(self, monkeypatch, n_workers):
+        def never(*args):
+            raise AssertionError("the ensemble was stepped")
+
+        monkeypatch.setattr(integrator, "_draw_noise_chunk", never)
+        cfg = tiny_cfg(rbw_hz=100.0)
+        with pytest.raises(DomainError, match="series too short for rbw=100 Hz"):
+            run_point(cfg, 7.5, n_workers=n_workers)
+        with pytest.raises(DomainError, match="series too short"):
+            run_scan(cfg, n_workers=n_workers)
+
     def test_one_steady_state_solve_per_point(self, monkeypatch):
         calls = []
 
@@ -474,7 +500,7 @@ class TestPolarizationSymmetry:
                 b_gauss=1.0, rabi_hz=40e6, theta_deg=theta, delta_hz=1.5e9
             )
             coh = evolve_ensemble_coherences(p, cfg, keys, rho0=steady_state(p))
-            signals = coh.view(float) @ readout_matrix(p, 1.0)
+            signals = coh @ readout_matrix(p, 1.0)
             rnd = average_spectra(welch_psd_batch(signals[..., 0], cfg.dt, 91e3))
             end = average_spectra(welch_psd_batch(signals[..., 1], cfg.dt, 91e3))
             psds.append((rnd.psd, end.psd))

@@ -16,6 +16,7 @@ from spinnoise.spectral import (
     hann_window,
     next_fast_len,
     read_spectrum_csv,
+    require_series_length,
     segment_length,
     video_average,
     welch_psd,
@@ -128,7 +129,7 @@ class TestWelch:
         accumulator = WelchAccumulator(4, DT, rbw)
         cuts = [0, 1, 150, 447, 4543, n]
         for lo, hi in zip(cuts, cuts[1:]):
-            accumulator.push(x[lo:hi])
+            accumulator.push(x[lo:hi].T)
         streamed = accumulator.records({"mode": "end"})
         assert accumulator.n_segments == 41
         for a, b in zip(streamed, whole):
@@ -141,11 +142,11 @@ class TestWelch:
     def test_streamed_too_short_series_names_minimum(self):
         nseg = segment_length(DT, 1e3)
         accumulator = WelchAccumulator(2, DT, 1e3)
-        accumulator.push(np.zeros((nseg, 2)))
+        accumulator.push(np.zeros((2, nseg)))
         with pytest.raises(DomainError, match=str(nseg + nseg // 2)):
             accumulator.records()
         with pytest.raises(DomainError, match="shape"):
-            accumulator.push(np.zeros((10, 3)))
+            accumulator.push(np.zeros((3, 10)))
 
     def test_odd_segment_needs_two_full_segments(self):
         # The presets' sampling and 91 kHz RBW give nseg 297 and hop 149:
@@ -154,12 +155,15 @@ class TestWelch:
         assert segment_length(dt, 91e3) == 297
         rng = np.random.default_rng(14)
         short = WelchAccumulator(1, dt, 91e3)
-        short.push(rng.normal(size=(445, 1)))
+        short.push(rng.normal(size=(1, 445)))
         with pytest.raises(DomainError, match="446"):
             short.records()
         enough = WelchAccumulator(1, dt, 91e3)
-        enough.push(rng.normal(size=(446, 1)))
+        enough.push(rng.normal(size=(1, 446)))
         assert enough.records()[0].n_averages == 2
+        with pytest.raises(DomainError, match="446"):
+            require_series_length(445, dt, 91e3)
+        require_series_length(446, dt, 91e3)
 
     def test_needs_at_least_one_trace(self):
         with pytest.raises(DomainError, match="n_traces >= 1"):
