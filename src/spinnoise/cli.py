@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .config import AXIS_KEYS, load_config, write_manifest
 from .core import larmor_from_field
 from .exceptions import SpinNoiseError
 from .scan import (
+    _usable_cpus,
     absorption_scan,
     oscillation_mode_report,
     run_scan,
@@ -37,13 +37,6 @@ from .spectral import write_spectrum_csv, write_table
 logger = logging.getLogger(__name__)
 
 MODE_INITIALS = ("minus1_z", "x", "minus_pi_4")
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,9 +129,9 @@ def _cmd_modes(args) -> int:
 
 def _cmd_absorption(args) -> int:
     cfg = _resolve_config(args)
+    rows = absorption_scan(cfg, cfg.axis_values())
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = absorption_scan(cfg, cfg.axis_values())
     write_absorption_csv(rows, cfg, outdir / "absorption.csv")
     write_manifest(cfg, outdir / "run_manifest.cfg")
     best = max(rows, key=lambda r: r[1])

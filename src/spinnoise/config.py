@@ -117,11 +117,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"detection_mode must be one of {DETECTION_MODES}, got {self.detection_mode!r}"
             )
-        if not 0.0 < self.dt_s < math.inf:
-            raise ConfigError(f"dt_s must be finite and > 0, got {self.dt_s}")
-        for key in ("scan_start", "scan_stop", "scan_step"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.dt_s <= 0:
+            raise ConfigError(f"dt_s must be > 0, got {self.dt_s}")
+        if self.gamma_t_hz < 0:
+            raise ConfigError(f"gamma_t_hz must be >= 0, got {self.gamma_t_hz}")
         if self.scan_step <= 0:
             raise ConfigError(f"scan_step must be > 0, got {self.scan_step}")
         if self.scan_stop < self.scan_start:

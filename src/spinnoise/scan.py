@@ -17,6 +17,7 @@ import contextlib
 import csv
 import functools
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,6 +117,13 @@ def perpendicular_field_series(
     for k in range(1, 4):
         y += x[..., k] * g[:, k]
     return out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _split(n: int, n_groups: int) -> list[range]:
@@ -256,8 +264,9 @@ def _run_values(
 ) -> list[ScanPoint]:
     """Scan points of ``values``, in order, over ``n_workers`` processes.
 
-    The tasks of ``_scan_tasks`` run in one pool, or in this process when
-    there is only one.  A record too short for the Welch estimate at
+    The tasks of ``_scan_tasks`` run in one pool of at most as many
+    processes as there are usable CPUs, or in this process when there is
+    only one task.  A record too short for the Welch estimate at
     ``rbw_hz`` fails before any task starts.  A failing task logs the axis
     value of its failing point; the tasks not yet started are cancelled and
     the error propagates.
@@ -268,7 +277,8 @@ def _run_values(
     tasks = [(cfg, values[points.start : points.stop], group, keep_series) for points, group in layout]
     with contextlib.ExitStack() as stack:
         if len(tasks) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(n_workers, len(tasks))))
+            workers = min(n_workers, len(tasks), _usable_cpus())
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             futures = [pool.submit(_run_task, *task) for task in tasks]
             calls = [future.result for future in futures]
         else:

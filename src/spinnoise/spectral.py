@@ -38,10 +38,12 @@ class SpectrumRecord:
         self.psd = np.asarray(self.psd, dtype=float)
         if self.freqs.shape != self.psd.shape:
             raise DomainError("freqs and psd must have the same length")
+        if not np.all(np.isfinite(self.freqs)):
+            raise DomainError("freqs entries must be finite")
         if self.freqs.size and (self.freqs[0] < 0 or np.any(np.diff(self.freqs) <= 0)):
             raise DomainError("freqs must be strictly increasing and start >= 0")
-        if np.any(self.psd < 0):
-            raise DomainError("psd entries must be >= 0")
+        if not np.all((self.psd >= 0) & (self.psd < np.inf)):
+            raise DomainError("psd entries must be finite and >= 0")
 
     @property
     def df(self) -> float:
@@ -89,8 +91,8 @@ def next_fast_len(target: int) -> int:
 
 def segment_length(dt: float, rbw_target: float) -> int:
     """FFT segment length whose Hann ENBW approximates rbw_target."""
-    if rbw_target <= 0:
-        raise DomainError(f"rbw_target must be > 0, got {rbw_target}")
+    if not 0 < rbw_target < math.inf:
+        raise DomainError(f"rbw_target must be finite and > 0, got {rbw_target}")
     n_exact = HANN_ENBW_BINS / (rbw_target * dt)
     return next_fast_len(max(8, round(n_exact)))
 
@@ -150,13 +152,13 @@ class WelchAccumulator:
     """Streaming Welch PSD of n_traces signals fed in time order.
 
     ``push`` takes the next n samples of every trace, trace-major as an
-    (n_traces, n) array, for any n.  Every segment completed by them is
-    windowed and transformed, and its power is added to a running sum one
-    segment at a time, in order; only the samples of the unfinished segment
-    are carried to the next push.  So the spectra are the same bits however
-    the series is cut into pushes, and equal to the mean over segments of
-    ``welch_psd_batch``.  One transform call holds about
-    _WELCH_BLOCK_SAMPLES windowed samples.
+    (n_traces, n) array, for any n.  Samples are held until they complete a
+    segment; then every completed segment is windowed and transformed, and
+    its power is added to a running sum one segment at a time, in order.
+    So the spectra are the same bits however the series is cut into pushes,
+    and equal to the mean over segments of ``welch_psd_batch``; each sample
+    is copied a bounded number of times, whatever the segment length.  One
+    transform call holds about _WELCH_BLOCK_SAMPLES windowed samples.
     """
 
     def __init__(self, n_traces: int, dt: float, rbw_target: float):
@@ -173,8 +175,8 @@ class WelchAccumulator:
         self.n_samples = 0
         self.n_segments = 0
         self._power = np.zeros((n_traces, self.nseg // 2 + 1))
-        self._tail = np.empty((n_traces, 0))
-        self._push_span = self.hop * max(1, _WELCH_BLOCK_SAMPLES // (n_traces * self.nseg))
+        self._held: list[np.ndarray] = []   # samples from n_segments * hop on
+        self._group = max(1, _WELCH_BLOCK_SAMPLES // (n_traces * self.nseg))
 
     def push(self, samples: np.ndarray) -> None:
         x = np.asarray(samples, dtype=float)
@@ -182,24 +184,24 @@ class WelchAccumulator:
             raise DomainError(
                 f"expected samples of shape ({self.n_traces}, n), got {x.shape}"
             )
+        held = self.n_samples - self.n_segments * self.hop
         self.n_samples += x.shape[1]
-        for start in range(0, x.shape[1], self._push_span):
-            self._consume(x[:, start : start + self._push_span])
-
-    def _consume(self, x: np.ndarray) -> None:
-        traces = np.concatenate([self._tail, x], axis=1)
-        n_new = max(0, 1 + (traces.shape[1] - self.nseg) // self.hop)
-        if n_new:
-            segments = np.lib.stride_tricks.sliding_window_view(
-                traces, self.nseg, axis=1
-            )[:, :: self.hop]
-            spectra = np.fft.rfft(segments * self.window, axis=-1)
+        n_new = max(0, 1 + (held + x.shape[1] - self.nseg) // self.hop)
+        if not n_new:
+            self._held.append(x.copy())
+            return
+        traces = np.concatenate([*self._held, x], axis=1) if self._held else x
+        segments = np.lib.stride_tricks.sliding_window_view(
+            traces, self.nseg, axis=1
+        )[:, :: self.hop]
+        for first in range(0, n_new, self._group):
+            spectra = np.fft.rfft(segments[:, first : first + self._group] * self.window, axis=-1)
             power = np.square(spectra.real)
             power += np.square(spectra.imag)
-            for s in range(n_new):
+            for s in range(power.shape[1]):
                 self._power += power[:, s]
-            self.n_segments += n_new
-        self._tail = traces[:, n_new * self.hop :].copy()
+        self.n_segments += n_new
+        self._held = [traces[:, n_new * self.hop :].copy()]
 
     def records(
         self, metadata: dict | None = None, traces: slice = slice(None)

@@ -254,6 +254,27 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error:") and "scan_step" in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "kappa=nan", "mean_field_au=nan", "rabi_hz=nan", "b_gauss=inf",
+        "rbw_hz=nan", "rbw_hz=inf", "gamma_t_hz=-1",
+    ])
+    def test_invalid_value_reported_by_key(self, tmp_path, capsys, setting):
+        rc = main(["simulate", "--out", str(tmp_path / "out"), "--set", setting] + TINY)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert setting.partition("=")[0] in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_absorption_leaves_no_directory(self, tmp_path, capsys):
+        # Without relaxation there is no steady state to absorb from.
+        rc = main(["absorption", "--out", str(tmp_path / "out"),
+                   "--set", "gamma0_hz=0", "--set", "gamma_t_hz=0"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no unique steady state")
+        assert not (tmp_path / "out").exists()
+
     def test_too_fine_rbw_reported_before_the_run(self, tmp_path, capsys):
         # 64 trajectories of 2^17 steps by default: the error comes before
         # any of them is stepped.

@@ -1,5 +1,5 @@
 import logging
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -95,6 +95,17 @@ class TestConfig:
     def test_step_length_must_be_positive_and_finite(self, text):
         with pytest.raises(ConfigError, match="dt_s"):
             load_config(overrides=[f"dt_s={text}"])
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if "float" in f.type])
+    def test_every_float_key_must_be_finite(self, key):
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                load_config(overrides=[f"{key}={text}"])
+
+    def test_transit_rate_must_not_be_negative(self):
+        with pytest.raises(ConfigError, match="gamma_t_hz must be >= 0"):
+            load_config(overrides=["gamma_t_hz=-1"])
+        assert load_config(overrides=["gamma_t_hz=0"]).resolved_burn_in() == 0
 
     @pytest.mark.parametrize("key", ["scan_start", "scan_stop", "scan_step"])
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
@@ -452,6 +463,25 @@ class TestScanTasks:
             assert np.array_equal(
                 result.points[0].spectra[mode].psd, serial.points[0].spectra[mode].psd
             )
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
+        # Three tasks on one usable CPU: one worker process runs them all,
+        # in the layout of three workers.
+        sizes = []
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(scan, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", recording)
+        cfg = tiny_cfg()
+        capped = run_scan(cfg, n_workers=3)
+        assert sizes == [1]
+        serial = run_scan(cfg, n_workers=1)
+        for pc, ps in zip(capped.points, serial.points):
+            for mode in ("rnd", "end"):
+                assert np.array_equal(pc.spectra[mode].psd, ps.spectra[mode].psd)
 
     def test_written_scan_does_not_depend_on_workers(self, tmp_path):
         cfg = tiny_cfg(n_trajectories=3)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.signal
+from hypothesis import given, settings, strategies as st
 
 from spinnoise.config import load_config
 from spinnoise.exceptions import DomainError
 from spinnoise.spectral import (
+    HANN_ENBW_BINS,
     PeakReport,
     SpectrumRecord,
     WelchAccumulator,
@@ -87,6 +89,11 @@ class TestWelch:
         assert spec.rbw == pytest.approx(1.5 / (nseg * DT))
         assert spec.rbw == pytest.approx(7e3, rel=0.15)
 
+    @pytest.mark.parametrize("rbw", [0.0, -1.0, np.nan, np.inf])
+    def test_rbw_must_be_finite_and_positive(self, rbw):
+        with pytest.raises(DomainError, match="rbw_target"):
+            segment_length(DT, rbw)
+
     def test_batch_matches_single_columns(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2**14, 3))
@@ -115,11 +122,13 @@ class TestWelch:
             assert np.allclose(rec.psd, psd, rtol=1e-13, atol=0.0)
             assert rec.n_averages == 1 + (n - nseg) // (nseg - nseg // 2)
 
-    @pytest.mark.parametrize("rbw", [5e3, 1.5e6 / 297])
+    @pytest.mark.parametrize("rbw", [5e3, 1.5e6 / 297, 1.5e6 / 27000])
     @pytest.mark.parametrize("tail", [0, 7])
     def test_streamed_pieces_equal_one_push(self, rbw, tail):
-        # Uneven pieces, odd (297) and even (300) nseg, with and without a
-        # trailing partial segment.
+        # Uneven pieces, then 256-sample pushes as the engine makes them;
+        # odd (297) and even (300) nseg, and an nseg (27000) that takes
+        # many pushes to complete; with and without a trailing partial
+        # segment.
         nseg = segment_length(DT, rbw)
         hop = nseg - nseg // 2
         n = 40 * hop + nseg + tail
@@ -127,7 +136,7 @@ class TestWelch:
         x = rng.normal(size=(n, 4)) + np.cumsum(rng.normal(size=(n, 4)), axis=0)
         whole = welch_psd_batch(x, DT, rbw, metadata={"mode": "end"})
         accumulator = WelchAccumulator(4, DT, rbw)
-        cuts = [0, 1, 150, 447, 4543, n]
+        cuts = [0, 1, 150, 447, *range(4543, n, 256), n]
         for lo, hi in zip(cuts, cuts[1:]):
             accumulator.push(x[lo:hi].T)
         streamed = accumulator.records({"mode": "end"})
@@ -138,6 +147,26 @@ class TestWelch:
             assert (a.rbw, a.n_averages, a.metadata) == (b.rbw, b.n_averages, b.metadata)
         part = accumulator.records(traces=slice(1, 3))
         assert [rec.psd.tolist() for rec in part] == [rec.psd.tolist() for rec in whole[1:3]]
+
+    @given(
+        nseg=st.sampled_from([n for n in range(8, 200) if next_fast_len(n) == n]),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_any_cut_equals_one_push(self, nseg, data):
+        rbw = HANN_ENBW_BINS / (nseg * DT)
+        assert segment_length(DT, rbw) == nseg
+        n = data.draw(st.integers(2 * nseg, 12 * nseg), label="n")
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=30), label="cuts"))
+        x = np.random.default_rng(nseg).normal(size=(3, n))
+        one = WelchAccumulator(3, DT, rbw)
+        one.push(x)
+        pieces = WelchAccumulator(3, DT, rbw)
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            pieces.push(x[:, lo:hi])
+        assert pieces.n_segments == one.n_segments == 1 + (n - nseg) // (nseg - nseg // 2)
+        for a, b in zip(pieces.records(), one.records()):
+            assert np.array_equal(a.psd, b.psd)
 
     def test_streamed_too_short_series_names_minimum(self):
         nseg = segment_length(DT, 1e3)
@@ -205,6 +234,11 @@ class TestSpectrumRecord:
             SpectrumRecord(np.array([1.0, 0.5]), np.array([1.0, 1.0]), rbw=1, n_averages=1)
         with pytest.raises(DomainError):
             SpectrumRecord(np.array([0.0, 1.0]), np.array([1.0, -2.0]), rbw=1, n_averages=1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="psd"):
+                SpectrumRecord(np.array([0.0, 1.0]), np.array([1.0, bad]), rbw=1, n_averages=1)
+            with pytest.raises(DomainError, match="freqs"):
+                SpectrumRecord(np.array([0.0, bad]), np.array([1.0, 1.0]), rbw=1, n_averages=1)
 
 
 class TestVideoAverage:
