@@ -28,6 +28,7 @@ from .scan import (
     oscillation_mode_report,
     run_scan,
     simulate_point,
+    worker_pool,
     write_absorption_csv,
     write_mode_report_csv,
     write_scan,
@@ -70,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=_usable_cpus(),
             help="worker processes: each steps a group of scan points, or a group of "
-            "trajectories when there are fewer points than workers (default: usable CPUs)",
+            "trajectories when there are fewer points than workers; simulate's pool also "
+            "formats the time series (default: usable CPUs)",
         )
     p_abs = sub.add_parser("absorption", help="absorption along the configured scan axis")
     add_common(p_abs)
@@ -90,13 +92,18 @@ def _resolve_config(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    t, rnd, end, point = simulate_point(cfg, n_workers=max(1, args.threads))
+    n_workers = max(1, args.threads)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     series_path = outdir / "timeseries.csv"
-    metadata = {key: getattr(cfg, key) for key in AXIS_KEYS.values()}
-    metadata["seed"] = cfg.master_seed
-    write_table(series_path, metadata, {"t_s": t, "rnd_au": rnd, "end_au": end})
+    # One pool steps the ensemble and then formats the time series.
+    with worker_pool(cfg, 1, n_workers) as pool:
+        t, rnd, end, point = simulate_point(cfg, n_workers=n_workers, pool=pool)
+        outdir.mkdir(parents=True, exist_ok=True)
+        metadata = {key: getattr(cfg, key) for key in AXIS_KEYS.values()}
+        metadata["seed"] = cfg.master_seed
+        write_table(
+            series_path, metadata, {"t_s": t, "rnd_au": rnd, "end_au": end}, executor=pool
+        )
     for mode, spec in point.spectra.items():
         write_spectrum_csv(spec, outdir / f"spectrum_{mode}.csv")
     write_manifest(cfg, outdir / "run_manifest.cfg")

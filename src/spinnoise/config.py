@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,18 @@ DETECTION_MODES = ("rnd", "end", "both")
 # The most points a scan grid may hold: far beyond any scan the package
 # runs, and a bound on what a mistyped grid can ask to allocate.
 MAX_SCAN_POINTS = 10**6
+# Keys whose physics needs a sign.  A step, an atom number, a bandwidth
+# (vbw_hz when set) or a detector constant must be > 0, and so must the
+# Raman rate: only it relaxes the ground coherences that the probe leaves
+# dark, so without it the steady state is not unique.  A field, a Rabi
+# frequency, the other rates, the coupling and the seed must be >= 0.
+_POSITIVE_KEYS = (
+    "dt_s", "n_atoms", "rbw_hz", "vbw_hz", "gamma_r_hz",
+    "responsivity_A_per_W", "transimpedance_V_per_A", "input_power_W",
+)
+_NON_NEGATIVE_KEYS = (
+    "b_gauss", "rabi_hz", "gamma0_hz", "gamma_opt_hz", "gamma_t_hz", "kappa", "master_seed",
+)
 
 
 def _parse_bool(text: str) -> bool:
@@ -121,10 +133,19 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.dt_s <= 0:
-            raise ConfigError(f"dt_s must be > 0, got {self.dt_s}")
-        if self.gamma_t_hz < 0:
-            raise ConfigError(f"gamma_t_hz must be >= 0, got {self.gamma_t_hz}")
+        for key in _POSITIVE_KEYS:
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{key} must be > 0, got {value}")
+        for key in _NON_NEGATIVE_KEYS:
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        # Without relaxation the steady state is not unique: the populations
+        # need gamma0_hz or gamma_t_hz, the optical coherences a line width
+        # from gamma0_hz or gamma_opt_hz.
+        for pair in (("gamma0_hz", "gamma_t_hz"), ("gamma0_hz", "gamma_opt_hz")):
+            if all(getattr(self, key) == 0 for key in pair):
+                raise ConfigError(f"no unique steady state: {pair[0]} and {pair[1]} are both zero")
         if self.scan_step <= 0:
             raise ConfigError(f"scan_step must be > 0, got {self.scan_step}")
         if self.scan_stop < self.scan_start:
@@ -137,6 +158,7 @@ class ExperimentConfig:
             )
         if self.n_trajectories < 1:
             raise ConfigError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
+        self.trajectory_config()   # refuses n_steps, burn_in_steps and record_stride by key
 
     def system_params(self, axis_value: float | None = None) -> SystemParams:
         """SystemParams for one scan point; axis_value overrides the scanned knob.
@@ -146,21 +168,23 @@ class ExperimentConfig:
         single optical pole is the one that reproduces the Doppler-averaged
         response at the probe detuning (see ``core.doppler_pole``).
         """
-        cfg = self if axis_value is None else replace(self, **{AXIS_KEYS[self.scan_axis]: axis_value})
+        lab = {key: getattr(self, key) for key in AXIS_KEYS.values()}
+        if axis_value is not None:
+            lab[AXIS_KEYS[self.scan_axis]] = axis_value
         pole_delta_hz, pole_gamma_hz = doppler_pole(
-            cfg.delta_hz, cfg.gamma_opt_hz, 0.5 * cfg.gamma0_hz
+            lab["delta_hz"], self.gamma_opt_hz, 0.5 * self.gamma0_hz
         )
         return SystemParams.from_lab_units(
-            b_gauss=cfg.b_gauss,
-            rabi_hz=cfg.rabi_hz,
-            theta_deg=cfg.theta_deg,
+            b_gauss=lab["b_gauss"],
+            rabi_hz=self.rabi_hz,
+            theta_deg=lab["theta_deg"],
             delta_hz=pole_delta_hz,
-            gamma0_hz=cfg.gamma0_hz,
+            gamma0_hz=self.gamma0_hz,
             gamma_opt_hz=pole_gamma_hz,
-            gamma_t_hz=cfg.gamma_t_hz,
-            gamma_r_hz=cfg.gamma_r_hz,
-            n_atoms=cfg.n_atoms,
-            kappa=cfg.kappa,
+            gamma_t_hz=self.gamma_t_hz,
+            gamma_r_hz=self.gamma_r_hz,
+            n_atoms=self.n_atoms,
+            kappa=self.kappa,
         )
 
     def resolved_burn_in(self) -> int:
@@ -170,7 +194,13 @@ class ExperimentConfig:
         gamma_t = 2.0 * math.pi * self.gamma_t_hz
         if gamma_t == 0.0:
             return 0
-        return math.ceil(5.0 / (gamma_t * self.dt_s))
+        steps = 5.0 / (gamma_t * self.dt_s) if gamma_t * self.dt_s > 0.0 else math.inf
+        if not steps <= 2**53:
+            raise ConfigError(
+                f"gamma_t_hz={self.gamma_t_hz!r} gives a burn-in of {steps:g} steps "
+                "(five transit lifetimes); set burn_in_steps"
+            )
+        return math.ceil(steps)
 
     def trajectory_config(self) -> TrajectoryConfig:
         return TrajectoryConfig(

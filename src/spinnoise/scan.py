@@ -18,7 +18,7 @@ import csv
 import functools
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +27,7 @@ import numpy as np
 from .config import AXIS_KEYS, ExperimentConfig, write_manifest
 from .core import SQRT2
 from .detection import readout_matrix, shot_noise_floor, transmission
-from .exceptions import DomainError, NumericError
+from .exceptions import ConfigError, DomainError, NumericError
 from .integrator import (
     evolve_ensemble_coherences,
     free_evolve_ground,
@@ -39,6 +39,7 @@ from .spectral import (
     average_spectra,
     replace_metadata,
     require_series_length,
+    resolution_bandwidth,
     video_average,
     welch_psd_batch,  # noqa: F401  (looked up on this module by perfbench/tracer.py)
     write_spectrum_csv,
@@ -259,31 +260,57 @@ def _run_task(
     return parts
 
 
-def _run_values(
-    cfg: ExperimentConfig, values: np.ndarray, keep_series: bool, n_workers: int
-) -> list[ScanPoint]:
-    """Scan points of ``values``, in order, over ``n_workers`` processes.
+@contextlib.contextmanager
+def worker_pool(cfg: ExperimentConfig, n_values: int, n_workers: int):
+    """The process pool of a run of ``n_values`` axis values, cut into the
+    tasks of ``_scan_tasks`` for ``n_workers`` workers: None (run in this
+    process) for one task, else min(n_workers, tasks, usable CPUs)
+    processes.  A pool forks its workers at its first task, so opening one
+    starts nothing."""
+    n_tasks = len(_scan_tasks(n_values, cfg.n_trajectories, n_workers))
+    if n_tasks < 2:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=min(n_workers, n_tasks, _usable_cpus())) as pool:
+        yield pool
 
-    The tasks of ``_scan_tasks`` run in one pool of at most as many
-    processes as there are usable CPUs, or in this process when there is
-    only one task.  A record too short for the Welch estimate at
-    ``rbw_hz`` fails before any task starts.  A failing task logs the axis
-    value of its failing point; the tasks not yet started are cancelled and
-    the error propagates.
+
+def _run_values(
+    cfg: ExperimentConfig, values: np.ndarray, keep_series: bool, n_workers: int,
+    pool: Executor | None = None,
+) -> list[ScanPoint]:
+    """Scan points of ``values``, in order, cut into the tasks of
+    ``_scan_tasks`` for ``n_workers`` workers.
+
+    The tasks run on ``pool``, the run's pool, when given; otherwise on a
+    ``worker_pool`` of their own.  A record too short for the Welch
+    estimate at ``rbw_hz``, or a ``vbw_hz`` above the RBW it achieves,
+    fails before any task starts.  A failing task logs the axis value of
+    its failing point; the tasks not yet started are cancelled and the
+    error propagates.
     """
     tcfg = cfg.trajectory_config()
-    require_series_length(tcfg.n_recorded, tcfg.dt * tcfg.record_stride, cfg.rbw_hz)
+    dt = tcfg.dt * tcfg.record_stride
+    try:
+        require_series_length(tcfg.n_recorded, dt, cfg.rbw_hz)
+    except DomainError as exc:
+        raise DomainError(
+            f"{exc}; the record is set by n_steps, burn_in_steps and record_stride"
+        ) from None
+    rbw = resolution_bandwidth(dt, cfg.rbw_hz)
+    if cfg.vbw_hz is not None and cfg.vbw_hz > rbw:
+        raise ConfigError(f"vbw_hz ({cfg.vbw_hz:g} Hz) must not exceed the achieved rbw ({rbw:g} Hz)")
     layout = _scan_tasks(len(values), cfg.n_trajectories, n_workers)
     tasks = [(cfg, values[points.start : points.stop], group, keep_series) for points, group in layout]
     with contextlib.ExitStack() as stack:
-        if len(tasks) > 1:
-            workers = min(n_workers, len(tasks), _usable_cpus())
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        if pool is None:
+            pool = stack.enter_context(worker_pool(cfg, len(values), n_workers))
+        if pool is not None:
             futures = [pool.submit(_run_task, *task) for task in tasks]
             calls = [future.result for future in futures]
         else:
             futures = []
-            calls = [functools.partial(_run_task, *tasks[0])]
+            calls = [functools.partial(_run_task, *task) for task in tasks]
         results = []
         for call, (_, task_values, group, _) in zip(calls, tasks):
             logger.info(
@@ -340,15 +367,16 @@ def run_point(
     axis_value: float,
     keep_series: bool = False,
     n_workers: int = 1,
+    pool: Executor | None = None,
 ) -> ScanPoint:
     """Simulate one axis value: ensemble, signals, averaged spectra, floor.
 
     A scan of one value: with ``n_workers > 1`` the ensemble is split into
-    that many contiguous trajectory groups, each run in its own process;
-    the spectra are the same bits for any split.  With ``keep_series`` the
-    point also carries [RND, END] of trajectory 0.
+    that many contiguous trajectory groups, run on ``pool`` (or on a pool
+    of the call's own); the spectra are the same bits for any split.  With
+    ``keep_series`` the point also carries [RND, END] of trajectory 0.
     """
-    return _run_values(cfg, np.array([float(axis_value)]), keep_series, n_workers)[0]
+    return _run_values(cfg, np.array([float(axis_value)]), keep_series, n_workers, pool)[0]
 
 
 def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
@@ -461,16 +489,17 @@ def oscillation_mode_report(
 
 
 def simulate_point(
-    cfg: ExperimentConfig, n_workers: int = 1
+    cfg: ExperimentConfig, n_workers: int = 1, pool: Executor | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ScanPoint]:
     """Single-point run: time axis, RND and END series of trajectory 0, and
     the averaged-spectra ScanPoint at the configured parameters.
 
     The series come from the ensemble of run_point itself, so trajectory 0
-    is integrated once; ``n_workers`` processes share the trajectories.
+    is integrated once; ``n_workers`` workers of ``pool`` (or of a pool of
+    the call's own) share the trajectories.
     """
     axis_value = getattr(cfg, AXIS_KEYS[cfg.scan_axis])
-    point = run_point(cfg, axis_value, keep_series=True, n_workers=n_workers)
+    point = run_point(cfg, axis_value, keep_series=True, n_workers=n_workers, pool=pool)
     tcfg = cfg.trajectory_config()
     series = point.series
     t = (cfg.resolved_burn_in() + 1 + np.arange(len(series)) * tcfg.record_stride) * tcfg.dt

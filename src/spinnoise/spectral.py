@@ -9,7 +9,9 @@ of the analog video filter at negligible cost.
 
 from __future__ import annotations
 
+import collections
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +97,12 @@ def segment_length(dt: float, rbw_target: float) -> int:
         raise DomainError(f"rbw_target must be finite and > 0, got {rbw_target}")
     n_exact = HANN_ENBW_BINS / (rbw_target * dt)
     return next_fast_len(max(8, round(n_exact)))
+
+
+def resolution_bandwidth(dt: float, rbw_target: float) -> float:
+    """The RBW a Welch estimate at rbw_target achieves: the Hann ENBW of its
+    segment of ``segment_length(dt, rbw_target)`` samples."""
+    return HANN_ENBW_BINS / (segment_length(dt, rbw_target) * dt)
 
 
 def require_series_length(n_samples: int, dt: float, rbw_target: float) -> None:
@@ -216,7 +224,7 @@ class WelchAccumulator:
         psd *= 1.0 / (fs * np.sum(self.window**2))
         psd[:, 1 : None if self.nseg % 2 else -1] *= 2.0
         freqs = np.fft.rfftfreq(self.nseg, 1.0 / fs)
-        rbw = HANN_ENBW_BINS / (self.nseg * self.dt)
+        rbw = resolution_bandwidth(self.dt, self.rbw_target)
         meta = dict(metadata or {})
         return [
             SpectrumRecord(freqs, row, rbw=rbw, n_averages=self.n_segments, metadata=dict(meta))
@@ -345,21 +353,49 @@ def format_value(value) -> str:
 # Rows formatted and written at a time by write_table: the text of a block,
 # not of the whole table, is what it holds.
 _TABLE_BLOCK_ROWS = 4096
+# Blocks a write_table with an executor has out at a time: formatting,
+# formatted or waiting to be written in order.
+_TABLE_BLOCKS_IN_FLIGHT = 4
 
 
-def write_table(path, metadata: dict, columns: dict) -> None:
+def _format_rows(arrays: list[np.ndarray]) -> str:
+    """The table rows of equal-length 1-D float arrays, each value by its
+    exact repr, each row ended by a newline."""
+    cells = (map(repr, array.tolist()) for array in arrays)
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def write_table(path, metadata: dict, columns: dict, executor: Executor | None = None) -> None:
     """Write the package's table layout: one ``# key=value`` line per
     metadata entry, in order, a header of the column names, then one row per
-    sample of the 1-D float columns, each value by its exact repr."""
+    sample of the 1-D float columns, each value by its exact repr.
+
+    The rows are formatted _TABLE_BLOCK_ROWS at a time.  With an
+    ``executor`` the blocks are formatted by its workers, at most
+    _TABLE_BLOCKS_IN_FLIGHT at a time, and written in order; the bytes are
+    the same either way.
+    """
     head = [f"# {key}={format_value(value)}" for key, value in metadata.items()]
     head.append(",".join(columns))
     arrays = [np.asarray(column, dtype=float) for column in columns.values()]
     n_rows = min(map(len, arrays), default=0)
+    blocks = (
+        [array[start : start + _TABLE_BLOCK_ROWS] for array in arrays]
+        for start in range(0, n_rows, _TABLE_BLOCK_ROWS)
+    )
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(head) + "\n")
-        for start in range(0, n_rows, _TABLE_BLOCK_ROWS):
-            cells = (map(repr, array[start : start + _TABLE_BLOCK_ROWS].tolist()) for array in arrays)
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        if executor is None:
+            for block in blocks:
+                handle.write(_format_rows(block))
+            return
+        pending: collections.deque = collections.deque()
+        for block in blocks:
+            if len(pending) == _TABLE_BLOCKS_IN_FLIGHT:
+                handle.write(pending.popleft().result())
+            pending.append(executor.submit(_format_rows, block))
+        while pending:
+            handle.write(pending.popleft().result())
 
 
 def write_spectrum_csv(spec: SpectrumRecord, path) -> None:

@@ -1,16 +1,24 @@
+import contextlib
 import importlib
+import io
+import logging
 import os
 import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import spinnoise
+from spinnoise import scan
 from spinnoise.cli import main
+from spinnoise.config import load_config
 from spinnoise.core import larmor_from_field
+from spinnoise.exceptions import ConfigError
 from spinnoise.spectral import read_spectrum_csv
 
 TINY = [
@@ -27,6 +35,10 @@ def read_meta(path):
             key, _, value = line[1:].strip().partition("=")
             meta[key] = value
     return meta
+
+
+def never_run(*args):
+    raise AssertionError("a scan task was started")
 
 
 class TestModes:
@@ -257,13 +269,46 @@ class TestErrors:
     @pytest.mark.parametrize("setting", [
         "kappa=nan", "mean_field_au=nan", "rabi_hz=nan", "b_gauss=inf",
         "rbw_hz=nan", "rbw_hz=inf", "gamma_t_hz=-1",
+        # Each sign the physics needs, refused by key when the config loads.
+        "gamma0_hz=-1", "gamma_opt_hz=-1", "gamma_r_hz=-1", "n_atoms=0", "n_atoms=-1",
+        "kappa=-1", "input_power_W=0", "responsivity_A_per_W=-1", "transimpedance_V_per_A=0",
+        "b_gauss=-1", "rabi_hz=-1", "rbw_hz=-1", "vbw_hz=0", "vbw_hz=-1", "master_seed=-1",
+        "record_stride=0", "burn_in_steps=-1", "n_steps=100",
     ])
-    def test_invalid_value_reported_by_key(self, tmp_path, capsys, setting):
-        rc = main(["simulate", "--out", str(tmp_path / "out"), "--set", setting] + TINY)
+    def test_invalid_value_reported_by_key(self, tmp_path, capsys, monkeypatch, setting):
+        monkeypatch.setattr(scan, "_run_task", never_run)
+        rc = main(["simulate", "--out", str(tmp_path / "out"), *TINY, "--set", setting])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert setting.partition("=")[0] in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("other", ["gamma_t_hz", "gamma_opt_hz"])
+    def test_relaxation_free_config_has_no_steady_state(self, other):
+        with pytest.raises(ConfigError, match=f"gamma0_hz and {other} are both zero"):
+            load_config(overrides=["gamma0_hz=0", f"{other}=0"])
+
+    @pytest.mark.parametrize("gamma_t_hz", ["1e-300", "1e-320"])
+    def test_overflowing_default_burn_in_is_refused_by_key(self, gamma_t_hz):
+        # Five transit lifetimes of steps: beyond 2^53, or a division by a
+        # product that underflows to zero.
+        with pytest.raises(ConfigError, match="gamma_t_hz=.* set burn_in_steps"):
+            load_config(overrides=[f"gamma_t_hz={gamma_t_hz}"])
+        assert load_config(overrides=[f"gamma_t_hz={gamma_t_hz}", "burn_in_steps=0"])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_vbw_above_the_achieved_rbw_reported_before_the_run(
+        self, tmp_path, capsys, monkeypatch, threads
+    ):
+        # 64 trajectories of 2^17 steps by default: the error comes before
+        # any task is started.
+        monkeypatch.setattr(scan, "_run_task", never_run)
+        rc = main(["simulate", "--out", str(tmp_path / "out"), "--set", "vbw_hz=1e6",
+                   "--threads", threads])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: vbw_hz (1e+06 Hz) must not exceed")
         assert not (tmp_path / "out").exists()
 
     def test_failed_absorption_leaves_no_directory(self, tmp_path, capsys):
@@ -291,3 +336,96 @@ class TestErrors:
         assert rc == 1
         assert "dt_s" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# Values of each config key a tiny simulate may be given: (valid, invalid),
+# the invalid ones of the wrong sign, zero, non-finite or unparsable.
+# n_steps and n_trajectories are always drawn, so every run stays tiny.
+SURFACE = {
+    "b_gauss": (["0", "0.5", "1.0"], ["-1", "inf"]),
+    "rabi_hz": (["0", "10e6", "40e6"], ["-1e6", "nan"]),
+    "theta_deg": (["0", "30", "54.7", "-90"], ["nan"]),
+    "delta_hz": (["-1.5e9", "0", "3e8", "1.5e9"], ["inf"]),
+    "gamma0_hz": (["0", "1.6e6"], ["-1"]),
+    "gamma_opt_hz": (["0", "0.8e9"], ["-1", "nan"]),
+    "gamma_t_hz": (["0", "30e3", "1e5"], ["-1", "1e-320"]),
+    "gamma_r_hz": (["1e3", "30e3"], ["0", "-1"]),
+    "n_atoms": (["1", "3.4e9"], ["0", "-1"]),
+    "kappa": (["0", "1"], ["-1", "nan"]),
+    "mean_field_au": (["-1", "0", "1"], ["inf"]),
+    "dt_s": (["5.555555555555556e-08", "1e-7"], ["0", "-1e-8", "nan"]),
+    "burn_in_steps": (["", "0", "100"], ["-1", "5000", "1.5"]),
+    "record_stride": (["1", "3"], ["0"]),
+    "master_seed": (["0", "7", str(2**70)], ["-1"]),
+    "responsivity_A_per_W": (["0.7"], ["0", "-1"]),
+    "transimpedance_V_per_A": (["5e3"], ["0", "-1"]),
+    "input_power_W": (["1e-3"], ["0", "-1e-3", "nan"]),
+    "rbw_hz": (["2e4", "91e3", "1e6"], ["0", "-1", "nan"]),
+    "vbw_hz": (["", "1e3", "2e4"], ["1e6", "0", "-1", "inf"]),
+    "absolute_units": (["true", "false"], ["maybe"]),
+    "detection_mode": (["rnd", "end", "both"], ["x"]),
+}
+
+
+def surface_value(key):
+    valid, invalid = SURFACE[key]
+    return st.sampled_from(3 * valid + invalid)
+
+
+class ListHandler(logging.Handler):
+    def __init__(self, level):
+        super().__init__(level)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def finite_table(path) -> bool:
+    rows = [line for line in path.read_text().splitlines() if line and not line.startswith("#")]
+    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    return bool(np.all(np.isfinite(values)))
+
+
+class TestConfigSurface:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_steps=st.one_of(st.just(4096), st.integers(0, 4096)),
+        n_trajectories=st.integers(0, 3),
+        threads=st.integers(1, 2),
+        overrides=st.lists(st.sampled_from(sorted(SURFACE)), max_size=5, unique=True).flatmap(
+            lambda keys: st.fixed_dictionaries({key: surface_value(key) for key in keys})
+        ),
+    )
+    def test_a_run_finishes_finite_or_is_refused_by_key(
+        self, n_steps, n_trajectories, threads, overrides
+    ):
+        # Either the run writes finite tables, or it exits 1 with one
+        # "error:" line naming a drawn key, having made no directory and
+        # logged no failed scan task.
+        settings_ = {**overrides, "n_steps": str(n_steps), "n_trajectories": str(n_trajectories)}
+        sets = [arg for key, value in settings_.items() for arg in ("--set", f"{key}={value}")]
+        errors = ListHandler(logging.ERROR)
+        logging.getLogger("spinnoise").addHandler(errors)
+        stderr = io.StringIO()
+        try:
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+                out = Path(tmp) / "out"
+                rc = main(["simulate", "--threads", str(threads), "--out", str(out), *sets])
+                if rc == 0:
+                    tables = sorted(out.glob("*.csv"))
+                    assert "timeseries.csv" in [path.name for path in tables]
+                    for path in tables:
+                        assert finite_table(path), path.name
+                else:
+                    assert not out.exists()
+        finally:
+            logging.getLogger("spinnoise").removeHandler(errors)
+        event("finished" if rc == 0 else "refused")
+        if rc == 0:
+            return
+        assert rc == 1
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert any(key in lines[0] for key in settings_), lines[0]
+        assert errors.records == [], [r.getMessage() for r in errors.records]

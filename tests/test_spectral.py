@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.fft
 import scipy.signal
 from hypothesis import given, settings, strategies as st
 
+from spinnoise import spectral
 from spinnoise.config import load_config
 from spinnoise.exceptions import DomainError
 from spinnoise.spectral import (
@@ -424,3 +427,54 @@ class TestCsvRoundTrip:
         expected = np.column_stack(list(columns.values()))
         assert np.array_equal(back, expected)
         assert np.array_equal(np.signbit(back), np.signbit(expected))
+
+
+@pytest.fixture(scope="module")
+def two_process_pool():
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+def series_columns(n_rows, seed=3):
+    # Distinct values in every row and column, so a block written out of
+    # order, twice or not at all changes the bytes.
+    rng = np.random.default_rng(seed)
+    return {
+        "t_s": (np.arange(n_rows) + 479) * (1.0 / 18e6),
+        "rnd_au": rng.standard_normal(n_rows) * 1e-3,
+        "end_au": rng.standard_normal(n_rows) * 1e-3,
+    }
+
+
+class TestTableWriterOnAPool:
+    @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 3 * 4096 + 17])
+    def test_same_bytes_with_and_without_an_executor(self, tmp_path, two_process_pool, n_rows):
+        assert spectral._TABLE_BLOCK_ROWS == 4096
+        metadata = {"theta_deg": 30.0, "seed": 901}
+        columns = series_columns(n_rows)
+        write_table(tmp_path / "serial.csv", metadata, columns)
+        write_table(tmp_path / "pool.csv", metadata, columns, executor=two_process_pool)
+        serial = (tmp_path / "serial.csv").read_bytes()
+        assert (tmp_path / "pool.csv").read_bytes() == serial
+        assert serial.count(b"\n") == len(metadata) + 1 + n_rows
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_writing_holds_a_few_blocks_of_text(self, tmp_path, two_process_pool, pooled):
+        # The 130,594 rows of a 2^17-step simulate: about 8 MB of text, of
+        # which the writing process holds a few blocks at a time.
+        columns = series_columns(131072 - 478)
+        block_text = len(spectral._format_rows(
+            [column[: spectral._TABLE_BLOCK_ROWS] for column in columns.values()]
+        ))
+        executor = two_process_pool if pooled else None
+        write_table(tmp_path / "warm.csv", {}, series_columns(10), executor=executor)
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "series.csv", {}, columns, executor=executor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table_text = (tmp_path / "series.csv").stat().st_size
+        assert table_text > 25 * block_text
+        assert peak < 2 * (spectral._TABLE_BLOCKS_IN_FLIGHT + 1) * block_text
+        assert peak < 2e6
