@@ -150,6 +150,11 @@ class ExperimentConfig:
             raise ConfigError(f"scan_step must be > 0, got {self.scan_step}")
         if self.scan_stop < self.scan_start:
             raise ConfigError("scan_stop must be >= scan_start")
+        # The grid's least value is scan_start; a field scan sweeps b_gauss.
+        if self.scan_axis == "b_field" and self.scan_start < 0:
+            raise ConfigError(
+                f"scan_start must be >= 0 on the b_field axis (b_gauss), got {self.scan_start}"
+            )
         if not self._grid_count() <= MAX_SCAN_POINTS:
             raise ConfigError(
                 f"scan grid from scan_start={self.scan_start!r} to scan_stop={self.scan_stop!r} "

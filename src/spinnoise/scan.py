@@ -3,9 +3,10 @@
 Each axis point runs an independent ensemble of noisy trajectories from the
 deterministic steady state, records the rotation- and ellipticity-noise
 signals, and averages their Welch PSDs.  A task steps a contiguous group of
-points together; the engine records their signals directly (the readout is
-part of its operators) and streams them into the Welch estimate, so no
-coherence or signal record is held.  Trajectory seeds derive from
+points in engine calls of at most ``_CALL_TRAJECTORIES`` trajectories; the
+engine records their signals directly (the readout is part of its
+operators) and streams them into the Welch estimate, so no coherence or
+signal record is held and a worker's buffers do not grow with its points.  Trajectory seeds derive from
 (master_seed, axis-value bits, trajectory index), so any sub-range of a
 scan, and any grouping of points and trajectories into tasks, reproduces
 exactly the corresponding rows of the full scan.
@@ -162,8 +163,8 @@ _SIGNAL_MODES = ("rnd", "end")
 
 
 class _Stream:
-    """Sink of the engine for a task's points: takes each chunk of [RND, END]
-    signals of every point and trajectory and pushes the configured modes'
+    """Sink of one engine call: takes each chunk of [RND, END] signals of
+    every point and trajectory of the call and pushes the configured modes'
     columns, by point, mode and trajectory, into one streaming Welch
     accumulator."""
 
@@ -211,52 +212,80 @@ def _failing_point(value: float):
         raise
 
 
+# The most trajectories (points times trajectories) one engine call steps.
+# From about 16 trajectories up, a call costs the same per trajectory and
+# chunk whatever its width, while its buffers grow with the width.
+_CALL_TRAJECTORIES = 64
+
+
+def _engine_calls(n_values: int, trajectories: range) -> list[tuple[range, range]]:
+    """(points, trajectories) of each engine call of a task over
+    ``n_values`` points, in point and trajectory order, each at most
+    ``_CALL_TRAJECTORIES`` trajectories wide: whole points while a point's
+    trajectories fit in one call, else consecutive ranges of one point's
+    trajectories."""
+    n = len(trajectories)
+    if n <= _CALL_TRAJECTORIES:
+        per_call = _CALL_TRAJECTORIES // n
+        return [
+            (range(i, min(i + per_call, n_values)), trajectories)
+            for i in range(0, n_values, per_call)
+        ]
+    return [
+        (range(i, i + 1), trajectories[j : j + _CALL_TRAJECTORIES])
+        for i in range(n_values) for j in range(0, n, _CALL_TRAJECTORIES)
+    ]
+
+
 def _run_task(
     cfg: ExperimentConfig, values: np.ndarray, trajectories: range, keep_series: bool
 ) -> list[_PointPart]:
     """Per-trajectory PSDs of a group of points over one trajectory range.
 
-    All points are stepped together in one engine call, which records
-    their signals; these are Welch-averaged chunk by chunk, so no record
-    is held.  The group holding trajectory 0 also reports each point's
-    transmission and, with ``keep_series`` (one point only), trajectory 0's
-    [RND, END].  A trajectory's PSDs depend only on its seed, not on the
-    grouping.  An exception carries the failing point's ``axis_value``.
+    The points' trajectories are stepped in the engine calls of
+    ``_engine_calls``, each with its own sink, which Welch-averages the
+    recorded signals chunk by chunk, so no record is held and a call's
+    buffers do not grow with the task.  Each point's PSDs are joined in
+    trajectory order.  The group holding trajectory 0 also reports each
+    point's transmission and, with ``keep_series`` (one point only),
+    trajectory 0's [RND, END].  A trajectory's PSDs depend only on its
+    seed, not on the grouping.  An exception carries the failing point's
+    ``axis_value``.
     """
     tcfg = cfg.trajectory_config()
-    detector = cfg.detector_params()
     params, rho0 = [], []
     for value in values:
         with _failing_point(value):
             params.append(cfg.system_params(value))
             rho0.append(steady_state(params[-1]))
-    keys = [seed_key(cfg.master_seed, value, t) for value in values for t in trajectories]
-    keep = keep_series and trajectories.start == 0
-    stream = _Stream(cfg, len(params), len(trajectories), tcfg.n_recorded if keep else None)
     readouts = np.stack([readout_matrix(p, cfg.mean_field_au, _SIGNAL_MODES) for p in params])
-    try:
-        evolve_ensemble_coherences(
-            params, tcfg, keys, rho0=rho0, first_trajectory=trajectories.start, sink=stream,
-            readout=readouts,
-        )
-    except NumericError as exc:
-        exc.axis_value = float(values[exc.point])
-        raise
-    parts = []
-    for p, (value, point_params, rho) in enumerate(zip(values, params, rho0)):
-        with _failing_point(value):
-            parts.append(_PointPart(
-                records={
-                    mode: stream.welch.records(
-                        _point_metadata(cfg, value, mode), traces=stream.columns(p, m)
+    parts = [_PointPart(records={mode: [] for mode in cfg.modes()}) for _ in values]
+    for points, group in _engine_calls(len(values), trajectories):
+        span = slice(points.start, points.stop)
+        keep = keep_series and group.start == 0
+        stream = _Stream(cfg, len(points), len(group), tcfg.n_recorded if keep else None)
+        keys = [seed_key(cfg.master_seed, values[i], t) for i in points for t in group]
+        try:
+            evolve_ensemble_coherences(
+                params[span], tcfg, keys, rho0=rho0[span], first_trajectory=group.start,
+                sink=stream, readout=readouts[span],
+            )
+        except NumericError as exc:
+            exc.axis_value = float(values[points[exc.point]])
+            raise
+        for p, i in enumerate(points):
+            with _failing_point(values[i]):
+                for m, mode in enumerate(stream.modes):
+                    parts[i].records[mode] += stream.welch.records(
+                        _point_metadata(cfg, values[i], mode), traces=stream.columns(p, m)
                     )
-                    for m, mode in enumerate(stream.modes)
-                },
-                transmission=(
-                    transmission(point_params, detector, rho) if trajectories.start == 0 else None
-                ),
-            ))
-    parts[0].series = stream.series
+        if keep:
+            parts[points[0]].series = stream.series
+    if trajectories.start == 0:
+        detector = cfg.detector_params()
+        for value, part, point_params, rho in zip(values, parts, params, rho0):
+            with _failing_point(value):
+                part.transmission = transmission(point_params, detector, rho)
     return parts
 
 

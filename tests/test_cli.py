@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import spinnoise
 from spinnoise import scan
@@ -284,6 +284,18 @@ class TestErrors:
         assert setting.partition("=")[0] in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["absorption", "scan", "simulate"])
+    def test_negative_field_grid_reported_by_key(self, tmp_path, capsys, monkeypatch, command):
+        # The grid's first value is a negative field: refused when the
+        # config loads, before any task starts.
+        monkeypatch.setattr(scan, "_run_task", never_run)
+        rc = main([command, "--out", str(tmp_path / "out"), *TINY, "--set", "scan_axis=b_field",
+                   "--set", "scan_start=-0.5", "--set", "scan_stop=0.5", "--set", "scan_step=0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: scan_start must be >= 0 on the b_field axis (b_gauss), got -0.5"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("other", ["gamma_t_hz", "gamma_opt_hz"])
     def test_relaxation_free_config_has_no_steady_state(self, other):
         with pytest.raises(ConfigError, match=f"gamma0_hz and {other} are both zero"):
@@ -387,23 +399,55 @@ def finite_table(path) -> bool:
     return bool(np.all(np.isfinite(values)))
 
 
+# Scan grids of at most three points, by axis: a start, a step and up to
+# two more points; or a refused value (an unknown axis, a negative field,
+# a step that is not positive, a stop below the start, a non-finite value).
+GRID_SCALES = {"theta": 30.0, "b_field": 0.5, "detuning": 1e9}
+
+
+@st.composite
+def scan_grid(draw):
+    axis = draw(st.sampled_from(3 * sorted(GRID_SCALES) + ["power"]))
+    scale = GRID_SCALES.get(axis, 1.0)
+    start = draw(st.sampled_from([-1.0, 0.0, 0.5])) * scale
+    step = draw(st.sampled_from(3 * [0.5, 1.0] + [0.0, -1.0])) * scale
+    more = draw(st.sampled_from(3 * [0, 1, 2] + [-1]))
+    grid = {
+        "scan_axis": axis, "scan_start": repr(start), "scan_stop": repr(start + more * step),
+        "scan_step": repr(step),
+    }
+    bad = draw(st.sampled_from([None] * 12 + ["scan_start", "scan_stop", "scan_step"]))
+    if bad is not None:
+        grid[bad] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    return grid
+
+
 class TestConfigSurface:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
+        command=st.sampled_from(["simulate", "scan"]),
         n_steps=st.one_of(st.just(4096), st.integers(0, 4096)),
         n_trajectories=st.integers(0, 3),
         threads=st.integers(1, 2),
+        grid=scan_grid(),
         overrides=st.lists(st.sampled_from(sorted(SURFACE)), max_size=5, unique=True).flatmap(
             lambda keys: st.fixed_dictionaries({key: surface_value(key) for key in keys})
         ),
     )
+    # A field grid whose first point is a negative field.
+    @example(
+        command="scan", n_steps=2000, n_trajectories=2, threads=2, overrides={},
+        grid={"scan_axis": "b_field", "scan_start": "-0.5", "scan_stop": "0.5", "scan_step": "0.5"},
+    )
     def test_a_run_finishes_finite_or_is_refused_by_key(
-        self, n_steps, n_trajectories, threads, overrides
+        self, command, n_steps, n_trajectories, threads, grid, overrides
     ):
         # Either the run writes finite tables, or it exits 1 with one
         # "error:" line naming a drawn key, having made no directory and
         # logged no failed scan task.
-        settings_ = {**overrides, "n_steps": str(n_steps), "n_trajectories": str(n_trajectories)}
+        settings_ = {
+            **overrides, **grid, "n_steps": str(n_steps), "n_trajectories": str(n_trajectories),
+        }
         sets = [arg for key, value in settings_.items() for arg in ("--set", f"{key}={value}")]
         errors = ListHandler(logging.ERROR)
         logging.getLogger("spinnoise").addHandler(errors)
@@ -411,17 +455,24 @@ class TestConfigSurface:
         try:
             with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
                 out = Path(tmp) / "out"
-                rc = main(["simulate", "--threads", str(threads), "--out", str(out), *sets])
+                rc = main([command, "--threads", str(threads), "--out", str(out), *sets])
                 if rc == 0:
                     tables = sorted(out.glob("*.csv"))
-                    assert "timeseries.csv" in [path.name for path in tables]
+                    names = [path.name for path in tables]
+                    if command == "simulate":
+                        assert "timeseries.csv" in names
+                    else:
+                        assert "scan_manifest.csv" in names
+                        tables.remove(out / "scan_manifest.csv")
+                        cfg = load_config(path=out / "run_manifest.cfg")
+                        assert len(tables) == len(cfg.modes()) * len(cfg.axis_values()) <= 6
                     for path in tables:
                         assert finite_table(path), path.name
                 else:
                     assert not out.exists()
         finally:
             logging.getLogger("spinnoise").removeHandler(errors)
-        event("finished" if rc == 0 else "refused")
+        event(f"{command} finished" if rc == 0 else f"{command} refused")
         if rc == 0:
             return
         assert rc == 1

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import fields, replace
 
@@ -297,21 +298,31 @@ class TestRunScan:
         diff = absolute.spectra["rnd"].psd - relative.spectra["rnd"].psd
         assert np.allclose(diff, relative.shot_floor, rtol=1e-9)
 
-    def test_failing_point_reports_axis_value_under_pool(self, caplog):
-        # b = -0.5 G is rejected when its point builds its parameters, in
-        # a worker process; the other two points are valid.
-        cfg = tiny_cfg(scan_axis="b_field", scan_start=-0.5, scan_stop=0.5, scan_step=0.5)
-        with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
-            with pytest.raises(DomainError, match="magnetic field"):
-                run_scan(cfg, n_workers=2)
-        assert "scan point b_field=-0.5 failed" in caplog.text
+    @staticmethod
+    def failing_steady_state(monkeypatch):
+        # theta = 7.5 has no steady state; the other two points are valid.
+        # The patch is made before a pool forks, so its workers see it too.
+        def solve(params):
+            if np.isclose(params.theta, np.radians(7.5)):
+                raise NumericError("no steady state")
+            return steady_state(params)
 
-    def test_failing_point_reports_axis_value_serially(self, caplog):
-        cfg = tiny_cfg(scan_axis="b_field", scan_start=-0.5, scan_stop=0.5, scan_step=0.5)
+        monkeypatch.setattr(scan, "steady_state", solve)
+
+    def test_failing_point_reports_axis_value_under_pool(self, monkeypatch, caplog):
+        # The failing point is the first of the second worker's task.
+        self.failing_steady_state(monkeypatch)
         with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
-            with pytest.raises(DomainError, match="magnetic field"):
-                run_scan(cfg, n_workers=1)
-        assert "scan point b_field=-0.5 failed" in caplog.text
+            with pytest.raises(NumericError, match="no steady state"):
+                run_scan(tiny_cfg(), n_workers=2)
+        assert "scan point theta=7.5 failed" in caplog.text
+
+    def test_failing_point_reports_axis_value_serially(self, monkeypatch, caplog):
+        self.failing_steady_state(monkeypatch)
+        with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
+            with pytest.raises(NumericError, match="no steady state"):
+                run_scan(tiny_cfg(), n_workers=1)
+        assert "scan point theta=7.5 failed" in caplog.text
 
     def test_parallel_matches_serial(self):
         cfg = tiny_cfg()
@@ -320,6 +331,20 @@ class TestRunScan:
         for ps, pp in zip(serial.points, parallel.points):
             for mode in ps.spectra:
                 assert np.array_equal(ps.spectra[mode].psd, pp.spectra[mode].psd)
+
+
+def poison(monkeypatch, axis_value, trajectory):
+    """Give one trajectory of one point non-finite noise on its first step."""
+    draw = integrator._draw_noise_chunk
+    target = seed_key(0, axis_value, trajectory)[1:]
+
+    def poisoned(rngs, chunk, noise):
+        draw(rngs, chunk, noise)
+        for j, rng in enumerate(rngs):
+            if list(rng.bit_generator.seed_seq.entropy[1:]) == target:
+                noise[j, 0, 0] = np.inf
+
+    monkeypatch.setattr(integrator, "_draw_noise_chunk", poisoned)
 
 
 class RecordingPool:
@@ -371,15 +396,7 @@ class TestTrajectoryGroups:
     def test_failure_names_trajectory_within_point(self, monkeypatch):
         # Trajectory 2 gets non-finite noise on its first step; it sits
         # in the second group under two and three workers.
-        draw = integrator._draw_noise_chunk
-
-        def poisoned(rngs, chunk, noise):
-            draw(rngs, chunk, noise)
-            for j, rng in enumerate(rngs):
-                if rng.bit_generator.seed_seq.entropy[2] == 2:
-                    noise[j, 0, 0] = np.inf
-
-        monkeypatch.setattr(integrator, "_draw_noise_chunk", poisoned)
+        poison(monkeypatch, 7.5, 2)
         cfg = tiny_cfg(n_trajectories=3)
         for n_workers in (1, 2, 3):
             with pytest.raises(NumericError, match="non-finite state in trajectory 2 during"):
@@ -499,16 +516,7 @@ class TestScanTasks:
         # Trajectory 1 of theta = 15 gets non-finite noise.  Serially the
         # one task holds all three points; on two workers 15 is the second
         # point of the second task.
-        draw = integrator._draw_noise_chunk
-        bits = seed_key(0, 15.0, 0)[1]
-
-        def poisoned(rngs, chunk, noise):
-            draw(rngs, chunk, noise)
-            for j, rng in enumerate(rngs):
-                if list(rng.bit_generator.seed_seq.entropy[1:]) == [bits, 1]:
-                    noise[j, 0, 0] = np.inf
-
-        monkeypatch.setattr(integrator, "_draw_noise_chunk", poisoned)
+        poison(monkeypatch, 15.0, 1)
         cfg = tiny_cfg(n_trajectories=3)
         for n_workers in (1, 2):
             caplog.clear()
@@ -516,6 +524,93 @@ class TestScanTasks:
                 with pytest.raises(NumericError, match="non-finite state in trajectory 1 during"):
                     run_scan(cfg, n_workers=n_workers)
             assert "scan point theta=15 failed" in caplog.text
+
+
+class TestEngineCalls:
+    def test_call_layout(self):
+        assert scan._CALL_TRAJECTORIES == 64
+        # Whole points while a point's trajectories fit in one call.
+        assert scan._engine_calls(7, range(16)) == [(range(0, 4), range(16)), (range(4, 7), range(16))]
+        assert scan._engine_calls(3, range(32, 64)) == [
+            (range(0, 2), range(32, 64)), (range(2, 3), range(32, 64))
+        ]
+        assert scan._engine_calls(2, range(64)) == [(range(i, i + 1), range(64)) for i in (0, 1)]
+        # Else consecutive ranges of one point's trajectories.
+        assert scan._engine_calls(2, range(10, 150)) == [
+            (range(i, i + 1), group)
+            for i in (0, 1) for group in (range(10, 74), range(74, 138), range(138, 150))
+        ]
+
+    # Bound 2 with one trajectory a point steps two points a call; with
+    # three, one point's trajectories in calls of 2 and 1.  Bound 3 with two
+    # trajectories a point steps one point a call; with five, calls of 3
+    # and 2.
+    @pytest.mark.parametrize("bound, n_traj", [(2, 1), (2, 3), (3, 2), (3, 5)])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_calls_do_not_change_the_bits(self, monkeypatch, bound, n_traj, n_workers):
+        cfg = tiny_cfg(n_trajectories=n_traj)
+        whole = run_scan(cfg, n_workers=n_workers)
+        t, rnd, end, point = simulate_point(cfg, n_workers=n_workers)
+        monkeypatch.setattr(scan, "_CALL_TRAJECTORIES", bound)
+        cut = run_scan(cfg, n_workers=n_workers)
+        t_cut, rnd_cut, end_cut, point_cut = simulate_point(cfg, n_workers=n_workers)
+        for pw, pc in zip(whole.points + [point], cut.points + [point_cut]):
+            assert pc.axis_value == pw.axis_value
+            assert pc.transmission == pw.transmission
+            for mode in ("rnd", "end"):
+                assert np.array_equal(pc.spectra[mode].psd, pw.spectra[mode].psd)
+                assert pc.spectra[mode].n_averages == pw.spectra[mode].n_averages
+        for a, b in ((t_cut, t), (rnd_cut, rnd), (end_cut, end)):
+            assert np.array_equal(a, b)
+
+    def test_no_call_is_wider_than_the_bound(self, monkeypatch):
+        widths = []
+
+        def spy(params, tcfg, keys, **kwargs):
+            widths.append(len(keys))
+            return evolve_ensemble_coherences(params, tcfg, keys, **kwargs)
+
+        monkeypatch.setattr(scan, "evolve_ensemble_coherences", spy)
+        monkeypatch.setattr(scan, "_CALL_TRAJECTORIES", 3)
+        run_scan(tiny_cfg(n_trajectories=2, scan_stop=30.0), n_workers=1)
+        assert widths == [2] * 5
+        widths.clear()
+        simulate_point(tiny_cfg(n_trajectories=7), n_workers=1)
+        assert widths == [3, 3, 1]
+
+    # Each poisoned trajectory sits in a later call than the first: the
+    # second point of the first call is not the failing one, and a
+    # trajectory past the first range of its point is numbered within it.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n_traj, trajectory", [(1, 0), (3, 2)])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failure_in_a_later_call_names_its_point_and_trajectory(
+        self, monkeypatch, caplog, n_traj, trajectory, n_workers
+    ):
+        monkeypatch.setattr(scan, "_CALL_TRAJECTORIES", 2)
+        poison(monkeypatch, 15.0, trajectory)
+        cfg = tiny_cfg(n_trajectories=n_traj)
+        with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
+            with pytest.raises(
+                NumericError, match=f"non-finite state in trajectory {trajectory} during"
+            ):
+                run_scan(cfg, n_workers=n_workers)
+        assert "scan point theta=15 failed" in caplog.text
+
+    def test_task_memory_does_not_grow_with_its_points(self):
+        # 16 trajectories a point: four points fill one call.
+        cfg = tiny_cfg(n_trajectories=16, n_steps=1024, burn_in_steps=0)
+
+        def traced_peak(n_points):
+            values = np.arange(n_points) * 4.5
+            tracemalloc.start()
+            try:
+                scan._run_task(cfg, values, range(16), False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(20) <= 1.5 * traced_peak(4)
 
 
 class TestPolarizationSymmetry:
