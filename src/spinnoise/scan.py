@@ -39,8 +39,6 @@ from .spectral import (
     WelchAccumulator,
     average_spectra,
     replace_metadata,
-    require_series_length,
-    resolution_bandwidth,
     video_average,
     welch_psd_batch,  # noqa: F401  (looked up on this module by perfbench/tracer.py)
     write_spectrum_csv,
@@ -319,16 +317,15 @@ def _run_values(
     error propagates.
     """
     tcfg = cfg.trajectory_config()
-    dt = tcfg.dt * tcfg.record_stride
+    welch = WelchAccumulator(1, tcfg.dt * tcfg.record_stride, cfg.rbw_hz)
     try:
-        require_series_length(tcfg.n_recorded, dt, cfg.rbw_hz)
+        welch.require(tcfg.n_recorded)
     except DomainError as exc:
         raise DomainError(
             f"{exc}; the record is set by n_steps, burn_in_steps and record_stride"
         ) from None
-    rbw = resolution_bandwidth(dt, cfg.rbw_hz)
-    if cfg.vbw_hz is not None and cfg.vbw_hz > rbw:
-        raise ConfigError(f"vbw_hz ({cfg.vbw_hz:g} Hz) must not exceed the achieved rbw ({rbw:g} Hz)")
+    if cfg.vbw_hz is not None and cfg.vbw_hz > welch.rbw:
+        raise ConfigError(f"vbw_hz ({cfg.vbw_hz:g} Hz) must not exceed the achieved rbw ({welch.rbw:g} Hz)")
     layout = _scan_tasks(len(values), cfg.n_trajectories, n_workers)
     tasks = [(cfg, values[points.start : points.stop], group, keep_series) for points, group in layout]
     with contextlib.ExitStack() as stack:

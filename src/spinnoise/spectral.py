@@ -10,6 +10,7 @@ of the analog video filter at negligible cost.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
@@ -79,42 +80,28 @@ def hann_window(n: int) -> np.ndarray:
 
 def next_fast_len(target: int) -> int:
     """The smallest n >= target >= 1 whose prime factors are all <= 11, as
-    ``scipy.fft.next_fast_len(target)`` gives it: a fast FFT length."""
-    n = max(1, target)
-    while True:
-        rest = n
-        for p in (2, 3, 5, 7, 11):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
+    ``scipy.fft.next_fast_len(target)`` gives it: a fast FFT length.  Each
+    odd 11-smooth m is taken at its least power-of-two multiple >= target,
+    so the search takes milliseconds for any target up to 2**53."""
+    target = max(1, target)
+    power_of_two = 1 << (target - 1).bit_length()
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        for m in list(odd):
+            while m * p < power_of_two:
+                m *= p
+                odd.append(m)
+    return min(m << (-(-target // m) - 1).bit_length() for m in odd)
 
 
 def segment_length(dt: float, rbw_target: float) -> int:
-    """FFT segment length whose Hann ENBW approximates rbw_target."""
+    """FFT segment length whose Hann ENBW approximates rbw_target, up to 2**53."""
     if not 0 < rbw_target < math.inf:
         raise DomainError(f"rbw_target must be finite and > 0, got {rbw_target}")
     n_exact = HANN_ENBW_BINS / (rbw_target * dt)
+    if not n_exact <= 2**53:
+        raise DomainError(f"rbw={rbw_target:g} Hz needs segments of {n_exact:.3g} samples, over 2**53")
     return next_fast_len(max(8, round(n_exact)))
-
-
-def resolution_bandwidth(dt: float, rbw_target: float) -> float:
-    """The RBW a Welch estimate at rbw_target achieves: the Hann ENBW of its
-    segment of ``segment_length(dt, rbw_target)`` samples."""
-    return HANN_ENBW_BINS / (segment_length(dt, rbw_target) * dt)
-
-
-def require_series_length(n_samples: int, dt: float, rbw_target: float) -> None:
-    """Raise a DomainError unless n_samples samples of spacing dt hold the
-    two 50%-overlapped segments that a Welch estimate at rbw_target needs."""
-    nseg = segment_length(dt, rbw_target)
-    min_len = nseg + nseg - nseg // 2
-    if n_samples < min_len:
-        raise DomainError(
-            f"series too short for rbw={rbw_target:g} Hz: need at least "
-            f"{min_len} samples ({nseg}-sample segments), got {n_samples}"
-        )
 
 
 def welch_psd(
@@ -167,6 +154,10 @@ class WelchAccumulator:
     and equal to the mean over segments of ``welch_psd_batch``; each sample
     is copied a bounded number of times, whatever the segment length.  One
     transform call holds about _WELCH_BLOCK_SAMPLES windowed samples.
+
+    The estimate's layout is derived here once: ``nseg``, ``hop`` and ``rbw``
+    at construction, ``window``, ``freqs`` and ``density_scale`` at first use
+    and the power sum at the first push, so building one costs no memory.
     """
 
     def __init__(self, n_traces: int, dt: float, rbw_target: float):
@@ -174,17 +165,37 @@ class WelchAccumulator:
             raise DomainError(f"need n_traces >= 1, got {n_traces}")
         if dt <= 0:
             raise DomainError(f"dt must be > 0, got {dt}")
-        self.dt = dt
+        self.fs = 1.0 / dt
         self.rbw_target = rbw_target
         self.nseg = segment_length(dt, rbw_target)
         self.hop = self.nseg - self.nseg // 2
-        self.window = hann_window(self.nseg)
+        self.rbw = HANN_ENBW_BINS / (self.nseg * dt)
         self.n_traces = n_traces
         self.n_samples = 0
         self.n_segments = 0
-        self._power = np.zeros((n_traces, self.nseg // 2 + 1))
         self._held: list[np.ndarray] = []   # samples from n_segments * hop on
         self._group = max(1, _WELCH_BLOCK_SAMPLES // (n_traces * self.nseg))
+
+    @functools.cached_property
+    def window(self) -> np.ndarray:
+        return hann_window(self.nseg)
+
+    @functools.cached_property
+    def freqs(self) -> np.ndarray:
+        return np.fft.rfftfreq(self.nseg, 1.0 / self.fs)
+
+    @functools.cached_property
+    def density_scale(self) -> float:
+        return 1.0 / (self.fs * np.sum(self.window**2))
+
+    def require(self, n_samples: int) -> None:
+        """Raise a DomainError unless n_samples samples per trace hold the
+        two 50%-overlapped segments that an estimate needs."""
+        if n_samples < self.nseg + self.hop:
+            raise DomainError(
+                f"series too short for rbw={self.rbw_target:g} Hz: need at least "
+                f"{self.nseg + self.hop} samples ({self.nseg}-sample segments), got {n_samples}"
+            )
 
     def push(self, samples: np.ndarray) -> None:
         x = np.asarray(samples, dtype=float)
@@ -192,6 +203,8 @@ class WelchAccumulator:
             raise DomainError(
                 f"expected samples of shape ({self.n_traces}, n), got {x.shape}"
             )
+        if not self.n_samples:
+            self._power = np.zeros((self.n_traces, self.nseg // 2 + 1))
         held = self.n_samples - self.n_segments * self.hop
         self.n_samples += x.shape[1]
         n_new = max(0, 1 + (held + x.shape[1] - self.nseg) // self.hop)
@@ -216,18 +229,15 @@ class WelchAccumulator:
     ) -> list[SpectrumRecord]:
         """The PSD of each trace (or of the ``traces`` slice of them) over
         all samples pushed so far."""
-        require_series_length(self.n_samples, self.dt, self.rbw_target)
-        fs = 1.0 / self.dt
+        self.require(self.n_samples)
         psd = self._power[traces] / self.n_segments
         # Density scaling; every bin but DC (and Nyquist, for even nseg) is
         # doubled to fold in the negative frequencies.
-        psd *= 1.0 / (fs * np.sum(self.window**2))
+        psd *= self.density_scale
         psd[:, 1 : None if self.nseg % 2 else -1] *= 2.0
-        freqs = np.fft.rfftfreq(self.nseg, 1.0 / fs)
-        rbw = resolution_bandwidth(self.dt, self.rbw_target)
         meta = dict(metadata or {})
         return [
-            SpectrumRecord(freqs, row, rbw=rbw, n_averages=self.n_segments, metadata=dict(meta))
+            SpectrumRecord(self.freqs, row, rbw=self.rbw, n_averages=self.n_segments, metadata=dict(meta))
             for row in psd
         ]
 

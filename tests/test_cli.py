@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import spinnoise
-from spinnoise import scan
+from spinnoise import scan, spectral
 from spinnoise.cli import main
 from spinnoise.config import load_config
 from spinnoise.core import larmor_from_field
-from spinnoise.exceptions import ConfigError
+from spinnoise.exceptions import ConfigError, DomainError
 from spinnoise.spectral import read_spectrum_csv
 
 TINY = [
@@ -341,6 +342,36 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: series too short for rbw=100 Hz")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "rbw, cause",
+        [("1e-300", "over 2**53"), ("1.23e-4", "the record is set by n_steps")],
+    )
+    def test_tiny_rbw_refused_without_a_hang(self, tmp_path, rbw, cause):
+        # 1e-300 Hz needs a segment of about 2.7e307 samples, over 2**53, so
+        # no record can hold it; 1.23e-4 Hz needs one of 2.2e11, longer than
+        # the record.  The command runs in a subprocess whose timeout also
+        # covers interpreter start-up, so a search that does not end fails
+        # here instead of stalling the suite; the search alone is then timed
+        # in process.
+        src = Path(spinnoise.__file__).resolve().parent.parent
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinnoise.cli", "simulate", "--set", f"rbw_hz={rbw}",
+             "--set", "n_trajectories=2", "--set", "n_steps=4096", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=30.0,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert f"rbw={float(rbw):g} Hz" in err[0] and cause in err[0], err
+        assert not out.exists()
+        dt = load_config().dt_s
+        start = time.perf_counter()
+        with contextlib.suppress(DomainError):
+            spectral.WelchAccumulator(1, dt, float(rbw))
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize("command", ["absorption", "simulate"])
     @pytest.mark.parametrize("dt", ["0", "-1e-8"])
     def test_non_positive_step_length_reported(self, tmp_path, capsys, command, dt):
@@ -372,7 +403,7 @@ SURFACE = {
     "responsivity_A_per_W": (["0.7"], ["0", "-1"]),
     "transimpedance_V_per_A": (["5e3"], ["0", "-1"]),
     "input_power_W": (["1e-3"], ["0", "-1e-3", "nan"]),
-    "rbw_hz": (["2e4", "91e3", "1e6"], ["0", "-1", "nan"]),
+    "rbw_hz": (["2e4", "91e3", "1e6"], ["0", "-1", "nan", "1e-300"]),
     "vbw_hz": (["", "1e3", "2e4"], ["1e6", "0", "-1", "inf"]),
     "absolute_units": (["true", "false"], ["maybe"]),
     "detection_mode": (["rnd", "end", "both"], ["x"]),

@@ -21,7 +21,6 @@ from spinnoise.spectral import (
     hann_window,
     next_fast_len,
     read_spectrum_csv,
-    require_series_length,
     segment_length,
     video_average,
     welch_psd,
@@ -96,6 +95,15 @@ class TestWelch:
     def test_rbw_must_be_finite_and_positive(self, rbw):
         with pytest.raises(DomainError, match="rbw_target"):
             segment_length(DT, rbw)
+
+    def test_segment_longer_than_2_53_samples_is_refused(self):
+        # The presets' sampling: 1e-300 Hz would need about 2.7e307 samples;
+        # 1.23e-4 Hz needs 2.2e11, which is found at once.
+        dt = 1.0 / 18e6
+        with pytest.raises(DomainError, match=r"rbw=1e-300 Hz .* over 2\*\*53"):
+            segment_length(dt, 1e-300)
+        assert segment_length(dt, HANN_ENBW_BINS / (2**53 * dt)) == 2**53
+        assert segment_length(dt, 1.23e-4) == 219520000000
 
     def test_batch_matches_single_columns(self):
         rng = np.random.default_rng(1)
@@ -194,8 +202,45 @@ class TestWelch:
         enough.push(rng.normal(size=(1, 446)))
         assert enough.records()[0].n_averages == 2
         with pytest.raises(DomainError, match="446"):
-            require_series_length(445, dt, 91e3)
-        require_series_length(446, dt, 91e3)
+            WelchAccumulator(1, dt, 91e3).require(445)
+        WelchAccumulator(1, dt, 91e3).require(446)
+
+    @pytest.mark.parametrize("rbw, nseg", [(5e3, 300), (1.5e6 / 297, 297)])
+    def test_require_refuses_exactly_below_two_segments(self, rbw, nseg):
+        accumulator = WelchAccumulator(1, DT, rbw)
+        assert (accumulator.nseg, accumulator.hop) == (nseg, nseg - nseg // 2)
+        minimum = nseg + accumulator.hop
+        with pytest.raises(DomainError, match=f"need at least {minimum} samples .* got {minimum - 1}"):
+            accumulator.require(minimum - 1)
+        accumulator.require(minimum)
+
+    def test_building_one_costs_no_memory_whatever_the_segment(self):
+        # A 2^40-sample segment: its window alone would take 8 TB, its
+        # power sum 16 TB for four traces.
+        rbw = HANN_ENBW_BINS / (2**40 * DT)
+        tracemalloc.start()
+        try:
+            accumulator = WelchAccumulator(4, DT, rbw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert accumulator.nseg == 2**40
+        assert accumulator.rbw == pytest.approx(rbw, rel=1e-12)
+        with pytest.raises(DomainError, match=str(2**40 + 2**39)):
+            accumulator.require(2**17)
+
+    def test_layout_is_read_from_the_accumulator(self):
+        x = np.random.default_rng(15).normal(size=(2, 3000))
+        accumulator = WelchAccumulator(2, DT, 5e3)
+        accumulator.push(x)
+        records = accumulator.records()
+        scale = 1.0 / ((1.0 / DT) * np.sum(hann_window(300) ** 2))
+        assert accumulator.density_scale == scale
+        assert np.array_equal(accumulator.freqs, np.fft.rfftfreq(300, DT))
+        for rec in records:
+            assert rec.freqs is accumulator.freqs
+            assert rec.rbw == accumulator.rbw == HANN_ENBW_BINS / (300 * DT)
 
     def test_needs_at_least_one_trace(self):
         with pytest.raises(DomainError, match="n_traces >= 1"):
@@ -227,6 +272,11 @@ class TestNextFastLen:
     def test_same_as_scipy(self):
         for n in range(1, 20001):
             assert next_fast_len(n) == scipy.fft.next_fast_len(n), n
+
+    @given(target=st.integers(1, 2**53))
+    @settings(deadline=None, max_examples=300)
+    def test_same_as_scipy_up_to_2_53(self, target):
+        assert next_fast_len(target) == scipy.fft.next_fast_len(target)
 
 
 class TestSpectrumRecord:
