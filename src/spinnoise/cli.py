@@ -70,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=_usable_cpus(),
-            help="worker processes: each steps a group of scan points, or a group of "
-            "trajectories when there are fewer points than workers; simulate's pool also "
-            "formats the time series (default: usable CPUs)",
+            help="worker processes, each taking the next group of scan points or of one "
+            "point's trajectories; 1 runs in process; simulate's pool also formats the "
+            "time series (default: usable CPUs)",
         )
     p_abs = sub.add_parser("absorption", help="absorption along the configured scan axis")
     add_common(p_abs)

@@ -2,14 +2,14 @@
 
 Each axis point runs an independent ensemble of noisy trajectories from the
 deterministic steady state, records the rotation- and ellipticity-noise
-signals, and averages their Welch PSDs.  A task steps a contiguous group of
-points in engine calls of at most ``_CALL_TRAJECTORIES`` trajectories; the
-engine records their signals directly (the readout is part of its
-operators) and streams them into the Welch estimate, so no coherence or
-signal record is held and a worker's buffers do not grow with its points.  Trajectory seeds derive from
-(master_seed, axis-value bits, trajectory index), so any sub-range of a
-scan, and any grouping of points and trajectories into tasks, reproduces
-exactly the corresponding rows of the full scan.
+signals, and averages their Welch PSDs.  Each task is one engine call of
+at most ``_CALL_TRAJECTORIES`` trajectories, which records their signals
+directly (the readout is part of its operators) and streams them into the
+Welch estimate, so no record is held and no buffer grows with the scan.
+Trajectory seeds derive from (master_seed, axis-value bits, trajectory
+index), so any sub-range of a scan, and any grouping of points and
+trajectories into tasks, reproduces exactly the corresponding rows of the
+full scan.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ class ModeReport:
 
 def seed_key(master_seed: int, axis_value: float, trajectory_index: int) -> list[int]:
     """Independent-stream key; uses the axis value's bit pattern so that
-    identical physical points share seeds across different scan ranges."""
-    bits = int(np.float64(axis_value).view(np.uint64))
+    identical physical points share seeds across different scan ranges
+    (-0.0 is keyed as 0.0)."""
+    bits = int(np.float64(axis_value + 0.0).view(np.uint64))
     return [int(master_seed), bits, int(trajectory_index)]
 
 
@@ -133,17 +134,28 @@ def _split(n: int, n_groups: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _scan_tasks(n_values: int, n_traj: int, n_workers: int) -> list[tuple[range, range]]:
-    """(points, trajectories) of each task, in axis and trajectory order.
+# The most trajectories (points times trajectories) one engine call steps.
+# From about 16 trajectories up, a call costs the same per trajectory and
+# chunk whatever its width, while its buffers grow with the width.
+_CALL_TRAJECTORIES = 64
 
-    With at least as many points as workers, each worker gets a contiguous
-    group of points with all their trajectories; with fewer, each point's
-    trajectories are split into ``n_workers`` contiguous groups.
+
+def _scan_tasks(n_values: int, n_traj: int, n_workers: int) -> list[tuple[range, range]]:
+    """(points, trajectories) of each task, in axis and trajectory order,
+    each one engine call of at most ``_CALL_TRAJECTORIES`` trajectories.
+
+    While a point's trajectories fit and the points cover the workers, a
+    task is a contiguous group of whole points; otherwise it is a range of
+    one point's trajectories.  Groups are near-equal, and there are at least
+    ``n_workers`` tasks where the grid has that many.
     """
-    if n_values >= n_workers:
-        return [(points, range(n_traj)) for points in _split(n_values, n_workers)]
+    per_call = _CALL_TRAJECTORIES // n_traj
+    if per_call and n_values >= n_workers:
+        n_groups = max(n_workers, -(-n_values // per_call))
+        return [(points, range(n_traj)) for points in _split(n_values, n_groups)]
+    n_groups = max(-(-n_traj // _CALL_TRAJECTORIES), n_workers if n_values < n_workers else 1)
     return [
-        (range(i, i + 1), group) for i in range(n_values) for group in _split(n_traj, n_workers)
+        (range(i, i + 1), group) for i in range(n_values) for group in _split(n_traj, n_groups)
     ]
 
 
@@ -166,8 +178,7 @@ class _Stream:
     columns, by point, mode and trajectory, into one streaming Welch
     accumulator."""
 
-    def __init__(self, cfg: ExperimentConfig, n_points: int, n_traj: int,
-                 series_length: int | None):
+    def __init__(self, cfg: ExperimentConfig, n_points: int, n_traj: int, keep_series: bool):
         tcfg = cfg.trajectory_config()
         self.modes = cfg.modes()
         self.mode_columns = [_SIGNAL_MODES.index(mode) for mode in self.modes]
@@ -176,7 +187,7 @@ class _Stream:
         self.welch = WelchAccumulator(
             n_points * len(self.modes) * n_traj, tcfg.dt * tcfg.record_stride, cfg.rbw_hz
         )
-        self.series = None if series_length is None else np.empty((series_length, 2))
+        self.series = np.empty((tcfg.n_recorded, 2)) if keep_series else None
         self.filled = 0
 
     def columns(self, point: int, mode: int) -> slice:
@@ -210,41 +221,15 @@ def _failing_point(value: float):
         raise
 
 
-# The most trajectories (points times trajectories) one engine call steps.
-# From about 16 trajectories up, a call costs the same per trajectory and
-# chunk whatever its width, while its buffers grow with the width.
-_CALL_TRAJECTORIES = 64
-
-
-def _engine_calls(n_values: int, trajectories: range) -> list[tuple[range, range]]:
-    """(points, trajectories) of each engine call of a task over
-    ``n_values`` points, in point and trajectory order, each at most
-    ``_CALL_TRAJECTORIES`` trajectories wide: whole points while a point's
-    trajectories fit in one call, else consecutive ranges of one point's
-    trajectories."""
-    n = len(trajectories)
-    if n <= _CALL_TRAJECTORIES:
-        per_call = _CALL_TRAJECTORIES // n
-        return [
-            (range(i, min(i + per_call, n_values)), trajectories)
-            for i in range(0, n_values, per_call)
-        ]
-    return [
-        (range(i, i + 1), trajectories[j : j + _CALL_TRAJECTORIES])
-        for i in range(n_values) for j in range(0, n, _CALL_TRAJECTORIES)
-    ]
-
-
 def _run_task(
     cfg: ExperimentConfig, values: np.ndarray, trajectories: range, keep_series: bool
 ) -> list[_PointPart]:
     """Per-trajectory PSDs of a group of points over one trajectory range.
 
-    The points' trajectories are stepped in the engine calls of
-    ``_engine_calls``, each with its own sink, which Welch-averages the
-    recorded signals chunk by chunk, so no record is held and a call's
-    buffers do not grow with the task.  Each point's PSDs are joined in
-    trajectory order.  The group holding trajectory 0 also reports each
+    The points' trajectories are stepped in one engine call, whose sink
+    Welch-averages the recorded signals chunk by chunk, so no record is
+    held; ``_scan_tasks`` bounds the call's width, so its buffers do not
+    grow with the scan.  The group holding trajectory 0 also reports each
     point's transmission and, with ``keep_series`` (one point only),
     trajectory 0's [RND, END].  A trajectory's PSDs depend only on its
     seed, not on the grouping.  An exception carries the failing point's
@@ -257,33 +242,31 @@ def _run_task(
             params.append(cfg.system_params(value))
             rho0.append(steady_state(params[-1]))
     readouts = np.stack([readout_matrix(p, cfg.mean_field_au, _SIGNAL_MODES) for p in params])
-    parts = [_PointPart(records={mode: [] for mode in cfg.modes()}) for _ in values]
-    for points, group in _engine_calls(len(values), trajectories):
-        span = slice(points.start, points.stop)
-        keep = keep_series and group.start == 0
-        stream = _Stream(cfg, len(points), len(group), tcfg.n_recorded if keep else None)
-        keys = [seed_key(cfg.master_seed, values[i], t) for i in points for t in group]
-        try:
-            evolve_ensemble_coherences(
-                params[span], tcfg, keys, rho0=rho0[span], first_trajectory=group.start,
-                sink=stream, readout=readouts[span],
-            )
-        except NumericError as exc:
-            exc.axis_value = float(values[points[exc.point]])
-            raise
-        for p, i in enumerate(points):
-            with _failing_point(values[i]):
-                for m, mode in enumerate(stream.modes):
-                    parts[i].records[mode] += stream.welch.records(
-                        _point_metadata(cfg, values[i], mode), traces=stream.columns(p, m)
+    first = trajectories.start == 0
+    stream = _Stream(cfg, len(values), len(trajectories), keep_series and first)
+    keys = [seed_key(cfg.master_seed, value, t) for value in values for t in trajectories]
+    try:
+        evolve_ensemble_coherences(
+            params, tcfg, keys, rho0=rho0, first_trajectory=trajectories.start,
+            sink=stream, readout=readouts,
+        )
+    except NumericError as exc:
+        exc.axis_value = float(values[exc.point])
+        raise
+    detector = cfg.detector_params()
+    parts = []
+    for p, (value, point_params, rho) in enumerate(zip(values, params, rho0)):
+        with _failing_point(value):
+            parts.append(_PointPart(
+                records={
+                    mode: stream.welch.records(
+                        _point_metadata(cfg, value, mode), traces=stream.columns(p, m)
                     )
-        if keep:
-            parts[points[0]].series = stream.series
-    if trajectories.start == 0:
-        detector = cfg.detector_params()
-        for value, part, point_params, rho in zip(values, parts, params, rho0):
-            with _failing_point(value):
-                part.transmission = transmission(point_params, detector, rho)
+                    for m, mode in enumerate(stream.modes)
+                },
+                transmission=transmission(point_params, detector, rho) if first else None,
+                series=stream.series,
+            ))
     return parts
 
 
@@ -291,11 +274,11 @@ def _run_task(
 def worker_pool(cfg: ExperimentConfig, n_values: int, n_workers: int):
     """The process pool of a run of ``n_values`` axis values, cut into the
     tasks of ``_scan_tasks`` for ``n_workers`` workers: None (run in this
-    process) for one task, else min(n_workers, tasks, usable CPUs)
-    processes.  A pool forks its workers at its first task, so opening one
-    starts nothing."""
+    process) for one worker or one task, else min(n_workers, tasks, usable
+    CPUs) processes, each taking the next task when it is free.  A pool
+    forks its workers at its first task, so opening one starts nothing."""
     n_tasks = len(_scan_tasks(n_values, cfg.n_trajectories, n_workers))
-    if n_tasks < 2:
+    if n_workers < 2 or n_tasks < 2:
         yield None
         return
     with ProcessPoolExecutor(max_workers=min(n_workers, n_tasks, _usable_cpus())) as pool:
@@ -398,8 +381,8 @@ def run_point(
     """Simulate one axis value: ensemble, signals, averaged spectra, floor.
 
     A scan of one value: with ``n_workers > 1`` the ensemble is split into
-    that many contiguous trajectory groups, run on ``pool`` (or on a pool
-    of the call's own); the spectra are the same bits for any split.  With
+    at least that many contiguous trajectory groups, run on ``pool`` (or on
+    a pool of the call's own); the spectra are the same bits for any split.  With
     ``keep_series`` the point also carries [RND, END] of trajectory 0.
     """
     return _run_values(cfg, np.array([float(axis_value)]), keep_series, n_workers, pool)[0]
@@ -408,11 +391,9 @@ def run_point(
 def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
     """Run every axis point of the configured scan.
 
-    Points are independent.  With at least as many points as ``n_workers``
-    each worker steps a contiguous group of points together; with fewer,
-    each point splits its trajectories over the workers.  Results are
-    ordered by axis value, the same bits for any ``n_workers``, and a
-    failing point reports its axis value.
+    Points are independent, cut into the tasks of ``_scan_tasks`` for
+    ``n_workers`` workers.  Results are ordered by axis value, the same
+    bits for any ``n_workers``, and a failing point reports its axis value.
     """
     values = cfg.axis_values()
     if values.size == 0:

@@ -383,12 +383,16 @@ def write_table(path, metadata: dict, columns: dict, executor: Executor | None =
     The rows are formatted _TABLE_BLOCK_ROWS at a time.  With an
     ``executor`` the blocks are formatted by its workers, at most
     _TABLE_BLOCKS_IN_FLIGHT at a time, and written in order; the bytes are
-    the same either way.
+    the same either way.  Columns of unequal length are refused before the
+    file is opened.
     """
     head = [f"# {key}={format_value(value)}" for key, value in metadata.items()]
     head.append(",".join(columns))
     arrays = [np.asarray(column, dtype=float) for column in columns.values()]
-    n_rows = min(map(len, arrays), default=0)
+    lengths = {name: len(array) for name, array in zip(columns, arrays)}
+    if len(set(lengths.values())) > 1:
+        raise DomainError(f"table columns must have equal lengths, got {lengths}")
+    n_rows = max(lengths.values(), default=0)
     blocks = (
         [array[start : start + _TABLE_BLOCK_ROWS] for array in arrays]
         for start in range(0, n_rows, _TABLE_BLOCK_ROWS)

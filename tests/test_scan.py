@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinnoise import detection, integrator, scan
 
@@ -253,6 +254,22 @@ class TestSeeds:
     def test_value_bits_not_rounded(self):
         assert seed_key(1, 0.1 + 0.2, 0) != seed_key(1, 0.3, 0)
 
+    def test_negative_zero_is_keyed_as_zero(self):
+        assert seed_key(5, -0.0, 3) == seed_key(5, 0.0, 3)
+        assert seed_key(5, np.float64(-0.0), 3) == seed_key(5, 0.0, 3)
+
+    @pytest.mark.parametrize("axis", ["theta", "b_field", "detuning"])
+    def test_negative_zero_point_is_the_zero_point(self, axis):
+        # The config accepts -0.0 on every axis; it must draw the noise of 0.0.
+        cfg = tiny_cfg(scan_axis=axis)
+        zero = run_point(cfg, 0.0, keep_series=True)
+        negative = run_point(cfg, -0.0, keep_series=True)
+        for mode in ("rnd", "end"):
+            assert np.array_equal(negative.spectra[mode].psd, zero.spectra[mode].psd)
+            assert negative.spectra[mode].n_averages == zero.spectra[mode].n_averages
+        assert np.array_equal(negative.series, zero.series)
+        assert negative.transmission == zero.transmission
+
 
 class TestRunScan:
     def test_deterministic_and_ordered(self):
@@ -431,14 +448,49 @@ class TestTrajectoryGroups:
 
 class TestScanTasks:
     def test_task_layout(self):
-        # Points cover the workers: contiguous point groups, all trajectories.
-        assert scan._scan_tasks(13, 16, 2) == [(range(0, 6), range(16)), (range(6, 13), range(16))]
+        assert scan._CALL_TRAJECTORIES == 64
+        # Points cover the workers and fit: near-equal groups of whole
+        # points, at most 64 trajectories each.
+        assert scan._scan_tasks(13, 16, 2) == [
+            (points, range(16)) for points in (range(0, 3), range(3, 6), range(6, 9), range(9, 13))
+        ]
         assert scan._scan_tasks(3, 4, 1) == [(range(0, 3), range(4))]
-        # Fewer points than workers: each point's trajectories are split.
+        assert scan._scan_tasks(7, 16, 1) == [(range(0, 3), range(16)), (range(3, 7), range(16))]
+        assert scan._scan_tasks(3, 32, 1) == [(range(0, 1), range(32)), (range(1, 3), range(32))]
+        assert scan._scan_tasks(2, 64, 1) == [(range(i, i + 1), range(64)) for i in (0, 1)]
+        # A point wider than one call: near-equal ranges of its trajectories.
+        assert scan._scan_tasks(2, 140, 1) == [
+            (range(i, i + 1), group)
+            for i in (0, 1) for group in (range(0, 46), range(46, 93), range(93, 140))
+        ]
+        assert scan._scan_tasks(2, 70, 2) == [
+            (range(i, i + 1), group) for i in (0, 1) for group in (range(0, 35), range(35, 70))
+        ]
+        # Fewer points than workers: each point's trajectories are split
+        # over the workers, or finer where a share is wider than one call.
         assert scan._scan_tasks(1, 64, 2) == [(range(0, 1), range(0, 32)), (range(0, 1), range(32, 64))]
         assert scan._scan_tasks(2, 3, 3) == [
             (range(i, i + 1), group) for i in (0, 1) for group in (range(0, 1), range(1, 2), range(2, 3))
         ]
+        assert scan._scan_tasks(1, 150, 2) == [
+            (range(0, 1), group) for group in (range(0, 50), range(50, 100), range(100, 150))
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_values=st.integers(1, 40), n_traj=st.integers(1, 200),
+        n_workers=st.integers(1, 4), bound=st.integers(1, 64),
+    )
+    def test_every_trajectory_once_in_order_within_the_bound(self, n_values, n_traj, n_workers, bound):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scan, "_CALL_TRAJECTORIES", bound)
+            tasks = scan._scan_tasks(n_values, n_traj, n_workers)
+        covered = [(i, t) for points, group in tasks for i in points for t in group]
+        assert covered == [(i, t) for i in range(n_values) for t in range(n_traj)]
+        assert all(len(points) * len(group) <= bound for points, group in tasks)
+        if n_traj <= bound and n_values >= n_workers:
+            assert all(group == range(n_traj) for _, group in tasks)
+        assert len(tasks) >= min(n_workers, n_values * n_traj)
 
     def test_one_task_per_point_when_points_cover_workers(self, recording_pool):
         # As many points as workers: each task is one point with all its
@@ -527,24 +579,10 @@ class TestScanTasks:
 
 
 class TestEngineCalls:
-    def test_call_layout(self):
-        assert scan._CALL_TRAJECTORIES == 64
-        # Whole points while a point's trajectories fit in one call.
-        assert scan._engine_calls(7, range(16)) == [(range(0, 4), range(16)), (range(4, 7), range(16))]
-        assert scan._engine_calls(3, range(32, 64)) == [
-            (range(0, 2), range(32, 64)), (range(2, 3), range(32, 64))
-        ]
-        assert scan._engine_calls(2, range(64)) == [(range(i, i + 1), range(64)) for i in (0, 1)]
-        # Else consecutive ranges of one point's trajectories.
-        assert scan._engine_calls(2, range(10, 150)) == [
-            (range(i, i + 1), group)
-            for i in (0, 1) for group in (range(10, 74), range(74, 138), range(138, 150))
-        ]
-
-    # Bound 2 with one trajectory a point steps two points a call; with
-    # three, one point's trajectories in calls of 2 and 1.  Bound 3 with two
-    # trajectories a point steps one point a call; with five, calls of 3
-    # and 2.
+    # Bound 2 with one trajectory a point steps up to two points a call;
+    # with three, one point's trajectories in calls of 1 and 2.  Bound 3
+    # with two trajectories a point steps one point a call; with five,
+    # calls of 2 and 3.
     @pytest.mark.parametrize("bound, n_traj", [(2, 1), (2, 3), (3, 2), (3, 5)])
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_calls_do_not_change_the_bits(self, monkeypatch, bound, n_traj, n_workers):
@@ -576,11 +614,12 @@ class TestEngineCalls:
         assert widths == [2] * 5
         widths.clear()
         simulate_point(tiny_cfg(n_trajectories=7), n_workers=1)
-        assert widths == [3, 3, 1]
+        assert widths == [2, 2, 3]
 
-    # Each poisoned trajectory sits in a later call than the first: the
-    # second point of the first call is not the failing one, and a
-    # trajectory past the first range of its point is numbered within it.
+    # Each poisoned trajectory sits in a later call than the first: with one
+    # trajectory a point, theta = 15 is the second point of its call; with
+    # three, trajectory 2 is in its point's second range and is numbered
+    # within the point.
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("n_traj, trajectory", [(1, 0), (3, 2)])
     @pytest.mark.parametrize("n_workers", [1, 2])
@@ -598,14 +637,16 @@ class TestEngineCalls:
         assert "scan point theta=15 failed" in caplog.text
 
     def test_task_memory_does_not_grow_with_its_points(self):
-        # 16 trajectories a point: four points fill one call.
-        cfg = tiny_cfg(n_trajectories=16, n_steps=1024, burn_in_steps=0)
-
+        # 16 trajectories a point: four points fill one call, so a serial
+        # scan of 20 points steps five calls of the width of a 4-point scan.
         def traced_peak(n_points):
-            values = np.arange(n_points) * 4.5
+            cfg = tiny_cfg(
+                n_trajectories=16, n_steps=1024, burn_in_steps=0,
+                scan_start=0.0, scan_stop=4.5 * (n_points - 1), scan_step=4.5,
+            )
             tracemalloc.start()
             try:
-                scan._run_task(cfg, values, range(16), False)
+                run_scan(cfg, n_workers=1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

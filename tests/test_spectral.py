@@ -478,6 +478,12 @@ class TestCsvRoundTrip:
         assert np.array_equal(back, expected)
         assert np.array_equal(np.signbit(back), np.signbit(expected))
 
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(DomainError, match=r"equal lengths.*'a': 3, 'b': 1"):
+            write_table(path, {}, {"a": [1.0, 2.0, 3.0], "b": [4.0]})
+        assert not path.exists()
+
 
 @pytest.fixture(scope="module")
 def two_process_pool():
