@@ -448,24 +448,12 @@ class TestTrajectoryGroups:
 
 class TestScanTasks:
     def test_task_layout(self):
-        assert scan._CALL_TRAJECTORIES == 64
         # Points cover the workers and fit: near-equal groups of whole
-        # points, at most 64 trajectories each.
+        # points, at least one task a worker.
         assert scan._scan_tasks(13, 16, 2) == [
             (points, range(16)) for points in (range(0, 3), range(3, 6), range(6, 9), range(9, 13))
         ]
         assert scan._scan_tasks(3, 4, 1) == [(range(0, 3), range(4))]
-        assert scan._scan_tasks(7, 16, 1) == [(range(0, 3), range(16)), (range(3, 7), range(16))]
-        assert scan._scan_tasks(3, 32, 1) == [(range(0, 1), range(32)), (range(1, 3), range(32))]
-        assert scan._scan_tasks(2, 64, 1) == [(range(i, i + 1), range(64)) for i in (0, 1)]
-        # A point wider than one call: near-equal ranges of its trajectories.
-        assert scan._scan_tasks(2, 140, 1) == [
-            (range(i, i + 1), group)
-            for i in (0, 1) for group in (range(0, 46), range(46, 93), range(93, 140))
-        ]
-        assert scan._scan_tasks(2, 70, 2) == [
-            (range(i, i + 1), group) for i in (0, 1) for group in (range(0, 35), range(35, 70))
-        ]
         # Fewer points than workers: each point's trajectories are split
         # over the workers, or finer where a share is wider than one call.
         assert scan._scan_tasks(1, 64, 2) == [(range(0, 1), range(0, 32)), (range(0, 1), range(32, 64))]
@@ -579,6 +567,21 @@ class TestScanTasks:
 
 
 class TestEngineCalls:
+    def test_call_layout(self):
+        assert scan._CALL_TRAJECTORIES == 64
+        # Whole points while a point's trajectories fit in one call.
+        assert scan._scan_tasks(7, 16, 1) == [(range(0, 3), range(16)), (range(3, 7), range(16))]
+        assert scan._scan_tasks(3, 32, 1) == [(range(0, 1), range(32)), (range(1, 3), range(32))]
+        assert scan._scan_tasks(2, 64, 1) == [(range(i, i + 1), range(64)) for i in (0, 1)]
+        # A point wider than one call: near-equal ranges of its trajectories.
+        assert scan._scan_tasks(2, 140, 1) == [
+            (range(i, i + 1), group)
+            for i in (0, 1) for group in (range(0, 46), range(46, 93), range(93, 140))
+        ]
+        assert scan._scan_tasks(2, 70, 2) == [
+            (range(i, i + 1), group) for i in (0, 1) for group in (range(0, 35), range(35, 70))
+        ]
+
     # Bound 2 with one trajectory a point steps up to two points a call;
     # with three, one point's trajectories in calls of 1 and 2.  Bound 3
     # with two trajectories a point steps one point a call; with five,
