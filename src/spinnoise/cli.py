@@ -27,8 +27,9 @@ from .scan import (
     absorption_scan,
     oscillation_mode_report,
     run_scan,
+    series_pool,
+    series_table,
     simulate_point,
-    worker_pool,
     write_absorption_csv,
     write_mode_report_csv,
     write_scan,
@@ -90,20 +91,32 @@ def _resolve_config(args):
     return load_config(path=args.config, preset=args.preset, overrides=overrides)
 
 
+def _output_dir(args) -> Path:
+    """The ``--out`` directory, refused before any work when it, or the
+    nearest of its parents that exists, is not a directory; it is created
+    only once the run has something to write."""
+    outdir = Path(args.out)
+    for path in (outdir, *outdir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"--out {outdir}: {path} is not a directory")
+            break
+    return outdir
+
+
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     n_workers = max(1, args.threads)
-    outdir = Path(args.out)
+    outdir = _output_dir(args)
     series_path = outdir / "timeseries.csv"
-    # One pool steps the ensemble and then formats the time series.
-    with worker_pool(cfg, 1, n_workers) as pool:
-        t, rnd, end, point = simulate_point(cfg, n_workers=n_workers, pool=pool)
+    # One pool steps the ensemble, whose trajectory 0 goes into the pool's
+    # shared series buffer, and then formats the time series from there.
+    with series_pool(cfg, n_workers) as pool:
+        point = simulate_point(cfg, n_workers=n_workers, pool=pool)
         outdir.mkdir(parents=True, exist_ok=True)
         metadata = {key: getattr(cfg, key) for key in AXIS_KEYS.values()}
         metadata["seed"] = cfg.master_seed
-        write_table(
-            series_path, metadata, {"t_s": t, "rnd_au": rnd, "end_au": end}, executor=pool
-        )
+        write_table(series_path, metadata, series_table(cfg), executor=pool.executor)
     for mode, spec in point.spectra.items():
         write_spectrum_csv(spec, outdir / f"spectrum_{mode}.csv")
     write_manifest(cfg, outdir / "run_manifest.cfg")
@@ -113,8 +126,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg = _resolve_config(args)
+    outdir = _output_dir(args)
     result = run_scan(cfg, n_workers=max(1, args.threads))
-    written = write_scan(result, cfg, args.out)
+    written = write_scan(result, cfg, outdir)
     print(f"scan: wrote {len(written)} files to {args.out}")
     return 0
 
@@ -122,8 +136,8 @@ def _cmd_scan(args) -> int:
 def _cmd_modes(args) -> int:
     cfg = _resolve_config(args)
     omega_l = larmor_from_field(cfg.b_gauss)
+    outdir = _output_dir(args)
     reports = [oscillation_mode_report(omega_l, initial) for initial in MODE_INITIALS]
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for initial, report in zip(MODE_INITIALS, reports):
         write_mode_report_csv(report, outdir / f"modes_{initial}.csv")
@@ -136,8 +150,8 @@ def _cmd_modes(args) -> int:
 
 def _cmd_absorption(args) -> int:
     cfg = _resolve_config(args)
+    outdir = _output_dir(args)
     rows = absorption_scan(cfg, cfg.axis_values())
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_absorption_csv(rows, cfg, outdir / "absorption.csv")
     write_manifest(cfg, outdir / "run_manifest.cfg")
@@ -165,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except SpinNoiseError as exc:
+    except (SpinNoiseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,9 @@ import contextlib
 import csv
 import functools
 import logging
+import multiprocessing
 import os
+import typing
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +38,7 @@ from .integrator import (
 )
 from .spectral import (
     SpectrumRecord,
+    TableRows,
     WelchAccumulator,
     average_spectra,
     replace_metadata,
@@ -56,7 +59,7 @@ class ScanPoint:
     spectra: dict[str, SpectrumRecord]
     transmission: float
     shot_floor: float
-    series: np.ndarray | None = None   # [RND, END] of trajectory 0, when kept
+    series: np.ndarray | None = None   # [RND, END] of trajectory 0, on a SeriesPool
 
 
 @dataclass
@@ -165,7 +168,6 @@ class _PointPart:
 
     records: dict[str, list[SpectrumRecord]]   # per-trajectory PSDs by mode
     transmission: float | None = None          # from the group holding trajectory 0
-    series: np.ndarray | None = None           # [RND, END] of trajectory 0, when kept
 
 
 # Columns of the signals the engine records for every point.
@@ -176,9 +178,12 @@ class _Stream:
     """Sink of one engine call: takes each chunk of [RND, END] signals of
     every point and trajectory of the call and pushes the configured modes'
     columns, by point, mode and trajectory, into one streaming Welch
-    accumulator."""
+    accumulator.  Given a ``series`` buffer, it also copies the first
+    trajectory's [RND, END] rows into it."""
 
-    def __init__(self, cfg: ExperimentConfig, n_points: int, n_traj: int, keep_series: bool):
+    def __init__(
+        self, cfg: ExperimentConfig, n_points: int, n_traj: int, series: np.ndarray | None
+    ):
         tcfg = cfg.trajectory_config()
         self.modes = cfg.modes()
         self.mode_columns = [_SIGNAL_MODES.index(mode) for mode in self.modes]
@@ -187,7 +192,7 @@ class _Stream:
         self.welch = WelchAccumulator(
             n_points * len(self.modes) * n_traj, tcfg.dt * tcfg.record_stride, cfg.rbw_hz
         )
-        self.series = np.empty((tcfg.n_recorded, 2)) if keep_series else None
+        self.series = series
         self.filled = 0
 
     def columns(self, point: int, mode: int) -> slice:
@@ -221,6 +226,13 @@ def _failing_point(value: float):
         raise
 
 
+# Trajectory 0's [RND, END] of the open series_pool, None when none is open.
+# A pool's workers fork after it is mapped, so they hold it too.
+_series: np.ndarray | None = None
+
+_NO_SERIES = "no series buffer is mapped in this process; run on the pool of series_pool"
+
+
 def _run_task(
     cfg: ExperimentConfig, values: np.ndarray, trajectories: range, keep_series: bool
 ) -> list[_PointPart]:
@@ -230,11 +242,15 @@ def _run_task(
     Welch-averages the recorded signals chunk by chunk, so no record is
     held; ``_scan_tasks`` bounds the call's width, so its buffers do not
     grow with the scan.  The group holding trajectory 0 also reports each
-    point's transmission and, with ``keep_series`` (one point only),
-    trajectory 0's [RND, END].  A trajectory's PSDs depend only on its
-    seed, not on the grouping.  An exception carries the failing point's
-    ``axis_value``.
+    point's transmission and, with ``keep_series`` (one point only), writes
+    trajectory 0's [RND, END] into the open series buffer, which the result
+    does not carry.  A trajectory's PSDs depend only on its seed, not on
+    the grouping.  An exception carries the failing point's ``axis_value``.
     """
+    first = trajectories.start == 0
+    writes_series = keep_series and first
+    if writes_series and _series is None:
+        raise RuntimeError(_NO_SERIES)
     tcfg = cfg.trajectory_config()
     params, rho0 = [], []
     for value in values:
@@ -242,8 +258,7 @@ def _run_task(
             params.append(cfg.system_params(value))
             rho0.append(steady_state(params[-1]))
     readouts = np.stack([readout_matrix(p, cfg.mean_field_au, _SIGNAL_MODES) for p in params])
-    first = trajectories.start == 0
-    stream = _Stream(cfg, len(values), len(trajectories), keep_series and first)
+    stream = _Stream(cfg, len(values), len(trajectories), _series if writes_series else None)
     keys = [seed_key(cfg.master_seed, value, t) for value in values for t in trajectories]
     try:
         evolve_ensemble_coherences(
@@ -265,7 +280,6 @@ def _run_task(
                     for m, mode in enumerate(stream.modes)
                 },
                 transmission=transmission(point_params, detector, rho) if first else None,
-                series=stream.series,
             ))
     return parts
 
@@ -275,32 +289,105 @@ def worker_pool(cfg: ExperimentConfig, n_values: int, n_workers: int):
     """The process pool of a run of ``n_values`` axis values, cut into the
     tasks of ``_scan_tasks`` for ``n_workers`` workers: None (run in this
     process) for one worker or one task, else min(n_workers, tasks, usable
-    CPUs) processes, each taking the next task when it is free.  A pool
-    forks its workers at its first task, so opening one starts nothing."""
+    CPUs) processes, each taking the next task when it is free.  The
+    workers fork, whatever the platform's default start method, at the
+    pool's first task, so opening a pool starts nothing, and they inherit
+    this process's imports and any series buffer mapped before that task."""
     n_tasks = len(_scan_tasks(n_values, cfg.n_trajectories, n_workers))
     if n_workers < 2 or n_tasks < 2:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=min(n_workers, n_tasks, _usable_cpus())) as pool:
+    with ProcessPoolExecutor(
+        max_workers=min(n_workers, n_tasks, _usable_cpus()),
+        mp_context=multiprocessing.get_context("fork"),
+    ) as pool:
         yield pool
 
 
+class SeriesPool(typing.NamedTuple):
+    """The pool of a single-point run (an executor, or None to run in this
+    process) and trajectory 0's (n_recorded, 2) [RND, END] buffer, which
+    the pool's workers share with this process.  Only ``series_pool``
+    makes one, mapping the buffer before the pool exists."""
+
+    executor: Executor | None
+    series: np.ndarray
+
+
+def _shared_series(n_rows: int) -> np.ndarray:
+    """A zeroed (n_rows, 2) float64 array in an anonymous shared mapping:
+    processes forked after it write and read the same pages as this one.
+    Nothing names the mapping: it is unmapped when the last view of it in
+    the last process holding it goes, and nothing is left behind."""
+    # Loaded here rather than with the module: only simulate maps a buffer,
+    # and a scan's processes need not hold the extension.
+    import mmap
+
+    shared = mmap.mmap(-1, max(n_rows, 1) * 16)
+    return np.frombuffer(shared, dtype=np.float64, count=2 * n_rows).reshape(n_rows, 2)
+
+
+@contextlib.contextmanager
+def series_pool(cfg: ExperimentConfig, n_workers: int):
+    """The SeriesPool of a single-point run of ``cfg`` on ``n_workers``
+    workers: the series buffer is mapped first, then the ``worker_pool`` of
+    one value is opened, so every worker it forks holds the buffer.  The
+    task holding trajectory 0 writes the series there, and the time-series
+    table (``series_table``) is read from there, in whichever process runs
+    them.  One series pool is open at a time."""
+    global _series
+    if _series is not None:
+        raise RuntimeError("a series pool is already open")
+    _series = _shared_series(cfg.trajectory_config().n_recorded)
+    try:
+        with worker_pool(cfg, 1, n_workers) as executor:
+            yield SeriesPool(executor, _series)
+    finally:
+        _series = None
+
+
+def _series_rows(
+    burn_in: int, stride: int, dt: float, start: int, stop: int
+) -> list[np.ndarray]:
+    """Rows [start, stop) of the time-series table, read from the open
+    series buffer: the time of each recorded step, RND and END."""
+    if _series is None:
+        raise RuntimeError(_NO_SERIES)
+    rows = _series[start:stop]
+    t = (burn_in + 1 + np.arange(start, stop) * stride) * dt
+    return [t, rows[:, 0], rows[:, 1]]
+
+
+def series_table(cfg: ExperimentConfig) -> TableRows:
+    """``simulate``'s time-series table as ``write_table`` rows: ``t_s``,
+    ``rnd_au`` and ``end_au`` of trajectory 0, read by row range from the
+    open series buffer, in this process or in a worker of its pool."""
+    tcfg = cfg.trajectory_config()
+    read = functools.partial(_series_rows, cfg.resolved_burn_in(), tcfg.record_stride, tcfg.dt)
+    return TableRows(("t_s", "rnd_au", "end_au"), tcfg.n_recorded, read)
+
+
 def _run_values(
-    cfg: ExperimentConfig, values: np.ndarray, keep_series: bool, n_workers: int,
-    pool: Executor | None = None,
+    cfg: ExperimentConfig, values: np.ndarray, n_workers: int,
+    pool: Executor | SeriesPool | None = None,
 ) -> list[ScanPoint]:
     """Scan points of ``values``, in order, cut into the tasks of
     ``_scan_tasks`` for ``n_workers`` workers.
 
     The tasks run on ``pool``, the run's pool, when given; otherwise on a
-    ``worker_pool`` of their own.  A record too short for the Welch
+    ``worker_pool`` of their own.  On a SeriesPool (one value) the point
+    also carries trajectory 0's series, in the pool's buffer.  An
+    ``rbw_hz`` no segment length reaches, a record too short for the Welch
     estimate at ``rbw_hz``, or a ``vbw_hz`` above the RBW it achieves,
     fails before any task starts.  A failing task logs the axis value of
     its failing point; the tasks not yet started are cancelled and the
     error propagates.
     """
     tcfg = cfg.trajectory_config()
-    welch = WelchAccumulator(1, tcfg.dt * tcfg.record_stride, cfg.rbw_hz)
+    try:
+        welch = WelchAccumulator(1, tcfg.dt * tcfg.record_stride, cfg.rbw_hz)
+    except DomainError as exc:
+        raise DomainError(f"rbw_hz: {exc}") from None
     try:
         welch.require(tcfg.n_recorded)
     except DomainError as exc:
@@ -309,10 +396,16 @@ def _run_values(
         ) from None
     if cfg.vbw_hz is not None and cfg.vbw_hz > welch.rbw:
         raise ConfigError(f"vbw_hz ({cfg.vbw_hz:g} Hz) must not exceed the achieved rbw ({welch.rbw:g} Hz)")
+    series = pool.series if isinstance(pool, SeriesPool) else None
     layout = _scan_tasks(len(values), cfg.n_trajectories, n_workers)
-    tasks = [(cfg, values[points.start : points.stop], group, keep_series) for points, group in layout]
+    tasks = [
+        (cfg, values[points.start : points.stop], group, series is not None)
+        for points, group in layout
+    ]
     with contextlib.ExitStack() as stack:
-        if pool is None:
+        if isinstance(pool, SeriesPool):
+            pool = pool.executor
+        elif pool is None:
             pool = stack.enter_context(worker_pool(cfg, len(values), n_workers))
         if pool is not None:
             futures = [pool.submit(_run_task, *task) for task in tasks]
@@ -342,10 +435,14 @@ def _run_values(
     for (points, _), task_parts in zip(layout, results):
         for index, part in zip(points, task_parts):
             parts[index].append(part)
-    return [_finish_point(cfg, value, point_parts) for value, point_parts in zip(values, parts)]
+    return [
+        _finish_point(cfg, value, point_parts, series) for value, point_parts in zip(values, parts)
+    ]
 
 
-def _finish_point(cfg: ExperimentConfig, value: float, parts: list[_PointPart]) -> ScanPoint:
+def _finish_point(
+    cfg: ExperimentConfig, value: float, parts: list[_PointPart], series: np.ndarray | None
+) -> ScanPoint:
     """Average a point's per-trajectory PSDs (trajectory groups in order),
     then apply the video filter and, in absolute units, the shot floor."""
     trans = parts[0].transmission
@@ -367,25 +464,24 @@ def _finish_point(cfg: ExperimentConfig, value: float, parts: list[_PointPart]) 
         spectra[mode] = averaged
     return ScanPoint(
         axis_value=float(value), spectra=spectra, transmission=trans,
-        shot_floor=floor, series=parts[0].series,
+        shot_floor=floor, series=series,
     )
 
 
 def run_point(
     cfg: ExperimentConfig,
     axis_value: float,
-    keep_series: bool = False,
     n_workers: int = 1,
-    pool: Executor | None = None,
+    pool: Executor | SeriesPool | None = None,
 ) -> ScanPoint:
     """Simulate one axis value: ensemble, signals, averaged spectra, floor.
 
     A scan of one value: with ``n_workers > 1`` the ensemble is split into
     at least that many contiguous trajectory groups, run on ``pool`` (or on
-    a pool of the call's own); the spectra are the same bits for any split.  With
-    ``keep_series`` the point also carries [RND, END] of trajectory 0.
+    a pool of the call's own); the spectra are the same bits for any split.
+    On a SeriesPool the point also carries [RND, END] of trajectory 0.
     """
-    return _run_values(cfg, np.array([float(axis_value)]), keep_series, n_workers, pool)[0]
+    return _run_values(cfg, np.array([float(axis_value)]), n_workers, pool)[0]
 
 
 def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
@@ -398,7 +494,7 @@ def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
     values = cfg.axis_values()
     if values.size == 0:
         raise DomainError("scan range is empty")
-    return ScanResult(axis_name=cfg.scan_axis, points=_run_values(cfg, values, False, n_workers))
+    return ScanResult(axis_name=cfg.scan_axis, points=_run_values(cfg, values, n_workers))
 
 
 def absorption_scan(
@@ -496,21 +592,23 @@ def oscillation_mode_report(
 
 
 def simulate_point(
-    cfg: ExperimentConfig, n_workers: int = 1, pool: Executor | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ScanPoint]:
-    """Single-point run: time axis, RND and END series of trajectory 0, and
-    the averaged-spectra ScanPoint at the configured parameters.
+    cfg: ExperimentConfig, n_workers: int = 1, pool: SeriesPool | None = None
+) -> ScanPoint:
+    """Single-point run: the averaged-spectra ScanPoint at the configured
+    parameters, whose ``series`` is [RND, END] of trajectory 0.
 
     The series come from the ensemble of run_point itself, so trajectory 0
-    is integrated once; ``n_workers`` workers of ``pool`` (or of a pool of
-    the call's own) share the trajectories.
+    is integrated once; ``n_workers`` workers of ``pool`` (or of a
+    ``series_pool`` of the call's own) share the trajectories, and the
+    series is the pool's shared buffer.  Any other executor is refused: its
+    workers may have forked before the buffer was mapped.
     """
-    axis_value = getattr(cfg, AXIS_KEYS[cfg.scan_axis])
-    point = run_point(cfg, axis_value, keep_series=True, n_workers=n_workers, pool=pool)
-    tcfg = cfg.trajectory_config()
-    series = point.series
-    t = (cfg.resolved_burn_in() + 1 + np.arange(len(series)) * tcfg.record_stride) * tcfg.dt
-    return t, series[:, 0], series[:, 1], point
+    if pool is not None and not isinstance(pool, SeriesPool):
+        raise TypeError(f"simulate_point runs on a series_pool, not on {type(pool).__name__}")
+    with contextlib.ExitStack() as stack:
+        if pool is None:
+            pool = stack.enter_context(series_pool(cfg, n_workers))
+        return run_point(cfg, getattr(cfg, AXIS_KEYS[cfg.scan_axis]), n_workers, pool)
 
 
 def write_scan(result: ScanResult, cfg: ExperimentConfig, outdir: str | Path) -> list[Path]:

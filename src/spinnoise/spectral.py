@@ -12,6 +12,8 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import typing
+from collections.abc import Callable
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
@@ -375,39 +377,69 @@ def _format_rows(arrays: list[np.ndarray]) -> str:
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def write_table(path, metadata: dict, columns: dict, executor: Executor | None = None) -> None:
+def _format_range(read: Callable[[int, int], list[np.ndarray]], start: int, stop: int) -> str:
+    """The table rows [start, stop) of the columns ``read`` returns."""
+    return _format_rows(read(start, stop))
+
+
+class TableRows(typing.NamedTuple):
+    """Columns that write_table reads by row range: ``read(start, stop)``
+    returns the 1-D float columns of rows [start, stop).  An executor's
+    workers get ``read`` and a range, not the rows, so ``read`` is a
+    module-level function, or a partial of one, that reads memory the
+    workers share with the caller."""
+
+    names: tuple[str, ...]
+    n_rows: int
+    read: Callable[[int, int], list[np.ndarray]]
+
+
+def write_table(
+    path, metadata: dict, columns: dict | TableRows, executor: Executor | None = None
+) -> None:
     """Write the package's table layout: one ``# key=value`` line per
     metadata entry, in order, a header of the column names, then one row per
     sample of the 1-D float columns, each value by its exact repr.
 
-    The rows are formatted _TABLE_BLOCK_ROWS at a time.  With an
-    ``executor`` the blocks are formatted by its workers, at most
-    _TABLE_BLOCKS_IN_FLIGHT at a time, and written in order; the bytes are
-    the same either way.  Columns of unequal length are refused before the
-    file is opened.
+    ``columns`` maps names to columns, or is a TableRows.  The rows are
+    formatted _TABLE_BLOCK_ROWS at a time.  With an ``executor``, which
+    takes TableRows only, the workers read and format the blocks, at most
+    _TABLE_BLOCKS_IN_FLIGHT at a time, and the blocks are written in order;
+    the bytes are the same either way.  Columns of unequal length are
+    refused before the file is opened.
     """
+    if isinstance(columns, TableRows):
+        names, n_rows, read = columns
+    elif executor is not None:
+        raise TypeError("write_table formats TableRows on an executor, not columns")
+    else:
+        names = tuple(columns)
+        arrays = [np.asarray(column, dtype=float) for column in columns.values()]
+        lengths = {name: len(array) for name, array in zip(names, arrays)}
+        if len(set(lengths.values())) > 1:
+            raise DomainError(f"table columns must have equal lengths, got {lengths}")
+        n_rows = max(lengths.values(), default=0)
+
+        def read(start: int, stop: int) -> list[np.ndarray]:
+            return [array[start:stop] for array in arrays]
+
     head = [f"# {key}={format_value(value)}" for key, value in metadata.items()]
-    head.append(",".join(columns))
-    arrays = [np.asarray(column, dtype=float) for column in columns.values()]
-    lengths = {name: len(array) for name, array in zip(columns, arrays)}
-    if len(set(lengths.values())) > 1:
-        raise DomainError(f"table columns must have equal lengths, got {lengths}")
-    n_rows = max(lengths.values(), default=0)
-    blocks = (
-        [array[start : start + _TABLE_BLOCK_ROWS] for array in arrays]
+    head.append(",".join(names))
+    blocks = [
+        (read, start, min(start + _TABLE_BLOCK_ROWS, n_rows))
         for start in range(0, n_rows, _TABLE_BLOCK_ROWS)
-    )
+    ]
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(head) + "\n")
         if executor is None:
             for block in blocks:
-                handle.write(_format_rows(block))
+                handle.write(_format_range(*block))
             return
         pending: collections.deque = collections.deque()
         for block in blocks:
             if len(pending) == _TABLE_BLOCKS_IN_FLIGHT:
                 handle.write(pending.popleft().result())
-            pending.append(executor.submit(_format_rows, block))
+            pending.append(executor.submit(_format_range, *block))
         while pending:
             handle.write(pending.popleft().result())
 

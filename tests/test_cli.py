@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import io
 import logging
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import spinnoise
-from spinnoise import scan, spectral
+from spinnoise import cli, scan, spectral
 from spinnoise.cli import main
 from spinnoise.config import load_config
 from spinnoise.core import larmor_from_field
@@ -130,6 +131,32 @@ class TestSimulate:
             assert main(args + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
         for name in ("timeseries.csv", "spectrum_rnd.csv", "spectrum_end.csv", "run_manifest.cfg"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_pool_forks_under_a_forkserver_default(self, tmp_path):
+        # The series buffer reaches the workers by fork; a process whose
+        # default start method is forkserver must still write the bytes of
+        # an in-process run, and leave nothing in shared memory.
+        args = ["simulate", *TINY, "--set", "n_trajectories=3", "--set", "n_steps=9000"]
+        assert main(args + ["--threads", "1", "--out", str(tmp_path / "1")]) == 0
+        shm = Path("/dev/shm")
+        before = set(shm.iterdir()) if shm.is_dir() else set()
+        code = (
+            "import multiprocessing as mp, sys; mp.set_start_method('forkserver', force=True); "
+            "from spinnoise import cli; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        src = Path(spinnoise.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args, "--threads", "2", "--out", str(tmp_path / "2")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120.0,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert sorted(p.name for p in (tmp_path / "2").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        if shm.is_dir():
+            assert set(shm.iterdir()) <= before
 
 
 class TestThreadsOption:
@@ -324,6 +351,45 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: vbw_hz (1e+06 Hz) must not exceed")
         assert not (tmp_path / "out").exists()
 
+    # The computation each command would run first, patched to fail if it
+    # starts.
+    COMPUTATIONS = {
+        "simulate": "simulate_point",
+        "scan": "run_scan",
+        "absorption": "absorption_scan",
+        "modes": "oscillation_mode_report",
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMPUTATIONS))
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_is_a_file_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        monkeypatch.setattr(cli, self.COMPUTATIONS[command], never_run)
+        target = tmp_path / "taken"
+        target.write_text("kept\n")
+        out = target / "sub" if under else target
+        rc = main([command, *TINY, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --out {out}: {target} is not a directory"]
+        assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "command, writer",
+        [("simulate", "write_manifest"), ("scan", "write_scan"),
+         ("absorption", "write_manifest"), ("modes", "write_manifest")],
+    )
+    def test_failed_write_is_an_error_line(self, tmp_path, capsys, monkeypatch, command, writer):
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device", str(args[-1]))
+
+        monkeypatch.setattr(cli, writer, full)
+        rc = main([command, *TINY, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [Errno 28] No space left on device")
+
     def test_failed_absorption_leaves_no_directory(self, tmp_path, capsys):
         # Without relaxation there is no steady state to absorb from.
         rc = main(["absorption", "--out", str(tmp_path / "out"),
@@ -469,6 +535,12 @@ class TestConfigSurface:
     @example(
         command="scan", n_steps=2000, n_trajectories=2, threads=2, overrides={},
         grid={"scan_axis": "b_field", "scan_start": "-0.5", "scan_stop": "0.5", "scan_step": "0.5"},
+    )
+    # An RBW no segment length reaches: refused by the key rbw_hz.
+    @example(
+        command="simulate", n_steps=4096, n_trajectories=1, threads=1,
+        overrides={"rbw_hz": "1e-300"},
+        grid={"scan_axis": "b_field", "scan_start": "0.0", "scan_stop": "0.0", "scan_step": "0.25"},
     )
     def test_a_run_finishes_finite_or_is_refused_by_key(
         self, command, n_steps, n_trajectories, threads, grid, overrides

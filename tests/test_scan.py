@@ -1,4 +1,6 @@
 import logging
+import multiprocessing
+import pickle
 import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import fields, replace
@@ -9,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from spinnoise import detection, integrator, scan
 
-from spinnoise.config import MAX_SCAN_POINTS, ExperimentConfig, load_config, write_manifest
+from spinnoise.config import (
+    AXIS_KEYS,
+    MAX_SCAN_POINTS,
+    ExperimentConfig,
+    load_config,
+    write_manifest,
+)
 from spinnoise.core import SystemParams
 from spinnoise.detection import readout_matrix, transmission
 from spinnoise.exceptions import ConfigError, DomainError, NumericError
@@ -21,6 +29,8 @@ from spinnoise.scan import (
     run_point,
     run_scan,
     seed_key,
+    series_pool,
+    series_table,
     simulate_point,
     write_absorption_csv,
     write_mode_report_csv,
@@ -261,9 +271,9 @@ class TestSeeds:
     @pytest.mark.parametrize("axis", ["theta", "b_field", "detuning"])
     def test_negative_zero_point_is_the_zero_point(self, axis):
         # The config accepts -0.0 on every axis; it must draw the noise of 0.0.
-        cfg = tiny_cfg(scan_axis=axis)
-        zero = run_point(cfg, 0.0, keep_series=True)
-        negative = run_point(cfg, -0.0, keep_series=True)
+        key = AXIS_KEYS[axis]
+        zero = simulate_point(tiny_cfg(scan_axis=axis, **{key: 0.0}))
+        negative = simulate_point(tiny_cfg(scan_axis=axis, **{key: -0.0}))
         for mode in ("rnd", "end"):
             assert np.array_equal(negative.spectra[mode].psd, zero.spectra[mode].psd)
             assert negative.spectra[mode].n_averages == zero.spectra[mode].n_averages
@@ -367,7 +377,7 @@ def poison(monkeypatch, axis_value, trajectory):
 class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records its tasks."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.tasks = []
         RecordingPool.instances.append(self)
 
@@ -399,10 +409,10 @@ class TestTrajectoryGroups:
         assert scan._split(4, 1) == [range(0, 4)]
 
     def test_point_spectra_do_not_depend_on_the_split(self):
-        cfg = tiny_cfg(n_trajectories=3)
-        serial = run_point(cfg, 7.5, keep_series=True)
+        cfg = tiny_cfg(n_trajectories=3, theta_deg=7.5)
+        serial = simulate_point(cfg)
         for n_workers in (2, 3):
-            split = run_point(cfg, 7.5, keep_series=True, n_workers=n_workers)
+            split = simulate_point(cfg, n_workers=n_workers)
             for mode in ("rnd", "end"):
                 assert np.array_equal(split.spectra[mode].psd, serial.spectra[mode].psd)
                 assert split.spectra[mode].n_averages == serial.spectra[mode].n_averages
@@ -523,18 +533,18 @@ class TestScanTasks:
 
     def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
         # Three tasks on one usable CPU: one worker process runs them all,
-        # in the layout of three workers.
+        # in the layout of three workers.  The pool forks by name.
         sizes = []
 
-        def recording(max_workers):
-            sizes.append(max_workers)
-            return ProcessPoolExecutor(max_workers=min(max_workers, 2))
+        def recording(max_workers, mp_context):
+            sizes.append((max_workers, mp_context.get_start_method()))
+            return ProcessPoolExecutor(max_workers=min(max_workers, 2), mp_context=mp_context)
 
         monkeypatch.setattr(scan, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(scan, "ProcessPoolExecutor", recording)
         cfg = tiny_cfg()
         capped = run_scan(cfg, n_workers=3)
-        assert sizes == [1]
+        assert sizes == [(1, "fork")]
         serial = run_scan(cfg, n_workers=1)
         for pc, ps in zip(capped.points, serial.points):
             for mode in ("rnd", "end"):
@@ -591,18 +601,17 @@ class TestEngineCalls:
     def test_calls_do_not_change_the_bits(self, monkeypatch, bound, n_traj, n_workers):
         cfg = tiny_cfg(n_trajectories=n_traj)
         whole = run_scan(cfg, n_workers=n_workers)
-        t, rnd, end, point = simulate_point(cfg, n_workers=n_workers)
+        point = simulate_point(cfg, n_workers=n_workers)
         monkeypatch.setattr(scan, "_CALL_TRAJECTORIES", bound)
         cut = run_scan(cfg, n_workers=n_workers)
-        t_cut, rnd_cut, end_cut, point_cut = simulate_point(cfg, n_workers=n_workers)
+        point_cut = simulate_point(cfg, n_workers=n_workers)
         for pw, pc in zip(whole.points + [point], cut.points + [point_cut]):
             assert pc.axis_value == pw.axis_value
             assert pc.transmission == pw.transmission
             for mode in ("rnd", "end"):
                 assert np.array_equal(pc.spectra[mode].psd, pw.spectra[mode].psd)
                 assert pc.spectra[mode].n_averages == pw.spectra[mode].n_averages
-        for a, b in ((t_cut, t), (rnd_cut, rnd), (end_cut, end)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(point_cut.series, point.series)
 
     def test_no_call_is_wider_than_the_bound(self, monkeypatch):
         widths = []
@@ -810,10 +819,17 @@ class TestAbsorptionScan:
 class TestSimulatePoint:
     def test_outputs(self):
         cfg = tiny_cfg()
-        t, rnd, end, point = simulate_point(cfg)
+        with series_pool(cfg, 1) as pool:
+            point = simulate_point(cfg, pool=pool)
+            table = series_table(cfg)
+            t, rnd, end = table.read(0, table.n_rows)
         n_expected = cfg.n_steps - cfg.resolved_burn_in()
+        assert table.names == ("t_s", "rnd_au", "end_au")
+        assert table.n_rows == n_expected
         assert t.shape == rnd.shape == end.shape == (n_expected,)
         assert t[0] == pytest.approx((cfg.resolved_burn_in() + 1) * cfg.dt_s)
+        assert point.series is pool.series
+        assert np.array_equal(rnd, point.series[:, 0]) and np.array_equal(end, point.series[:, 1])
         assert set(point.spectra) == {"rnd", "end"}
 
     def test_one_integration_and_series_is_ensemble_column_zero(self, monkeypatch):
@@ -825,7 +841,7 @@ class TestSimulatePoint:
 
         monkeypatch.setattr(scan, "evolve_ensemble_coherences", recording)
         cfg = tiny_cfg()
-        t, rnd, end, point = simulate_point(cfg)
+        rnd, end = simulate_point(cfg).series.T
         assert len(calls) == 1
         (params, tcfg, keys), kwargs = calls[0]
         assert kwargs.pop("sink") is not None
@@ -836,6 +852,62 @@ class TestSimulatePoint:
         assert signals.shape == (tcfg.n_recorded, cfg.n_trajectories, 2)
         assert np.array_equal(rnd, signals[:, 0, 0])
         assert np.array_equal(end, signals[:, 0, 1])
+
+
+class TestSeriesPool:
+    @staticmethod
+    def cfg():
+        return tiny_cfg(n_steps=2**14, burn_in_steps=200)
+
+    def test_pool_series_is_the_in_process_series_and_no_result_carries_it(self, monkeypatch):
+        # Two trajectories on a real 2-process pool: the task holding
+        # trajectory 0 writes its rows into the shared buffer, so its result
+        # is its PSDs and transmission, not the 16 bytes a row of the series.
+        cfg = self.cfg()
+        serial = simulate_point(cfg)
+        futures = []
+
+        class Recording(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                futures.append((args, super().submit(fn, *args, **kwargs)))
+                return futures[-1][1]
+
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", Recording)
+        pooled = simulate_point(cfg, n_workers=2)
+        assert [args[2] for args, _ in futures] == [range(0, 1), range(1, 2)]
+        n_recorded = cfg.trajectory_config().n_recorded
+        assert pooled.series.shape == (n_recorded, 2)
+        assert np.array_equal(pooled.series, serial.series)
+        for mode in ("rnd", "end"):
+            assert np.array_equal(pooled.spectra[mode].psd, serial.spectra[mode].psd)
+        assert len(pickle.dumps(futures[0][1].result())) < n_recorded * 16
+
+    def test_a_pool_that_has_forked_is_refused(self):
+        cfg = self.cfg()
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+            pool.submit(int).result()   # its worker has forked, before any buffer
+            with pytest.raises(TypeError, match="runs on a series_pool"):
+                simulate_point(cfg, n_workers=2, pool=pool)
+            # A task told to keep the series on such a worker fails rather
+            # than fill a private copy.
+            with series_pool(cfg, 2):
+                task = pool.submit(scan._run_task, cfg, np.array([0.0]), range(0, 1), True)
+                with pytest.raises(RuntimeError, match="no series buffer"):
+                    task.result()
+                rows = pool.submit(series_table(cfg).read, 0, 10)
+                with pytest.raises(RuntimeError, match="no series buffer"):
+                    rows.result()
+
+    def test_one_series_pool_at_a_time_and_none_after(self):
+        cfg = self.cfg()
+        with series_pool(cfg, 1):
+            with pytest.raises(RuntimeError, match="already open"):
+                with series_pool(cfg, 1):
+                    pass
+        assert scan._series is None
+        with pytest.raises(RuntimeError, match="no series buffer"):
+            series_table(cfg).read(0, 10)
 
 
 class TestWriteScan:

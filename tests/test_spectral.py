@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -15,6 +16,7 @@ from spinnoise.spectral import (
     HANN_ENBW_BINS,
     PeakReport,
     SpectrumRecord,
+    TableRows,
     WelchAccumulator,
     average_spectra,
     find_peak,
@@ -502,31 +504,51 @@ def series_columns(n_rows, seed=3):
     }
 
 
+def series_rows(n_rows, start, stop):
+    # The workers' reader of series_table: module-level, so a worker can
+    # call it, and reading no rows from the caller.
+    return [column[start:stop] for column in series_columns(n_rows).values()]
+
+
+def series_table(n_rows):
+    return TableRows(("t_s", "rnd_au", "end_au"), n_rows, functools.partial(series_rows, n_rows))
+
+
 class TestTableWriterOnAPool:
     @pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 3 * 4096 + 17])
     def test_same_bytes_with_and_without_an_executor(self, tmp_path, two_process_pool, n_rows):
+        # An executor's workers read each block of a TableRows by its row
+        # range; columns are formatted in process, and refused on an executor.
         assert spectral._TABLE_BLOCK_ROWS == 4096
         metadata = {"theta_deg": 30.0, "seed": 901}
         columns = series_columns(n_rows)
         write_table(tmp_path / "serial.csv", metadata, columns)
-        write_table(tmp_path / "pool.csv", metadata, columns, executor=two_process_pool)
         serial = (tmp_path / "serial.csv").read_bytes()
-        assert (tmp_path / "pool.csv").read_bytes() == serial
         assert serial.count(b"\n") == len(metadata) + 1 + n_rows
+        for name, executor in [("rows.csv", None), ("pool.csv", two_process_pool)]:
+            write_table(tmp_path / name, metadata, series_table(n_rows), executor=executor)
+            assert (tmp_path / name).read_bytes() == serial, name
+        with pytest.raises(TypeError, match="TableRows"):
+            write_table(tmp_path / "refused.csv", metadata, columns, executor=two_process_pool)
+        assert not (tmp_path / "refused.csv").exists()
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_writing_holds_a_few_blocks_of_text(self, tmp_path, two_process_pool, pooled):
         # The 130,594 rows of a 2^17-step simulate: about 8 MB of text, of
         # which the writing process holds a few blocks at a time.
-        columns = series_columns(131072 - 478)
+        n_rows = 131072 - 478
+        columns = series_columns(n_rows)
         block_text = len(spectral._format_rows(
             [column[: spectral._TABLE_BLOCK_ROWS] for column in columns.values()]
         ))
-        executor = two_process_pool if pooled else None
-        write_table(tmp_path / "warm.csv", {}, series_columns(10), executor=executor)
+        if pooled:
+            executor, table, warm = two_process_pool, series_table(n_rows), series_table(10)
+        else:
+            executor, table, warm = None, columns, series_columns(10)
+        write_table(tmp_path / "warm.csv", {}, warm, executor=executor)
         tracemalloc.start()
         try:
-            write_table(tmp_path / "series.csv", {}, columns, executor=executor)
+            write_table(tmp_path / "series.csv", {}, table, executor=executor)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
