@@ -17,7 +17,7 @@ from .core import (
     larmor_from_field,
     liouville_rhs,
 )
-from .noise import NoiseStats, noise_stats, sample_increment
+from .noise import NoiseStats, noise_stats
 from .integrator import (
     Propagator,
     TrajectoryConfig,
@@ -26,7 +26,6 @@ from .integrator import (
     free_evolve_ground,
     steady_state,
     steady_state_residual,
-    step,
 )
 from .detection import (
     DetectorParams,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import AXIS_KEYS, load_config, write_manifest
 from .core import larmor_from_field
-from .exceptions import SpinNoiseError
+from .exceptions import DomainError, SpinNoiseError
 from .scan import (
     _usable_cpus,
     absorption_scan,
@@ -137,7 +137,10 @@ def _cmd_modes(args) -> int:
     cfg = _resolve_config(args)
     omega_l = larmor_from_field(cfg.b_gauss)
     outdir = _output_dir(args)
-    reports = [oscillation_mode_report(omega_l, initial) for initial in MODE_INITIALS]
+    try:
+        reports = [oscillation_mode_report(omega_l, initial) for initial in MODE_INITIALS]
+    except DomainError as exc:
+        raise DomainError(f"b_gauss: {exc}") from None
     outdir.mkdir(parents=True, exist_ok=True)
     for initial, report in zip(MODE_INITIALS, reports):
         write_mode_report_csv(report, outdir / f"modes_{initial}.csv")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -242,6 +242,10 @@ class SystemParams:
     kappa: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
         for name in ("omega_L", "rabi", "gamma0", "gamma_opt", "gamma_t", "gamma_R", "kappa"):
             value = getattr(self, name)
             if value < 0:

@@ -17,8 +17,9 @@ behaviour at sampling intervals much longer than 1/gamma_opt.
 Trajectories are stepped in 16 real coordinates of the Hermitian density
 matrix (REAL_COORDS), where the step is x' = x E_real^T + c_real + noise
 with a real 16x16 matrix.  Every state is Hermitian by construction, and
-``evolve`` and ``evolve_ensemble_coherences`` share one engine; ``step``
-is the single-step reference on the complex matrix.  The engine steps
+``evolve`` and ``evolve_ensemble_coherences`` share one engine, the only
+one in the package; the tests hold it against a single-step reference on
+the complex matrix, ``tests/_step_reference.py``.  The engine steps
 several parameter points at once.  It has no per-step loop: it advances
 sub-blocks of _SUB steps with lifted operators (powers of E_real^T and
 their sums), so a chunk of steps is a few matrix products over the
@@ -53,7 +54,6 @@ from .core import (
 from .exceptions import ConfigError, DomainError, NumericError, SteadyStateError
 from .noise import (
     noise_stats,
-    sample_increment,
     sample_increment_block,  # noqa: F401  (looked up on this module by perfbench/tracer.py)
 )
 
@@ -135,8 +135,8 @@ class TrajectoryConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be > 0, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
         if self.burn_in_steps < 0:
             raise ConfigError(f"burn_in_steps must be >= 0, got {self.burn_in_steps}")
         if self.n_steps < self.burn_in_steps:
@@ -205,27 +205,25 @@ class Propagator:
 
     The affine step (E, c) comes from one 17x17 matrix exponential of the
     augmented system [[A, b], [0, 0]] * dt, which is well defined even when
-    A is singular.
+    A is singular.  An exponential that overflows is refused, so the engine
+    only ever steps with finite operators.
     """
 
     def __init__(self, params: SystemParams, dt: float):
-        if dt <= 0:
-            raise ConfigError(f"dt must be > 0, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ConfigError(f"dt must be finite and > 0, got {dt}")
         a, b = superoperator(params)
         aug = np.zeros((VEC_DIM + 1, VEC_DIM + 1), dtype=complex)
         aug[:VEC_DIM, :VEC_DIM] = a * dt
         aug[:VEC_DIM, VEC_DIM] = b * dt
         exp_aug = _expm(aug)
+        if not np.all(np.isfinite(exp_aug)):
+            raise NumericError(f"non-finite propagator: the rates times dt={dt} overflow")
         self.matrix = np.ascontiguousarray(exp_aug[:VEC_DIM, :VEC_DIM])
         self.offset = np.ascontiguousarray(exp_aug[:VEC_DIM, VEC_DIM])
-        self._matrix_t = np.ascontiguousarray(self.matrix.T)
         # The same step in real coordinates: x' = x @ real_matrix_t + real_offset.
         self.real_matrix_t = np.ascontiguousarray((_TO_REAL @ self.matrix @ _FROM_REAL).real.T)
         self.real_offset = (_TO_REAL @ self.offset).real
-
-    def step_vec(self, v: np.ndarray) -> np.ndarray:
-        """Advance vec states one step; v has shape (16,) or (batch, 16)."""
-        return v @ self._matrix_t + self.offset
 
 
 @functools.lru_cache(maxsize=32)
@@ -299,32 +297,6 @@ def _lifted(params: SystemParams, dt: float, r_map: np.ndarray) -> _Lifted:
     )
 
 
-def step(
-    rho: np.ndarray,
-    params: SystemParams,
-    dt: float,
-    rng: np.random.Generator,
-    with_noise: bool = True,
-) -> np.ndarray:
-    """Advance rho by one step of drift plus one transit-noise increment.
-
-    The result is re-symmetrized, (rho' + rho'^dagger)/2.  With
-    ``with_noise=False`` the generator is not consumed.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    require_hermitian(rho)
-    prop = _cached_propagator(params, dt)
-    v = prop.step_vec(rho.reshape(VEC_DIM))
-    out = v.reshape(DIM, DIM)
-    if with_noise:
-        stats = noise_stats(params.gamma_t, dt, params.n_atoms)
-        out = out + sample_increment(stats, rng)
-    out = hermitize(out)
-    if not np.all(np.isfinite(out.view(float))):
-        raise NumericError("non-finite density matrix after step")
-    return out
-
-
 def evolve(
     rho0: np.ndarray,
     params: SystemParams,
@@ -336,8 +308,9 @@ def evolve(
 
     States are recorded after each step once burn-in has elapsed, every
     ``record_stride`` steps; shape (n_recorded, 4, 4).  A batch of one on
-    the ensemble engine: it consumes ``rng`` exactly as repeated calls of
-    ``step`` would, and is deterministic for a given generator state.
+    the ensemble engine: it consumes ``rng`` exactly as repeated steps of
+    the single-step reference (``tests/_step_reference.py``) would, and is
+    deterministic for a given generator state.
     """
     require_hermitian(rho0)
     _warn_if_aliasing(params, cfg.dt)

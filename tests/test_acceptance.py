@@ -21,14 +21,18 @@ import pytest
 from spinnoise.config import load_config
 from spinnoise.core import SystemParams
 from spinnoise.detection import DetectorParams, shot_noise_floor
+from spinnoise import integrator
 from spinnoise.integrator import (
-    Propagator,
-    step,
+    REAL_COORDS,
+    TrajectoryConfig,
+    evolve,
+    from_real,
     steady_state,
     steady_state_residual,
+    to_real,
 )
 from spinnoise.core import equilibrium_rho
-from spinnoise.noise import noise_stats, sample_increment, sample_increment_block
+from spinnoise.noise import noise_stats, sample_increment_block
 from spinnoise.scan import oscillation_mode_report, run_point, run_scan, write_scan
 from spinnoise.spectral import find_peak, welch_psd
 
@@ -286,8 +290,16 @@ def test_criterion_7_noise_generator_statistics():
     se = np.sqrt(np.outer(np.diag(cov), np.diag(cov)) / n)
     off_mask = ~np.eye(9, dtype=bool)
     cross_ok = np.all(np.abs(cov[off_mask]) < 4.0 * se[off_mask])
-    inc = sample_increment(stats, np.random.default_rng(7))
-    herm_ok = np.array_equal(inc, np.conj(inc.T)) and np.all(inc[3] == 0)
+    # The increment the engine injects: one step's nine scaled draws on the
+    # noise-driven real coordinates, read back as a matrix.
+    x = np.zeros(16)
+    x[:9] = sample_increment_block(stats, np.random.default_rng(7), 1)[0]
+    inc = from_real(x)
+    herm_ok = (
+        all(i < 3 and j < 3 for i, j, _ in REAL_COORDS[:9])
+        and np.array_equal(inc, np.conj(inc.T))
+        and np.all(inc[3] == 0)
+    )
     ok = var_ok and cross_ok and herm_ok
     assert report(
         "7",
@@ -308,17 +320,22 @@ def test_criterion_8_numerical_hygiene():
         parseval_devs.append(abs(spec.psd.sum() * spec.df / np.mean(x**2) - 1.0))
     parseval_ok = max(parseval_devs) < 0.01
 
-    # Noise-free trace conservation over 1e6 steps.
+    # Noise-free trace conservation over 1e6 steps, on the engine: its record
+    # is the trace row of the real coordinates, and the sink keeps the worst
+    # drift of each chunk's rows.
     params = SystemParams.from_lab_units(b_gauss=1.0, rabi_hz=40e6, delta_hz=1.5e9)
-    prop = Propagator(params, DT)
-    v = equilibrium_rho().reshape(16)
+    trace_row = np.zeros((1, 16, 1))
+    trace_row[0, [0, 1, 2, 9], 0] = 1.0
     worst = 0.0
-    trace_idx = [0, 5, 10, 15]
-    for _ in range(1_000_000):
-        v = prop.step_vec(v)
-        m = v.reshape(4, 4)
-        v = (0.5 * (m + np.conj(m.T))).reshape(16)
-        worst = max(worst, abs(v[trace_idx].sum().real - 1.0))
+
+    def keep_worst(rows):
+        nonlocal worst
+        worst = max(worst, float(np.abs(rows - 1.0).max()))
+
+    integrator._integrate(
+        [params], TrajectoryConfig(dt=DT, n_steps=1_000_000), [np.random.default_rng(0)],
+        to_real(equilibrium_rho())[None, None], trace_row, keep_worst, with_noise=False,
+    )
     trace_ok = worst < 1e-9
 
     # Steady-state residuals.
@@ -332,12 +349,11 @@ def test_criterion_8_numerical_hygiene():
     residual_ok = max(residuals) < 1e-10
 
     # Trace relaxation rate from an out-of-normalization start.
-    rho = 1.1 * equilibrium_rho()
-    gaps = []
-    rng2 = np.random.default_rng(0)
-    for _ in range(2000):
-        rho = step(rho, params, DT, rng2, with_noise=False)
-        gaps.append(np.trace(rho).real - 1.0)
+    states = evolve(
+        1.1 * equilibrium_rho(), params, TrajectoryConfig(dt=DT, n_steps=2000),
+        np.random.default_rng(0), with_noise=False,
+    )
+    gaps = np.trace(states, axis1=1, axis2=2).real - 1.0
     t = DT * np.arange(1, 2001)
     rate = -np.polyfit(t, np.log(gaps), 1)[0]
     rate_ok = abs(rate / params.gamma_t - 1.0) < 0.01

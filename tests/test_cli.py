@@ -68,7 +68,8 @@ class TestModes:
     def test_zero_field_reported_before_writing(self, tmp_path, capsys):
         rc = main(["modes", "--set", "b_gauss=0", "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "omega_l must be > 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "omega_l must be > 0" in err and err.startswith("error: b_gauss: ")
         assert not (tmp_path / "out").exists()
 
     def test_takes_no_larmor_flag(self, tmp_path):

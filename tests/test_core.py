@@ -227,6 +227,29 @@ class TestSystemParams:
         with pytest.raises(DomainError):
             params(n_atoms=0.0)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["omega_L", "rabi", "theta", "delta", "gamma0", "gamma_opt", "gamma_t", "gamma_R",
+         "n_atoms", "kappa"],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_refused_by_name(self, name, value):
+        fields = dict(
+            omega_L=1.0, rabi=1.0, theta=0.0, delta=0.0, gamma0=1.0,
+            gamma_opt=1.0, gamma_t=1.0, gamma_R=1.0, n_atoms=1.0, kappa=1.0,
+        )
+        fields[name] = value
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            SystemParams(**fields)
+
+    def test_non_finite_lab_units_refused(self):
+        with pytest.raises(DomainError, match="^omega_L must be finite, got nan"):
+            params(b_gauss=np.nan)
+        with pytest.raises(DomainError, match="^theta must be finite"):
+            params(theta_deg=np.inf)
+        with pytest.raises(DomainError, match="^delta must be finite"):
+            params(delta_hz=-np.inf)
+
     def test_lab_unit_conversion(self):
         p = params(b_gauss=0.5, rabi_hz=30e6, theta_deg=90.0, delta_hz=0.3e9)
         assert p.omega_L == pytest.approx(TWOPI * 1.4e6)

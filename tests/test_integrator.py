@@ -26,13 +26,13 @@ from spinnoise.integrator import (
     from_real,
     steady_state,
     steady_state_residual,
-    step,
     superoperator,
     to_real,
 )
 from spinnoise.noise import noise_stats, sample_increment_block
 
 from _ou_oracle import real_drift, real_from_mat, mat_from_real
+from _step_reference import step, step_vec
 
 TWOPI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -58,6 +58,11 @@ class TestTrajectoryConfig:
         with pytest.raises(ConfigError):
             TrajectoryConfig(dt=1e-8, n_steps=5, record_stride=0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ConfigError, match="^dt must be finite and > 0"):
+            TrajectoryConfig(dt=dt, n_steps=5)
+
     def test_recorded_count(self):
         cfg = TrajectoryConfig(dt=1e-8, n_steps=10, burn_in_steps=3, record_stride=2)
         assert cfg.n_recorded == 4  # steps 4, 6, 8, 10
@@ -82,7 +87,7 @@ class TestPropagator:
         rho0 = equilibrium_rho()
         rho0[0, 0], rho0[1, 1] = 0.5, 1.0 / 6.0
         prop = Propagator(p, dt)
-        stepped = prop.step_vec(rho0.reshape(16)).reshape(4, 4)
+        stepped = step_vec(prop, rho0.reshape(16)).reshape(4, 4)
 
         def rhs(_, y):
             rho = (y[:16] + 1j * y[16:]).reshape(4, 4)
@@ -106,12 +111,23 @@ class TestPropagator:
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = 0.5 * (m + np.conj(m.T))
-        via_complex = prop.step_vec(rho.reshape(16)).reshape(4, 4)
+        via_complex = step_vec(prop, rho.reshape(16)).reshape(4, 4)
         # The affine piece needs the fixed point of the real representation.
         x_star = np.linalg.solve(a_real, -b_real)
         x = real_from_mat(rho)
         via_real = mat_from_real(e_real @ (x - x_star) + x_star)
         assert np.allclose(via_complex, via_real, atol=1e-10)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-8, np.nan, np.inf])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ConfigError, match="^dt must be finite and > 0"):
+            Propagator(params(), dt)
+
+    def test_overflowing_exponential_refused(self):
+        # Finite parameters whose rates times dt overflow the exponential.
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="non-finite propagator"):
+                Propagator(params(b_gauss=1e300), 1e-8)
 
     def test_first_order_agreement_with_euler(self):
         p = params(**SOFT)
@@ -119,7 +135,7 @@ class TestPropagator:
         rho[0, 0], rho[2, 2] = 0.4, 0.6 - 1.0 / 3.0
 
         def euler_gap(dt):
-            exact = Propagator(p, dt).step_vec(rho.reshape(16)).reshape(4, 4)
+            exact = step_vec(Propagator(p, dt), rho.reshape(16)).reshape(4, 4)
             euler = rho + dt * liouville_rhs(rho, p)
             return np.max(np.abs(exact - euler))
 
@@ -189,43 +205,43 @@ class TestExpm:
 
 
 class TestStep:
+    """Properties of a step, on the engine (``evolve``)."""
+
     def test_fixed_point_without_rates(self):
         p = params(
             b_gauss=0.0, rabi_hz=0.0, gamma0_hz=0.0, gamma_opt_hz=0.0,
             gamma_t_hz=0.0, gamma_r_hz=0.0,
         )
         rho = equilibrium_rho()
-        out = step(rho, p, 1e-8, np.random.default_rng(0))
-        assert np.allclose(out, rho, atol=1e-15)
+        out = evolve(rho, p, TrajectoryConfig(dt=1e-8, n_steps=1), np.random.default_rng(0))
+        assert np.allclose(out[0], rho, atol=1e-15)
 
     def test_noise_off_does_not_consume_rng(self):
         p = params()
         rng = np.random.default_rng(1)
-        step(equilibrium_rho(), p, 1e-8, rng, with_noise=False)
+        evolve(equilibrium_rho(), p, TrajectoryConfig(dt=1e-8, n_steps=300), rng, with_noise=False)
         assert rng.standard_normal() == np.random.default_rng(1).standard_normal()
 
     def test_rejects_non_hermitian(self):
         rho = equilibrium_rho()
         rho[0, 2] = 0.3
         with pytest.raises(ContractViolationError):
-            step(rho, params(), 1e-8, np.random.default_rng(0))
+            evolve(rho, params(), TrajectoryConfig(dt=1e-8, n_steps=1), np.random.default_rng(0))
 
     def test_numeric_error_on_overflow(self):
+        # Finite, but a step from it could overflow: the engine refuses it.
         rho = equilibrium_rho()
         rho[0, 0] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
-                step(rho, params(), 1e-8, np.random.default_rng(0))
+                evolve(rho, params(), TrajectoryConfig(dt=1e-8, n_steps=1), np.random.default_rng(0))
 
     def test_trace_relaxes_at_transit_rate(self):
         p = params(rabi_hz=20e6)
         dt = 1.0 / 18e6
-        rho = 1.1 * equilibrium_rho()
-        traces = []
-        rng = np.random.default_rng(0)
-        for _ in range(2000):
-            rho = step(rho, p, dt, rng, with_noise=False)
-            traces.append(np.trace(rho).real - 1.0)
+        cfg = TrajectoryConfig(dt=dt, n_steps=2000)
+        states = evolve(1.1 * equilibrium_rho(), p, cfg, np.random.default_rng(0), with_noise=False)
+        traces = np.trace(states, axis1=1, axis2=2).real - 1.0
         t = dt * np.arange(1, 2001)
         rate = -np.polyfit(t, np.log(traces), 1)[0]
         assert rate == pytest.approx(p.gamma_t, rel=0.01)
@@ -234,11 +250,9 @@ class TestStep:
         p = params(b_gauss=1.0, rabi_hz=40e6, theta_deg=30.0, delta_hz=1.5e9)
         target = steady_state(p)
         dt = 1.0 / 18e6
-        rho = equilibrium_rho()
-        rng = np.random.default_rng(0)
         n = int(15.0 / (p.gamma_t * dt)) + 1
-        for _ in range(n):
-            rho = step(rho, p, dt, rng, with_noise=False)
+        cfg = TrajectoryConfig(dt=dt, n_steps=n, burn_in_steps=n - 1)
+        rho = evolve(equilibrium_rho(), p, cfg, np.random.default_rng(0), with_noise=False)[-1]
         assert np.max(np.abs(rho - target)) < 1e-6
 
     def test_halving_dt_leaves_noise_free_path(self):
@@ -246,10 +260,8 @@ class TestStep:
         rng = np.random.default_rng(0)
 
         def endpoint(dt, n):
-            rho = equilibrium_rho()
-            for _ in range(n):
-                rho = step(rho, p, dt, rng, with_noise=False)
-            return rho
+            cfg = TrajectoryConfig(dt=dt, n_steps=n, burn_in_steps=n - 1)
+            return evolve(equilibrium_rho(), p, cfg, rng, with_noise=False)[-1]
 
         coarse = endpoint(1.0 / 18e6, 200)
         fine = endpoint(0.5 / 18e6, 400)
@@ -257,6 +269,20 @@ class TestStep:
 
 
 class TestEvolve:
+    def test_short_run_never_returns_non_finite_states(self):
+        # Five steps are less than one 16-step sub-block, whose start state
+        # is the only one the engine checks: a NaN dt, or finite parameters
+        # whose propagator overflows, must be refused, not stepped.
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="^dt must be finite"):
+            evolve(equilibrium_rho(), params(), TrajectoryConfig(dt=np.nan, n_steps=5), rng)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="non-finite propagator"):
+                evolve(
+                    equilibrium_rho(), params(b_gauss=1e300), TrajectoryConfig(dt=1e-8, n_steps=5),
+                    rng,
+                )
+
     def test_burn_in_equals_steps_gives_empty(self):
         cfg = TrajectoryConfig(dt=1e-8, n_steps=5, burn_in_steps=5)
         out = evolve(equilibrium_rho(), params(), cfg, np.random.default_rng(0))
@@ -309,7 +335,7 @@ class TestRealCoordinates:
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = 0.5 * (m + np.conj(m.T))
-        via_complex = prop.step_vec(rho.reshape(16)).reshape(4, 4)
+        via_complex = step_vec(prop, rho.reshape(16)).reshape(4, 4)
         via_real = from_real(to_real(rho) @ prop.real_matrix_t + prop.real_offset)
         assert np.allclose(via_real, via_complex, rtol=0.0, atol=1e-13)
 
@@ -346,10 +372,7 @@ class TestEngine:
             assert np.allclose(coherences[:, j, 1], states[:, 3, 2], rtol=0.0, atol=1e-13)
 
     def test_numeric_error_names_trajectory_and_steps(self):
-        # Every entry at 1e308: the first step's sums overflow.  (The start
-        # of TestStep.test_numeric_error_on_overflow, 1e308 in rho[0,0]
-        # alone, overflows only step()'s (rho + rho^dagger) re-symmetrization
-        # and stays finite in real coordinates.)
+        # Every entry at 1e308: the first step's sums overflow.
         rho = np.full((4, 4), 1e308, dtype=complex)
         cfg = TrajectoryConfig(dt=1e-8, n_steps=5000)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -593,14 +616,8 @@ class TestEnsemble:
         dt = 1.0 / 18e6
         cfg = TrajectoryConfig(dt=dt, n_steps=20000, burn_in_steps=2000)
         rho_ss = steady_state(p)
-        rho = rho_ss.copy()
-        rng = np.random.default_rng(17)
-        sums = np.zeros(3)
-        for k in range(cfg.n_steps):
-            rho = step(rho, p, dt, rng)
-            if k >= cfg.burn_in_steps:
-                sums += np.real(np.diag(rho)[:3])
-        means = sums / (cfg.n_steps - cfg.burn_in_steps)
+        states = evolve(rho_ss, p, cfg, np.random.default_rng(17))
+        means = np.real(np.einsum("tii->ti", states)[:, :3]).mean(axis=0)
         assert np.max(np.abs(means - np.real(np.diag(rho_ss)[:3]))) < 3e-3
 
 
@@ -628,6 +645,10 @@ class TestSteadyState:
         pops = np.real(np.diag(np.conj(v.T) @ rho[:3, :3] @ v))
         assert pops[1] < 0.02
         assert pops[0] + pops[2] > 0.95
+
+    def test_non_finite_rate_refused_before_the_solve(self):
+        with pytest.raises(DomainError, match="^gamma_t must be finite"):
+            steady_state(params(gamma_t_hz=np.nan))
 
     def test_all_rates_zero_rejected(self):
         p = params(gamma0_hz=0.0, gamma_t_hz=0.0)

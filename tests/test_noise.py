@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from spinnoise.exceptions import DomainError
-from spinnoise.noise import (
-    OFFDIAG_PAIRS,
-    increment_matrix,
-    noise_stats,
-    sample_increment,
-    sample_increment_block,
-)
+from spinnoise.noise import noise_stats, sample_increment_block
+
+from _step_reference import OFFDIAG_PAIRS, increment_matrix, sample_increment
 
 TWOPI = 2.0 * np.pi
 
@@ -34,6 +30,18 @@ class TestNoiseStats:
     def test_domain_errors(self, gamma_t, dt, n_atoms):
         with pytest.raises(DomainError):
             noise_stats(gamma_t, dt, n_atoms)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["gamma_t", "dt", "n_atoms"])
+    def test_non_finite_refused_by_name(self, name, value):
+        args = dict(gamma_t=1.0, dt=1e-8, n_atoms=1e9)
+        args[name] = value
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            noise_stats(**args)
+
+    def test_overflowing_variance_refused(self):
+        with pytest.raises(DomainError, match="noise variance overflows"):
+            noise_stats(TWOPI * 30e3, 1e-8, 1e-320)
 
 
 class TestSampleIncrement:
