@@ -198,6 +198,11 @@ def doppler_pole(
     return float(pole.real), float(-pole.imag)
 
 
+# The angular frequencies of SystemParams (rad/s), whose largest sets the
+# problem's rate scale.
+RATE_FIELDS = ("omega_L", "rabi", "delta", "gamma0", "gamma_opt", "gamma_t", "gamma_R")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical parameters of one simulation point.
@@ -291,10 +296,7 @@ class SystemParams:
 
     def rate_scale(self) -> float:
         """Largest angular frequency in the problem; used to nondimensionalize."""
-        return max(
-            self.omega_L, self.rabi, abs(self.delta), self.gamma0,
-            self.gamma_opt, self.gamma_t, self.gamma_R, 1.0,
-        )
+        return max(*(abs(getattr(self, name)) for name in RATE_FIELDS), 1.0)
 
 
 def equilibrium_rho() -> np.ndarray:

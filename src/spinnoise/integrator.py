@@ -44,6 +44,7 @@ from .core import (
     DIM,
     JX_EIGENVALUES,
     JX_EIGENVECTORS,
+    RATE_FIELDS,
     SystemParams,
     build_hamiltonian,
     equilibrium_rho,
@@ -501,11 +502,21 @@ def _integrate(
         finite = size <= safe_size
         if not finite.all():
             point, row = np.unravel_index(np.argmin(finite), finite.shape)
-            raise NumericError(
-                f"non-finite state in trajectory {first_trajectory + int(row)} during steps "
-                f"{done}..{done + chunk - 1} of {cfg.n_steps}",
-                point=int(point),
+            where = (
+                f"in trajectory {first_trajectory + int(row)} during steps "
+                f"{done}..{done + chunk - 1} of {cfg.n_steps}"
             )
+            # The first sub-block start out of range names the cause: a
+            # finite one is a state a step could overflow from.
+            starts = np.abs(states[point, : full + 1, row]).max(axis=1)
+            first_bad = starts[np.argmin(starts <= safe_size[point, 0])]
+            if np.isfinite(first_bad):
+                raise NumericError(
+                    f"state out of the safe range {where}: max |x| = {first_bad:.3g} exceeds "
+                    f"{safe_size[point, 0]:.3g}, from which a step could overflow",
+                    point=int(point),
+                )
+            raise NumericError(f"non-finite state {where}", point=int(point))
         # Step done + k is held in row k of a trajectory; record from the
         # first step past burn-in that falls on the stride.
         first = max(done, cfg.burn_in_steps)
@@ -545,20 +556,35 @@ def _warn_if_aliasing(params: SystemParams, dt: float) -> None:
         )
 
 
+# The largest rate the steady-state solve takes: one whose square is
+# finite.  Beyond it the scaled system loses its relaxation to rounding
+# (b_gauss=1e300 and delta_hz=1e306 lose rank, and would be called not
+# unique) or the residual's norm overflows.  Every rate is finite, so only
+# a rate beyond it can make the drift, or its scaled system, non-finite.
+_MAX_SOLVE_RATE = math.sqrt(np.finfo(float).max)
+
+
 def steady_state(params: SystemParams) -> np.ndarray:
     """Stationary density matrix of the deterministic drift, unit trace.
 
     Solves the vectorized linear system with a trace constraint, after
     rescaling time by the largest rate so the reported residual is
-    dimensionless.  Raises SteadyStateError if the state is not unique
-    (e.g. all relaxation rates zero) or the residual exceeds 1e-10.
+    dimensionless.  Raises SteadyStateError if a rate is beyond the
+    solve's range (named), the state is not unique (e.g. all relaxation
+    rates zero) or the residual exceeds 1e-10.
     """
     if params.gamma0 == 0.0 and params.gamma_t == 0.0:
         raise SteadyStateError(
             "no unique steady state: gamma0 and gamma_t are both zero"
         )
-    a, b = superoperator(params)
     scale = params.rate_scale()
+    if scale > _MAX_SOLVE_RATE:
+        name = max(RATE_FIELDS, key=lambda rate: abs(getattr(params, rate)))
+        raise SteadyStateError(
+            f"{name} = {getattr(params, name):.3g} rad/s is out of the steady-state solve's "
+            f"range: its square overflows (rates up to {_MAX_SOLVE_RATE:.3g} rad/s)"
+        )
+    a, b = superoperator(params)
     trace_row = np.zeros(VEC_DIM, dtype=complex)
     trace_row[[0, 5, 10, 15]] = 1.0
     m = np.vstack([a / scale, trace_row[None, :]])

@@ -2,10 +2,13 @@
 
 Each axis point runs an independent ensemble of noisy trajectories from the
 deterministic steady state, records the rotation- and ellipticity-noise
-signals, and averages their Welch PSDs.  Each task is one engine call of
-at most ``_CALL_TRAJECTORIES`` trajectories, which records their signals
-directly (the readout is part of its operators) and streams them into the
-Welch estimate, so no record is held and no buffer grows with the scan.
+signals, and averages their Welch PSDs.  The (points x trajectories) grid
+is cut into tasks that give each worker process the same share: each
+point's trajectories in one range a worker, the points grouped within the
+ranges.  Each task is one engine call of at most ``_CALL_TRAJECTORIES``
+trajectories, which records their signals directly (the readout is part
+of its operators) and streams them into the Welch estimate, so no record
+is held and no buffer grows with the scan.
 Trajectory seeds derive from (master_seed, axis-value bits, trajectory
 index), so any sub-range of a scan, and any grouping of points and
 trajectories into tasks, reproduces exactly the corresponding rows of the
@@ -130,10 +133,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split(n: int, n_groups: int) -> list[range]:
-    """Contiguous, non-empty ranges of near-equal size covering range(n)."""
+def _processes(n_workers: int) -> int:
+    """The worker processes a run on ``n_workers`` workers can keep busy:
+    no more than the usable CPUs.  Its tasks are cut for these."""
+    return max(1, min(n_workers, _usable_cpus()))
+
+
+def _split(n: int, n_groups: int, wide_first: bool = False) -> list[range]:
+    """Contiguous, non-empty ranges of near-equal size covering range(n);
+    with ``wide_first`` the ranges one longer than the rest come first."""
     n_groups = max(1, min(n_groups, n))
-    bounds = [g * n // n_groups for g in range(n_groups + 1)]
+    if wide_first:
+        size, extra = divmod(n, n_groups)
+        bounds = [g * size + min(g, extra) for g in range(n_groups + 1)]
+    else:
+        bounds = [g * n // n_groups for g in range(n_groups + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -144,22 +158,27 @@ _CALL_TRAJECTORIES = 64
 
 
 def _scan_tasks(n_values: int, n_traj: int, n_workers: int) -> list[tuple[range, range]]:
-    """(points, trajectories) of each task, in axis and trajectory order,
-    each one engine call of at most ``_CALL_TRAJECTORIES`` trajectories.
+    """(points, trajectories) of each task, each one engine call of at most
+    ``_CALL_TRAJECTORIES`` trajectories, cut so that ``n_workers`` workers,
+    each taking the next task when it is free, step near-equal shares.
 
-    While a point's trajectories fit and the points cover the workers, a
-    task is a contiguous group of whole points; otherwise it is a range of
-    one point's trajectories.  Groups are near-equal, and there are at least
-    ``n_workers`` tasks where the grid has that many.
+    Each point's trajectories are cut into ``n_workers`` near-equal ranges,
+    or a whole multiple of that where a range would be wider than one call
+    (on one worker, as few ranges as fit the calls), but never into more
+    ranges than trajectories; the wider ranges come first.  The points are
+    cut into near-equal contiguous groups, as many as fit the calls and at
+    least enough for ``n_workers`` tasks.  Tasks go group by group, each
+    group's ranges in trajectory order, so equal tasks come in runs, the
+    least busy worker takes a group's widest range, and each point's tasks
+    are in trajectory order.  Workers that take the tasks in turn then step
+    shares that differ by at most one trajectory of each point of a group.
     """
-    per_call = _CALL_TRAJECTORIES // n_traj
-    if per_call and n_values >= n_workers:
-        n_groups = max(n_workers, -(-n_values // per_call))
-        return [(points, range(n_traj)) for points in _split(n_values, n_groups)]
-    n_groups = max(-(-n_traj // _CALL_TRAJECTORIES), n_workers if n_values < n_workers else 1)
-    return [
-        (range(i, i + 1), group) for i in range(n_values) for group in _split(n_traj, n_groups)
-    ]
+    per_share = -(-n_traj // n_workers)
+    n_ranges = min(n_traj, n_workers * -(-per_share // _CALL_TRAJECTORIES))
+    ranges = _split(n_traj, n_ranges, wide_first=True)
+    per_call = _CALL_TRAJECTORIES // len(ranges[0])
+    n_groups = max(-(-n_values // per_call), -(-n_workers // len(ranges)))
+    return [(points, group) for points in _split(n_values, n_groups) for group in ranges]
 
 
 @dataclass
@@ -286,19 +305,21 @@ def _run_task(
 
 @contextlib.contextmanager
 def worker_pool(cfg: ExperimentConfig, n_values: int, n_workers: int):
-    """The process pool of a run of ``n_values`` axis values, cut into the
-    tasks of ``_scan_tasks`` for ``n_workers`` workers: None (run in this
-    process) for one worker or one task, else min(n_workers, tasks, usable
-    CPUs) processes, each taking the next task when it is free.  The
-    workers fork, whatever the platform's default start method, at the
-    pool's first task, so opening a pool starts nothing, and they inherit
-    this process's imports and any series buffer mapped before that task."""
+    """The process pool of a run of ``n_values`` axis values on
+    ``n_workers`` workers: ``_processes(n_workers)`` processes, no more
+    than the tasks ``_scan_tasks`` cuts for them, each taking the next task
+    when it is free; None (run in this process) for one process or one
+    task.  The workers fork, whatever
+    the platform's default start method, at the pool's first task, so
+    opening a pool starts nothing, and they inherit this process's imports
+    and any series buffer mapped before that task."""
+    n_workers = _processes(n_workers)
     n_tasks = len(_scan_tasks(n_values, cfg.n_trajectories, n_workers))
     if n_workers < 2 or n_tasks < 2:
         yield None
         return
     with ProcessPoolExecutor(
-        max_workers=min(n_workers, n_tasks, _usable_cpus()),
+        max_workers=min(n_workers, n_tasks),
         mp_context=multiprocessing.get_context("fork"),
     ) as pool:
         yield pool
@@ -372,7 +393,8 @@ def _run_values(
     pool: Executor | SeriesPool | None = None,
 ) -> list[ScanPoint]:
     """Scan points of ``values``, in order, cut into the tasks of
-    ``_scan_tasks`` for ``n_workers`` workers.
+    ``_scan_tasks`` for the processes of ``n_workers`` workers (no more
+    than the usable CPUs).
 
     The tasks run on ``pool``, the run's pool, when given; otherwise on a
     ``worker_pool`` of their own.  On a SeriesPool (one value) the point
@@ -397,7 +419,7 @@ def _run_values(
     if cfg.vbw_hz is not None and cfg.vbw_hz > welch.rbw:
         raise ConfigError(f"vbw_hz ({cfg.vbw_hz:g} Hz) must not exceed the achieved rbw ({welch.rbw:g} Hz)")
     series = pool.series if isinstance(pool, SeriesPool) else None
-    layout = _scan_tasks(len(values), cfg.n_trajectories, n_workers)
+    layout = _scan_tasks(len(values), cfg.n_trajectories, _processes(n_workers))
     tasks = [
         (cfg, values[points.start : points.stop], group, series is not None)
         for points, group in layout
@@ -476,9 +498,10 @@ def run_point(
 ) -> ScanPoint:
     """Simulate one axis value: ensemble, signals, averaged spectra, floor.
 
-    A scan of one value: with ``n_workers > 1`` the ensemble is split into
-    at least that many contiguous trajectory groups, run on ``pool`` (or on
-    a pool of the call's own); the spectra are the same bits for any split.
+    A scan of one value: with ``n_workers > 1`` (and as many usable CPUs)
+    the ensemble is split into at least that many contiguous trajectory
+    groups, run on ``pool`` (or on a pool of the call's own); the spectra
+    are the same bits for any split.
     On a SeriesPool the point also carries [RND, END] of trajectory 0.
     """
     return _run_values(cfg, np.array([float(axis_value)]), n_workers, pool)[0]

@@ -236,6 +236,27 @@ class TestStep:
             with pytest.raises(NumericError):
                 evolve(rho, params(), TrajectoryConfig(dt=1e-8, n_steps=1), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_steps, steps", [(1, "0..0 of 1"), (5000, "0..255 of 5000")])
+    def test_finite_state_out_of_range_is_not_called_non_finite(self, n_steps, steps):
+        # A finite start from which a step could overflow is named as out
+        # of the safe range, even where the chunk's steps then overflow; a
+        # NaN start is non-finite.
+        rho = equilibrium_rho()
+        rho[0, 0] = 1e308
+        cfg = TrajectoryConfig(dt=1e-8, n_steps=n_steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                NumericError,
+                match=rf"^state out of the safe range in trajectory 0 during steps {steps}: "
+                r"max \|x\| = 1e\+308 exceeds 5\.7\de\+307, from which a step could overflow$",
+            ):
+                evolve(rho, params(), cfg, np.random.default_rng(0))
+            rho[0, 0] = np.nan
+            with pytest.raises(
+                NumericError, match=rf"^non-finite state in trajectory 0 during steps {steps}$"
+            ):
+                evolve(rho, params(), cfg, np.random.default_rng(0))
+
     def test_trace_relaxes_at_transit_rate(self):
         p = params(rabi_hz=20e6)
         dt = 1.0 / 18e6
@@ -649,6 +670,22 @@ class TestSteadyState:
     def test_non_finite_rate_refused_before_the_solve(self):
         with pytest.raises(DomainError, match="^gamma_t must be finite"):
             steady_state(params(gamma_t_hz=np.nan))
+
+    # Finite rates whose superoperator does not overflow, but whose squares
+    # do: the scaled system's relaxation falls below the solve's rank
+    # tolerance, which was reported as a non-unique state.
+    @pytest.mark.parametrize("lab, name", [({"b_gauss": 1e300}, "omega_L"), ({"delta_hz": 1e306}, "delta")])
+    def test_overflowing_rate_refused_by_name_before_the_solve(self, monkeypatch, lab, name):
+        def never(*args, **kwargs):
+            raise AssertionError("the system was solved")
+
+        monkeypatch.setattr(np.linalg, "lstsq", never)
+        with pytest.raises(
+            SteadyStateError,
+            match=rf"^{name} = -?\d\.\d\de\+30\d rad/s is out of the steady-state solve's range: "
+            r"its square overflows",
+        ):
+            steady_state(params(**lab))
 
     def test_all_rates_zero_rejected(self):
         p = params(gamma0_hz=0.0, gamma_t_hz=0.0)

@@ -396,9 +396,23 @@ class RecordingPool:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
+    # Four usable CPUs, whatever the machine: runs on up to four workers
+    # are cut for all of them.
     RecordingPool.instances = []
     monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scan, "_usable_cpus", lambda: 4)
     return RecordingPool
+
+
+def greedy_shares(tasks, n_workers):
+    """Trajectory-points each of ``n_workers`` workers steps when each
+    takes the next task as soon as it is free, a task's time being its
+    trajectory-points (ties to the lowest worker)."""
+    shares = [0] * n_workers
+    for points, group in tasks:
+        free = shares.index(min(shares))
+        shares[free] += len(points) * len(group)
+    return shares
 
 
 class TestTrajectoryGroups:
@@ -407,8 +421,14 @@ class TestTrajectoryGroups:
         assert scan._split(64, 2) == [range(0, 32), range(32, 64)]
         assert scan._split(2, 5) == [range(0, 1), range(1, 2)]
         assert scan._split(4, 1) == [range(0, 4)]
+        assert scan._split(3, 2, wide_first=True) == [range(0, 2), range(2, 3)]
+        assert scan._split(150, 4, wide_first=True) == [
+            range(0, 38), range(38, 76), range(76, 113), range(113, 150)
+        ]
 
-    def test_point_spectra_do_not_depend_on_the_split(self):
+    def test_point_spectra_do_not_depend_on_the_split(self, monkeypatch):
+        # Three usable CPUs, so that three workers get a layout of their own.
+        monkeypatch.setattr(scan, "_usable_cpus", lambda: 3)
         cfg = tiny_cfg(n_trajectories=3, theta_deg=7.5)
         serial = simulate_point(cfg)
         for n_workers in (2, 3):
@@ -422,7 +442,7 @@ class TestTrajectoryGroups:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failure_names_trajectory_within_point(self, monkeypatch):
         # Trajectory 2 gets non-finite noise on its first step; it sits
-        # in the second group under two and three workers.
+        # in the last group under two and three workers.
         poison(monkeypatch, 7.5, 2)
         cfg = tiny_cfg(n_trajectories=3)
         for n_workers in (1, 2, 3):
@@ -458,20 +478,28 @@ class TestTrajectoryGroups:
 
 class TestScanTasks:
     def test_task_layout(self):
-        # Points cover the workers and fit: near-equal groups of whole
-        # points, at least one task a worker.
+        # Each point's trajectories in one range a worker, the points in
+        # groups that fit one call: two groups of 8-trajectory ranges, so
+        # each of two workers steps 104 trajectory-points.
         assert scan._scan_tasks(13, 16, 2) == [
-            (points, range(16)) for points in (range(0, 3), range(3, 6), range(6, 9), range(9, 13))
+            (points, group)
+            for points in (range(0, 6), range(6, 13)) for group in (range(0, 8), range(8, 16))
         ]
+        assert greedy_shares(scan._scan_tasks(13, 16, 2), 2) == [104, 104]
         assert scan._scan_tasks(3, 4, 1) == [(range(0, 3), range(4))]
-        # Fewer points than workers: each point's trajectories are split
-        # over the workers, or finer where a share is wider than one call.
         assert scan._scan_tasks(1, 64, 2) == [(range(0, 1), range(0, 32)), (range(0, 1), range(32, 64))]
+        # Fewer trajectories than workers: one range a trajectory, and
+        # enough point groups for a task a worker.
         assert scan._scan_tasks(2, 3, 3) == [
-            (range(i, i + 1), group) for i in (0, 1) for group in (range(0, 1), range(1, 2), range(2, 3))
+            (range(0, 2), group) for group in (range(0, 1), range(1, 2), range(2, 3))
         ]
+        assert scan._scan_tasks(3, 2, 3) == [
+            (points, group) for points in (range(0, 1), range(1, 3)) for group in (range(0, 1), range(1, 2))
+        ]
+        # A share wider than one call is cut twice as fine, wider ranges first.
         assert scan._scan_tasks(1, 150, 2) == [
-            (range(0, 1), group) for group in (range(0, 50), range(50, 100), range(100, 150))
+            (range(0, 1), group)
+            for group in (range(0, 38), range(38, 76), range(76, 113), range(113, 150))
         ]
 
     @settings(max_examples=300, deadline=None)
@@ -483,34 +511,41 @@ class TestScanTasks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scan, "_CALL_TRAJECTORIES", bound)
             tasks = scan._scan_tasks(n_values, n_traj, n_workers)
-        covered = [(i, t) for points, group in tasks for i in points for t in group]
+        covered = sorted((i, t) for points, group in tasks for i in points for t in group)
         assert covered == [(i, t) for i in range(n_values) for t in range(n_traj)]
+        for i in range(n_values):
+            starts = [group.start for points, group in tasks if i in points]
+            assert starts == sorted(starts)
         assert all(len(points) * len(group) <= bound for points, group in tasks)
-        if n_traj <= bound and n_values >= n_workers:
-            assert all(group == range(n_traj) for _, group in tasks)
         assert len(tasks) >= min(n_workers, n_values * n_traj)
+        # Workers taking the tasks in turn step shares that differ by at
+        # most one trajectory of each point of the largest group.
+        shares = greedy_shares(tasks, n_workers)
+        assert max(shares) - min(shares) <= max(len(points) for points, _ in tasks)
 
     def test_one_task_per_point_when_points_cover_workers(self, recording_pool):
-        # As many points as workers: each task is one point with all its
-        # trajectories.
-        cfg = tiny_cfg()
+        # One trajectory a point and as many points as workers: each task is
+        # one point with its trajectory.
+        cfg = tiny_cfg(n_trajectories=1)
         result = run_scan(cfg, n_workers=3)
         (pool,) = recording_pool.instances
         assert [fn for fn, _, _ in pool.tasks] == [scan._run_task] * 3
         assert [list(args[1]) for _, args, _ in pool.tasks] == [[0.0], [7.5], [15.0]]
-        assert [args[2] for _, args, _ in pool.tasks] == [range(0, 2)] * 3
+        assert [args[2] for _, args, _ in pool.tasks] == [range(0, 1)] * 3
         assert all(kwargs == {} for _, _, kwargs in pool.tasks)
         serial = run_scan(cfg, n_workers=1)
         for pp, ps in zip(result.points, serial.points):
             assert np.array_equal(pp.spectra["rnd"].psd, ps.spectra["rnd"].psd)
 
     def test_point_groups_when_points_cover_workers(self, recording_pool):
+        # All three points fit one call: one group, one trajectory range a
+        # worker.
         cfg = tiny_cfg()
         result = run_scan(cfg, n_workers=2)
         (pool,) = recording_pool.instances
         assert [fn for fn, _, _ in pool.tasks] == [scan._run_task] * 2
-        assert [list(args[1]) for _, args, _ in pool.tasks] == [[0.0], [7.5, 15.0]]
-        assert [args[2] for _, args, _ in pool.tasks] == [range(0, 2)] * 2
+        assert [list(args[1]) for _, args, _ in pool.tasks] == [[0.0, 7.5, 15.0]] * 2
+        assert [args[2] for _, args, _ in pool.tasks] == [range(0, 1), range(1, 2)]
         assert all(kwargs == {} for _, _, kwargs in pool.tasks)
         serial = run_scan(cfg, n_workers=1)
         for pp, ps in zip(result.points, serial.points):
@@ -524,7 +559,7 @@ class TestScanTasks:
         (pool,) = recording_pool.instances
         assert [fn for fn, _, _ in pool.tasks] == [scan._run_task] * 2
         assert [list(args[1]) for _, args, _ in pool.tasks] == [[7.5], [7.5]]
-        assert [args[2] for _, args, _ in pool.tasks] == [range(0, 1), range(1, 3)]
+        assert [args[2] for _, args, _ in pool.tasks] == [range(0, 2), range(2, 3)]
         serial = run_scan(cfg, n_workers=1)
         for mode in ("rnd", "end"):
             assert np.array_equal(
@@ -532,25 +567,40 @@ class TestScanTasks:
             )
 
     def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
-        # Three tasks on one usable CPU: one worker process runs them all,
-        # in the layout of three workers.  The pool forks by name.
-        sizes = []
+        # Three workers on two usable CPUs: two worker processes run the
+        # tasks, in the layout of two workers.  The pool forks by name.  On
+        # one usable CPU the tasks are cut for one and run in this process.
+        sizes, cuts = [], []
+        cut = scan._scan_tasks
 
         def recording(max_workers, mp_context):
             sizes.append((max_workers, mp_context.get_start_method()))
             return ProcessPoolExecutor(max_workers=min(max_workers, 2), mp_context=mp_context)
 
-        monkeypatch.setattr(scan, "_usable_cpus", lambda: 1)
+        def recording_cut(n_values, n_traj, n_workers):
+            cuts.append(n_workers)
+            return cut(n_values, n_traj, n_workers)
+
+        monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(scan, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(scan, "_scan_tasks", recording_cut)
         cfg = tiny_cfg()
         capped = run_scan(cfg, n_workers=3)
-        assert sizes == [(1, "fork")]
+        assert sizes == [(2, "fork")]
+        assert set(cuts) == {2}
+        monkeypatch.setattr(scan, "_usable_cpus", lambda: 1)
+        cuts.clear()
+        in_process = run_scan(cfg, n_workers=3)
+        assert sizes == [(2, "fork")]
+        assert set(cuts) == {1}
         serial = run_scan(cfg, n_workers=1)
-        for pc, ps in zip(capped.points, serial.points):
+        for pc, pi, ps in zip(capped.points, in_process.points, serial.points):
             for mode in ("rnd", "end"):
                 assert np.array_equal(pc.spectra[mode].psd, ps.spectra[mode].psd)
+                assert np.array_equal(pi.spectra[mode].psd, ps.spectra[mode].psd)
 
-    def test_written_scan_does_not_depend_on_workers(self, tmp_path):
+    def test_written_scan_does_not_depend_on_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scan, "_usable_cpus", lambda: 3)
         cfg = tiny_cfg(n_trajectories=3)
         for n_workers in (1, 2, 3):
             write_scan(run_scan(cfg, n_workers=n_workers), cfg, tmp_path / str(n_workers))
@@ -564,8 +614,8 @@ class TestScanTasks:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failure_in_a_stacked_group_names_its_point(self, monkeypatch, caplog):
         # Trajectory 1 of theta = 15 gets non-finite noise.  Serially the
-        # one task holds all three points; on two workers 15 is the second
-        # point of the second task.
+        # one task holds all three points; on two workers both tasks hold
+        # them, and trajectory 1 is in the first, of trajectories 0 and 1.
         poison(monkeypatch, 15.0, 1)
         cfg = tiny_cfg(n_trajectories=3)
         for n_workers in (1, 2):
@@ -583,19 +633,27 @@ class TestEngineCalls:
         assert scan._scan_tasks(7, 16, 1) == [(range(0, 3), range(16)), (range(3, 7), range(16))]
         assert scan._scan_tasks(3, 32, 1) == [(range(0, 1), range(32)), (range(1, 3), range(32))]
         assert scan._scan_tasks(2, 64, 1) == [(range(i, i + 1), range(64)) for i in (0, 1)]
-        # A point wider than one call: near-equal ranges of its trajectories.
+        # A point wider than one call: near-equal ranges of its
+        # trajectories, the wider first.
         assert scan._scan_tasks(2, 140, 1) == [
             (range(i, i + 1), group)
-            for i in (0, 1) for group in (range(0, 46), range(46, 93), range(93, 140))
+            for i in (0, 1) for group in (range(0, 47), range(47, 94), range(94, 140))
         ]
         assert scan._scan_tasks(2, 70, 2) == [
             (range(i, i + 1), group) for i in (0, 1) for group in (range(0, 35), range(35, 70))
         ]
+        # The 13-angle acceptance scans: two-point tasks of 32 trajectories,
+        # the first point alone.
+        assert scan._scan_tasks(13, 64, 2) == [
+            (points, group)
+            for points in [range(0, 1)] + [range(i, i + 2) for i in range(1, 13, 2)]
+            for group in (range(0, 32), range(32, 64))
+        ]
 
     # Bound 2 with one trajectory a point steps up to two points a call;
-    # with three, one point's trajectories in calls of 1 and 2.  Bound 3
+    # with three, one point's trajectories in calls of 2 and 1.  Bound 3
     # with two trajectories a point steps one point a call; with five,
-    # calls of 2 and 3.
+    # calls of 3 and 2.
     @pytest.mark.parametrize("bound, n_traj", [(2, 1), (2, 3), (3, 2), (3, 5)])
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_calls_do_not_change_the_bits(self, monkeypatch, bound, n_traj, n_workers):
@@ -626,7 +684,7 @@ class TestEngineCalls:
         assert widths == [2] * 5
         widths.clear()
         simulate_point(tiny_cfg(n_trajectories=7), n_workers=1)
-        assert widths == [2, 2, 3]
+        assert widths == [3, 2, 2]
 
     # Each poisoned trajectory sits in a later call than the first: with one
     # trajectory a point, theta = 15 is the second point of its call; with
