@@ -23,6 +23,7 @@ from .config import AXIS_KEYS, load_config, write_manifest
 from .core import larmor_from_field
 from .exceptions import DomainError, SpinNoiseError
 from .scan import (
+    MODE_INITIAL_STATES,
     _usable_cpus,
     absorption_scan,
     oscillation_mode_report,
@@ -37,8 +38,6 @@ from .scan import (
 from .spectral import write_spectrum_csv, write_table
 
 logger = logging.getLogger(__name__)
-
-MODE_INITIALS = ("minus1_z", "x", "minus_pi_4")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,14 +137,14 @@ def _cmd_modes(args) -> int:
     omega_l = larmor_from_field(cfg.b_gauss)
     outdir = _output_dir(args)
     try:
-        reports = [oscillation_mode_report(omega_l, initial) for initial in MODE_INITIALS]
+        reports = [oscillation_mode_report(omega_l, initial) for initial in MODE_INITIAL_STATES]
     except DomainError as exc:
         raise DomainError(f"b_gauss: {exc}") from None
     outdir.mkdir(parents=True, exist_ok=True)
-    for initial, report in zip(MODE_INITIALS, reports):
-        write_mode_report_csv(report, outdir / f"modes_{initial}.csv")
+    for report in reports:
+        write_mode_report_csv(report, outdir / f"modes_{report.initial}.csv")
         print(
-            f"modes: {initial}: dominant frequency {report.dominant_freq_hz / 1e6:.6g} MHz"
+            f"modes: {report.initial}: dominant frequency {report.dominant_freq_hz / 1e6:.6g} MHz"
         )
     write_manifest(cfg, outdir / "run_manifest.cfg")
     return 0

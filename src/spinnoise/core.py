@@ -24,9 +24,8 @@ from .exceptions import ContractViolationError, DomainError
 #: Zeeman shift of the m = +-1 ground sublevels, Hz per gauss.
 ZEEMAN_HZ_PER_GAUSS = 2.8e6
 
-#: Number of ground sublevels / index of the excited level.
+#: Number of ground sublevels, which is also the excited level's index.
 N_GROUND = 3
-EXCITED = 3
 DIM = 4
 
 SQRT2 = np.sqrt(2.0)

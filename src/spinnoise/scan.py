@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import logging
 import multiprocessing
@@ -44,7 +45,6 @@ from .spectral import (
     TableRows,
     WelchAccumulator,
     average_spectra,
-    replace_metadata,
     video_average,
     welch_psd_batch,  # noqa: F401  (looked up on this module by perfbench/tracer.py)
     write_spectrum_csv,
@@ -183,7 +183,9 @@ def _scan_tasks(n_values: int, n_traj: int, n_workers: int) -> list[tuple[range,
 
 @dataclass
 class _PointPart:
-    """One trajectory group's share of a point, as a task returns it."""
+    """One trajectory group's share of a point, as a task returns it.  Its
+    records carry no metadata: ``_finish_point`` attaches the point's to
+    their average."""
 
     records: dict[str, list[SpectrumRecord]]   # per-trajectory PSDs by mode
     transmission: float | None = None          # from the group holding trajectory 0
@@ -255,7 +257,8 @@ _NO_SERIES = "no series buffer is mapped in this process; run on the pool of ser
 def _run_task(
     cfg: ExperimentConfig, values: np.ndarray, trajectories: range, keep_series: bool
 ) -> list[_PointPart]:
-    """Per-trajectory PSDs of a group of points over one trajectory range.
+    """Per-trajectory PSDs of a group of points over one trajectory range,
+    without metadata (``_finish_point`` attaches the point's).
 
     The points' trajectories are stepped in one engine call, whose sink
     Welch-averages the recorded signals chunk by chunk, so no record is
@@ -293,9 +296,7 @@ def _run_task(
         with _failing_point(value):
             parts.append(_PointPart(
                 records={
-                    mode: stream.welch.records(
-                        _point_metadata(cfg, value, mode), traces=stream.columns(p, m)
-                    )
+                    mode: stream.welch.records(traces=stream.columns(p, m))
                     for m, mode in enumerate(stream.modes)
                 },
                 transmission=transmission(point_params, detector, rho) if first else None,
@@ -465,24 +466,25 @@ def _run_values(
 def _finish_point(
     cfg: ExperimentConfig, value: float, parts: list[_PointPart], series: np.ndarray | None
 ) -> ScanPoint:
-    """Average a point's per-trajectory PSDs (trajectory groups in order),
-    then apply the video filter and, in absolute units, the shot floor."""
+    """Build a point's spectra, the one place that does: average its
+    per-trajectory PSDs (trajectory groups in order), attach the point's
+    metadata, then apply the video filter and, in absolute units, the shot
+    floor, each step a new record with a metadata dict of its own."""
     trans = parts[0].transmission
     floor = shot_noise_floor(cfg.detector_params(), trans)
     spectra: dict[str, SpectrumRecord] = {}
     for mode in cfg.modes():
-        averaged = average_spectra([rec for part in parts for rec in part.records[mode]])
+        averaged = dataclasses.replace(
+            average_spectra([rec for part in parts for rec in part.records[mode]]),
+            metadata=_point_metadata(cfg, value, mode),
+        )
         if cfg.vbw_hz is not None:
             averaged = video_average(averaged, cfg.vbw_hz)
         if cfg.absolute_units:
-            averaged = SpectrumRecord(
-                averaged.freqs,
-                averaged.psd + floor,
-                rbw=averaged.rbw,
-                n_averages=averaged.n_averages,
-                metadata=dict(averaged.metadata),
+            averaged = dataclasses.replace(
+                averaged, psd=averaged.psd + floor,
+                metadata={**averaged.metadata, "shot_floor_added": "true"},
             )
-            averaged = replace_metadata(averaged, shot_floor_added="true")
         spectra[mode] = averaged
     return ScanPoint(
         axis_value=float(value), spectra=spectra, transmission=trans,

@@ -10,6 +10,7 @@ of the analog video filter at negligible cost.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import math
 import typing
@@ -260,26 +261,13 @@ def video_average(spec: SpectrumRecord, vbw: float) -> SpectrumRecord:
     if width % 2 == 0:
         width += 1
     width = min(width, spec.psd.size if spec.psd.size % 2 else spec.psd.size - 1)
-    if width <= 1:
-        return replace_metadata(spec, vbw_hz=vbw)
-    kernel = np.ones(width) / width
-    smoothed = np.convolve(spec.psd, kernel, mode="same")
-    # Renormalize the shrinking kernel overlap at the trace edges.
-    coverage = np.convolve(np.ones_like(spec.psd), kernel, mode="same")
-    smoothed /= coverage
-    out = SpectrumRecord(
-        spec.freqs.copy(), smoothed, rbw=spec.rbw,
-        n_averages=spec.n_averages, metadata=dict(spec.metadata),
-    )
-    return replace_metadata(out, vbw_hz=vbw)
-
-
-def replace_metadata(spec: SpectrumRecord, **updates) -> SpectrumRecord:
-    meta = dict(spec.metadata)
-    meta.update(updates)
-    return SpectrumRecord(
-        spec.freqs, spec.psd, rbw=spec.rbw, n_averages=spec.n_averages, metadata=meta
-    )
+    psd = spec.psd
+    if width > 1:
+        kernel = np.ones(width) / width
+        psd = np.convolve(spec.psd, kernel, mode="same")
+        # Renormalize the shrinking kernel overlap at the trace edges.
+        psd /= np.convolve(np.ones_like(spec.psd), kernel, mode="same")
+    return dataclasses.replace(spec, psd=psd, metadata={**spec.metadata, "vbw_hz": vbw})
 
 
 def average_spectra(specs: list[SpectrumRecord]) -> SpectrumRecord:
@@ -300,11 +288,8 @@ def average_spectra(specs: list[SpectrumRecord]) -> SpectrumRecord:
             raise DomainError("spectra must share the same rbw to be averaged")
     stack = np.sort(np.stack([s.psd for s in specs], axis=0), axis=0)
     mean = stack.sum(axis=0) / len(specs)
-    return SpectrumRecord(
-        first.freqs.copy(),
-        mean,
-        rbw=first.rbw,
-        n_averages=sum(s.n_averages for s in specs),
+    return dataclasses.replace(
+        first, psd=mean, n_averages=sum(s.n_averages for s in specs),
         metadata=dict(first.metadata),
     )
 

@@ -325,6 +325,34 @@ class TestRunScan:
         diff = absolute.spectra["rnd"].psd - relative.spectra["rnd"].psd
         assert np.allclose(diff, relative.shot_floor, rtol=1e-9)
 
+    @pytest.mark.parametrize("vbw, source", [(None, "average_spectra"), (10e3, "video_average")])
+    def test_absolute_units_leaves_its_source_as_it_was(self, monkeypatch, vbw, source):
+        # The shot floor is added to a record derived from the point's
+        # average or, with a video filter, from the filtered record: that
+        # record keeps its PSD and metadata, and the point's spectrum has a
+        # metadata dict of its own.
+        seen = []
+        derive = getattr(scan, source)
+
+        def keep(*args):
+            out = derive(*args)
+            seen.append((out, out.psd.copy(), dict(out.metadata)))
+            return out
+
+        monkeypatch.setattr(scan, source, keep)
+        overrides = {} if vbw is None else {"vbw_hz": vbw}
+        cfg = tiny_cfg(detection_mode="rnd", absolute_units="true", **overrides)
+        point = run_point(cfg, 7.5)
+        [(record, psd, metadata)] = seen
+        assert np.array_equal(record.psd, psd)
+        assert record.metadata == metadata
+        spectrum = point.spectra["rnd"]
+        assert spectrum.metadata is not record.metadata
+        assert spectrum.metadata == {
+            **scan._point_metadata(cfg, 7.5, "rnd"), "shot_floor_added": "true"
+        }
+        assert np.array_equal(spectrum.psd, psd + point.shot_floor)
+
     @staticmethod
     def failing_steady_state(monkeypatch):
         # theta = 7.5 has no steady state; the other two points are valid.

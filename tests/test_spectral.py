@@ -326,6 +326,16 @@ class TestVideoAverage:
         out = video_average(spec, 1.0)  # nominal kernel far wider than trace
         assert np.allclose(out.psd, 1.0)
 
+    @pytest.mark.parametrize("rbw", [10.0, 90.0])  # kernel of 1 bin, then of 9
+    def test_source_left_as_it_was(self, rbw):
+        spec = flat_record(np.arange(50.0) + 1.0, rbw=rbw, mode="rnd")
+        psd, metadata = spec.psd.copy(), dict(spec.metadata)
+        out = video_average(spec, 10.0)
+        assert np.array_equal(spec.psd, psd)
+        assert spec.metadata == metadata
+        assert out.metadata is not spec.metadata
+        assert out.metadata == {**metadata, "vbw_hz": 10.0}
+
 
 class TestAverageSpectra:
     def make(self, rng, n_averages=1):
@@ -378,6 +388,18 @@ class TestAverageSpectra:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             average_spectra([])
+
+    @pytest.mark.parametrize("n_specs", [1, 3])
+    def test_sources_left_as_they_were(self, n_specs):
+        rng = np.random.default_rng(4)
+        specs = [self.make(rng) for _ in range(n_specs)]
+        before = [(spec.psd.copy(), dict(spec.metadata)) for spec in specs]
+        out = average_spectra(specs)
+        for spec, (psd, metadata) in zip(specs, before):
+            assert np.array_equal(spec.psd, psd)
+            assert spec.metadata == metadata
+            assert out.metadata is not spec.metadata
+        assert out.metadata == {"mode": "rnd"}
 
 
 class TestFindPeak:
