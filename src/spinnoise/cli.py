@@ -28,14 +28,12 @@ from .scan import (
     absorption_scan,
     oscillation_mode_report,
     run_scan,
-    series_pool,
-    series_table,
     simulate_point,
     write_absorption_csv,
     write_mode_report_csv,
     write_scan,
 )
-from .spectral import write_spectrum_csv, write_table
+from .spectral import write_spectrum_csv
 
 logger = logging.getLogger(__name__)
 
@@ -105,17 +103,9 @@ def _output_dir(args) -> Path:
 
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    n_workers = max(1, args.threads)
     outdir = _output_dir(args)
     series_path = outdir / "timeseries.csv"
-    # One pool steps the ensemble, whose trajectory 0 goes into the pool's
-    # shared series buffer, and then formats the time series from there.
-    with series_pool(cfg, n_workers) as pool:
-        point = simulate_point(cfg, n_workers=n_workers, pool=pool)
-        outdir.mkdir(parents=True, exist_ok=True)
-        metadata = {key: getattr(cfg, key) for key in AXIS_KEYS.values()}
-        metadata["seed"] = cfg.master_seed
-        write_table(series_path, metadata, series_table(cfg), executor=pool.executor)
+    point = simulate_point(cfg, series_path, n_workers=max(1, args.threads))
     for mode, spec in point.spectra.items():
         write_spectrum_csv(spec, outdir / f"spectrum_{mode}.csv")
     write_manifest(cfg, outdir / "run_manifest.cfg")

@@ -36,7 +36,7 @@ import functools
 import logging
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -564,6 +564,19 @@ def _warn_if_aliasing(params: SystemParams, dt: float) -> None:
 _MAX_SOLVE_RATE = math.sqrt(np.finfo(float).max)
 
 
+def _solve_steady(params: SystemParams) -> tuple[np.ndarray, int]:
+    """Least-squares solution of the drift's stationarity with a unit-trace
+    row, time rescaled by the largest rate, and the rank of that system."""
+    a, b = superoperator(params)
+    scale = params.rate_scale()
+    trace_row = np.zeros(VEC_DIM, dtype=complex)
+    trace_row[[0, 5, 10, 15]] = 1.0
+    m = np.vstack([a / scale, trace_row[None, :]])
+    rhs = np.concatenate([-b / scale, [1.0]])
+    solution, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=None)
+    return solution, rank
+
+
 def steady_state(params: SystemParams) -> np.ndarray:
     """Stationary density matrix of the deterministic drift, unit trace.
 
@@ -571,28 +584,40 @@ def steady_state(params: SystemParams) -> np.ndarray:
     rescaling time by the largest rate so the reported residual is
     dimensionless.  Raises SteadyStateError if a rate is beyond the
     solve's range (named), the state is not unique (e.g. all relaxation
-    rates zero) or the residual exceeds 1e-10.
+    rates zero), the rates span more than double precision resolves, or
+    the residual exceeds 1e-10.
+
+    A short rank is told apart by the system's unit-rate twin, every
+    nonzero rate set to 1 rad/s: a twin of full rank has a unique state,
+    so the rank was lost to the span of the rates, not to a degeneracy.
     """
     if params.gamma0 == 0.0 and params.gamma_t == 0.0:
         raise SteadyStateError(
             "no unique steady state: gamma0 and gamma_t are both zero"
         )
-    scale = params.rate_scale()
-    if scale > _MAX_SOLVE_RATE:
-        name = max(RATE_FIELDS, key=lambda rate: abs(getattr(params, rate)))
+    name = max(RATE_FIELDS, key=lambda rate: abs(getattr(params, rate)))
+    if params.rate_scale() > _MAX_SOLVE_RATE:
         raise SteadyStateError(
             f"{name} = {getattr(params, name):.3g} rad/s is out of the steady-state solve's "
             f"range: its square overflows (rates up to {_MAX_SOLVE_RATE:.3g} rad/s)"
         )
-    a, b = superoperator(params)
-    trace_row = np.zeros(VEC_DIM, dtype=complex)
-    trace_row[[0, 5, 10, 15]] = 1.0
-    m = np.vstack([a / scale, trace_row[None, :]])
-    rhs = np.concatenate([-b / scale, [1.0]])
-    solution, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=None)
+    solution, rank = _solve_steady(params)
     if rank < VEC_DIM:
+        twin = replace(
+            params, **{rate: 1.0 for rate in RATE_FIELDS if getattr(params, rate) != 0.0}
+        )
+        if _solve_steady(twin)[1] < VEC_DIM:
+            raise SteadyStateError(
+                f"steady state is not unique (rank {rank} < {VEC_DIM})"
+            )
+        relaxation = ", ".join(
+            f"{rate} = {getattr(params, rate):.3g}"
+            for rate in ("gamma0", "gamma_opt", "gamma_t", "gamma_R")
+        )
         raise SteadyStateError(
-            f"steady state is not unique (rank {rank} < {VEC_DIM})"
+            f"the rates span more than double precision resolves (rank {rank} < {VEC_DIM}): "
+            f"{name} = {getattr(params, name):.3g} rad/s against relaxation rates "
+            f"{relaxation} rad/s"
         )
     rho = hermitize(solution.reshape(DIM, DIM))
     residual = steady_state_residual(rho, params)
@@ -619,8 +644,8 @@ def free_evolve_ground(
     (eigenvalues -omega_L, 0, +omega_L); no decay, no noise.  Returns
     density matrices of shape (len(t_grid), 3, 3).
     """
-    if omega_L < 0:
-        raise DomainError(f"omega_L must be >= 0, got {omega_L}")
+    if not 0 <= omega_L < math.inf:
+        raise DomainError(f"omega_L must be >= 0 and finite, got {omega_L}")
     state0 = np.asarray(state0, dtype=complex)
     if state0.ndim == 1:
         norm = np.linalg.norm(state0)

@@ -22,9 +22,9 @@ import csv
 import dataclasses
 import functools
 import logging
+import math
 import multiprocessing
 import os
-import typing
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,7 +62,7 @@ class ScanPoint:
     spectra: dict[str, SpectrumRecord]
     transmission: float
     shot_floor: float
-    series: np.ndarray | None = None   # [RND, END] of trajectory 0, on a SeriesPool
+    series: np.ndarray | None = None   # [RND, END] of trajectory 0, from simulate_point
 
 
 @dataclass
@@ -101,6 +101,11 @@ def _point_metadata(cfg: ExperimentConfig, axis_value: float, mode: str) -> dict
         "vbw_hz": cfg.vbw_hz,
         "seed": cfg.master_seed,
     }
+
+
+def _series_metadata(cfg: ExperimentConfig) -> dict:
+    """The time-series table's metadata: the point's lab parameters and seed."""
+    return {**{key: getattr(cfg, key) for key in AXIS_KEYS.values()}, "seed": cfg.master_seed}
 
 
 # perfbench/tracer.py hooks this name as detection.field_projection.
@@ -247,15 +252,13 @@ def _failing_point(value: float):
         raise
 
 
-# Trajectory 0's [RND, END] of the open series_pool, None when none is open.
-# A pool's workers fork after it is mapped, so they hold it too.
+# Trajectory 0's [RND, END] while simulate_point runs, None otherwise.  It
+# is mapped before that run's pool forks, so the pool's workers hold it too.
 _series: np.ndarray | None = None
-
-_NO_SERIES = "no series buffer is mapped in this process; run on the pool of series_pool"
 
 
 def _run_task(
-    cfg: ExperimentConfig, values: np.ndarray, trajectories: range, keep_series: bool
+    cfg: ExperimentConfig, values: np.ndarray, trajectories: range
 ) -> list[_PointPart]:
     """Per-trajectory PSDs of a group of points over one trajectory range,
     without metadata (``_finish_point`` attaches the point's).
@@ -264,15 +267,12 @@ def _run_task(
     Welch-averages the recorded signals chunk by chunk, so no record is
     held; ``_scan_tasks`` bounds the call's width, so its buffers do not
     grow with the scan.  The group holding trajectory 0 also reports each
-    point's transmission and, with ``keep_series`` (one point only), writes
-    trajectory 0's [RND, END] into the open series buffer, which the result
+    point's transmission and, while simulate_point runs (one point), writes
+    trajectory 0's [RND, END] into its series buffer, which the result
     does not carry.  A trajectory's PSDs depend only on its seed, not on
     the grouping.  An exception carries the failing point's ``axis_value``.
     """
     first = trajectories.start == 0
-    writes_series = keep_series and first
-    if writes_series and _series is None:
-        raise RuntimeError(_NO_SERIES)
     tcfg = cfg.trajectory_config()
     params, rho0 = [], []
     for value in values:
@@ -280,7 +280,7 @@ def _run_task(
             params.append(cfg.system_params(value))
             rho0.append(steady_state(params[-1]))
     readouts = np.stack([readout_matrix(p, cfg.mean_field_au, _SIGNAL_MODES) for p in params])
-    stream = _Stream(cfg, len(values), len(trajectories), _series if writes_series else None)
+    stream = _Stream(cfg, len(values), len(trajectories), _series if first else None)
     keys = [seed_key(cfg.master_seed, value, t) for value in values for t in trajectories]
     try:
         evolve_ensemble_coherences(
@@ -326,16 +326,6 @@ def worker_pool(cfg: ExperimentConfig, n_values: int, n_workers: int):
         yield pool
 
 
-class SeriesPool(typing.NamedTuple):
-    """The pool of a single-point run (an executor, or None to run in this
-    process) and trajectory 0's (n_recorded, 2) [RND, END] buffer, which
-    the pool's workers share with this process.  Only ``series_pool``
-    makes one, mapping the buffer before the pool exists."""
-
-    executor: Executor | None
-    series: np.ndarray
-
-
 def _shared_series(n_rows: int) -> np.ndarray:
     """A zeroed (n_rows, 2) float64 array in an anonymous shared mapping:
     processes forked after it write and read the same pages as this one.
@@ -349,60 +339,36 @@ def _shared_series(n_rows: int) -> np.ndarray:
     return np.frombuffer(shared, dtype=np.float64, count=2 * n_rows).reshape(n_rows, 2)
 
 
-@contextlib.contextmanager
-def series_pool(cfg: ExperimentConfig, n_workers: int):
-    """The SeriesPool of a single-point run of ``cfg`` on ``n_workers``
-    workers: the series buffer is mapped first, then the ``worker_pool`` of
-    one value is opened, so every worker it forks holds the buffer.  The
-    task holding trajectory 0 writes the series there, and the time-series
-    table (``series_table``) is read from there, in whichever process runs
-    them.  One series pool is open at a time."""
-    global _series
-    if _series is not None:
-        raise RuntimeError("a series pool is already open")
-    _series = _shared_series(cfg.trajectory_config().n_recorded)
-    try:
-        with worker_pool(cfg, 1, n_workers) as executor:
-            yield SeriesPool(executor, _series)
-    finally:
-        _series = None
-
-
 def _series_rows(
     burn_in: int, stride: int, dt: float, start: int, stop: int
 ) -> list[np.ndarray]:
-    """Rows [start, stop) of the time-series table, read from the open
-    series buffer: the time of each recorded step, RND and END."""
-    if _series is None:
-        raise RuntimeError(_NO_SERIES)
+    """Rows [start, stop) of the time-series table, read from the series
+    buffer: the time of each recorded step, RND and END."""
     rows = _series[start:stop]
     t = (burn_in + 1 + np.arange(start, stop) * stride) * dt
     return [t, rows[:, 0], rows[:, 1]]
 
 
-def series_table(cfg: ExperimentConfig) -> TableRows:
-    """``simulate``'s time-series table as ``write_table`` rows: ``t_s``,
-    ``rnd_au`` and ``end_au`` of trajectory 0, read by row range from the
-    open series buffer, in this process or in a worker of its pool."""
+def _series_table(cfg: ExperimentConfig) -> TableRows:
+    """``simulate_point``'s time-series table as ``write_table`` rows:
+    ``t_s``, ``rnd_au`` and ``end_au`` of trajectory 0, read by row range
+    from the series buffer, in this process or in a worker of its pool."""
     tcfg = cfg.trajectory_config()
     read = functools.partial(_series_rows, cfg.resolved_burn_in(), tcfg.record_stride, tcfg.dt)
     return TableRows(("t_s", "rnd_au", "end_au"), tcfg.n_recorded, read)
 
 
 def _run_values(
-    cfg: ExperimentConfig, values: np.ndarray, n_workers: int,
-    pool: Executor | SeriesPool | None = None,
+    cfg: ExperimentConfig, values: np.ndarray, n_workers: int, pool: Executor | None
 ) -> list[ScanPoint]:
     """Scan points of ``values``, in order, cut into the tasks of
     ``_scan_tasks`` for the processes of ``n_workers`` workers (no more
     than the usable CPUs).
 
-    The tasks run on ``pool``, the run's pool, when given; otherwise on a
-    ``worker_pool`` of their own.  On a SeriesPool (one value) the point
-    also carries trajectory 0's series, in the pool's buffer.  An
-    ``rbw_hz`` no segment length reaches, a record too short for the Welch
-    estimate at ``rbw_hz``, or a ``vbw_hz`` above the RBW it achieves,
-    fails before any task starts.  A failing task logs the axis value of
+    The tasks run on ``pool``, the run's ``worker_pool``, or in this
+    process when it is None.  An ``rbw_hz`` no segment length reaches, a
+    record too short for the Welch estimate at ``rbw_hz``, or a ``vbw_hz``
+    above the RBW it achieves, fails before any task starts.  A failing task logs the axis value of
     its failing point; the tasks not yet started are cancelled and the
     error propagates.
     """
@@ -419,53 +385,40 @@ def _run_values(
         ) from None
     if cfg.vbw_hz is not None and cfg.vbw_hz > welch.rbw:
         raise ConfigError(f"vbw_hz ({cfg.vbw_hz:g} Hz) must not exceed the achieved rbw ({welch.rbw:g} Hz)")
-    series = pool.series if isinstance(pool, SeriesPool) else None
     layout = _scan_tasks(len(values), cfg.n_trajectories, _processes(n_workers))
-    tasks = [
-        (cfg, values[points.start : points.stop], group, series is not None)
-        for points, group in layout
-    ]
-    with contextlib.ExitStack() as stack:
-        if isinstance(pool, SeriesPool):
-            pool = pool.executor
-        elif pool is None:
-            pool = stack.enter_context(worker_pool(cfg, len(values), n_workers))
-        if pool is not None:
-            futures = [pool.submit(_run_task, *task) for task in tasks]
-            calls = [future.result for future in futures]
-        else:
-            futures = []
-            calls = [functools.partial(_run_task, *task) for task in tasks]
-        results = []
-        for call, (_, task_values, group, _) in zip(calls, tasks):
-            logger.info(
-                "scan task: %s=%g..%g, trajectories %d..%d", cfg.scan_axis,
-                task_values[0], task_values[-1], group.start, group.stop - 1,
-            )
-            try:
-                results.append(call())
-            except Exception as exc:
-                failed = getattr(exc, "axis_value", None)
-                if failed is None:
-                    logger.error("scan points %s=%g..%g failed", cfg.scan_axis,
-                                 task_values[0], task_values[-1])
-                else:
-                    logger.error("scan point %s=%g failed", cfg.scan_axis, failed)
-                for pending in futures:
-                    pending.cancel()
-                raise
+    tasks = [(cfg, values[points.start : points.stop], group) for points, group in layout]
+    if pool is not None:
+        futures = [pool.submit(_run_task, *task) for task in tasks]
+        calls = [future.result for future in futures]
+    else:
+        futures = []
+        calls = [functools.partial(_run_task, *task) for task in tasks]
+    results = []
+    for call, (_, task_values, group) in zip(calls, tasks):
+        logger.info(
+            "scan task: %s=%g..%g, trajectories %d..%d", cfg.scan_axis,
+            task_values[0], task_values[-1], group.start, group.stop - 1,
+        )
+        try:
+            results.append(call())
+        except Exception as exc:
+            failed = getattr(exc, "axis_value", None)
+            if failed is None:
+                logger.error("scan points %s=%g..%g failed", cfg.scan_axis,
+                             task_values[0], task_values[-1])
+            else:
+                logger.error("scan point %s=%g failed", cfg.scan_axis, failed)
+            for pending in futures:
+                pending.cancel()
+            raise
     parts: list[list[_PointPart]] = [[] for _ in values]
     for (points, _), task_parts in zip(layout, results):
         for index, part in zip(points, task_parts):
             parts[index].append(part)
-    return [
-        _finish_point(cfg, value, point_parts, series) for value, point_parts in zip(values, parts)
-    ]
+    return [_finish_point(cfg, value, point_parts) for value, point_parts in zip(values, parts)]
 
 
-def _finish_point(
-    cfg: ExperimentConfig, value: float, parts: list[_PointPart], series: np.ndarray | None
-) -> ScanPoint:
+def _finish_point(cfg: ExperimentConfig, value: float, parts: list[_PointPart]) -> ScanPoint:
     """Build a point's spectra, the one place that does: average its
     per-trajectory PSDs (trajectory groups in order), attach the point's
     metadata, then apply the video filter and, in absolute units, the shot
@@ -487,26 +440,20 @@ def _finish_point(
             )
         spectra[mode] = averaged
     return ScanPoint(
-        axis_value=float(value), spectra=spectra, transmission=trans,
-        shot_floor=floor, series=series,
+        axis_value=float(value), spectra=spectra, transmission=trans, shot_floor=floor
     )
 
 
-def run_point(
-    cfg: ExperimentConfig,
-    axis_value: float,
-    n_workers: int = 1,
-    pool: Executor | SeriesPool | None = None,
-) -> ScanPoint:
+def run_point(cfg: ExperimentConfig, axis_value: float, n_workers: int = 1) -> ScanPoint:
     """Simulate one axis value: ensemble, signals, averaged spectra, floor.
 
     A scan of one value: with ``n_workers > 1`` (and as many usable CPUs)
     the ensemble is split into at least that many contiguous trajectory
-    groups, run on ``pool`` (or on a pool of the call's own); the spectra
-    are the same bits for any split.
-    On a SeriesPool the point also carries [RND, END] of trajectory 0.
+    groups, run on a ``worker_pool`` of the call's own; the spectra are the
+    same bits for any split.
     """
-    return _run_values(cfg, np.array([float(axis_value)]), n_workers, pool)[0]
+    with worker_pool(cfg, 1, n_workers) as pool:
+        return _run_values(cfg, np.array([float(axis_value)]), n_workers, pool)[0]
 
 
 def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
@@ -519,7 +466,8 @@ def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
     values = cfg.axis_values()
     if values.size == 0:
         raise DomainError("scan range is empty")
-    return ScanResult(axis_name=cfg.scan_axis, points=_run_values(cfg, values, n_workers))
+    with worker_pool(cfg, len(values), n_workers) as pool:
+        return ScanResult(axis_name=cfg.scan_axis, points=_run_values(cfg, values, n_workers, pool))
 
 
 def absorption_scan(
@@ -577,8 +525,8 @@ def oscillation_mode_report(
     the motion is simplest: the z basis for ``minus1_z``, {x, y, 0_z} for
     ``x``, and the +-45-degree superposition pair for ``minus_pi_4``.
     """
-    if omega_l <= 0:
-        raise DomainError(f"omega_l must be > 0, got {omega_l}")
+    if not 0 < omega_l < math.inf:
+        raise DomainError(f"omega_l must be > 0 and finite, got {omega_l}")
     if n_samples < 256:
         raise DomainError(f"need at least 256 samples per period, got {n_samples}")
     try:
@@ -617,23 +565,33 @@ def oscillation_mode_report(
 
 
 def simulate_point(
-    cfg: ExperimentConfig, n_workers: int = 1, pool: SeriesPool | None = None
+    cfg: ExperimentConfig, series_path: str | Path, n_workers: int = 1
 ) -> ScanPoint:
-    """Single-point run: the averaged-spectra ScanPoint at the configured
-    parameters, whose ``series`` is [RND, END] of trajectory 0.
+    """Single-point run at the configured parameters: the averaged-spectra
+    ScanPoint, whose ``series`` is [RND, END] of trajectory 0, with that
+    series written as a table to ``series_path``.
 
-    The series come from the ensemble of run_point itself, so trajectory 0
-    is integrated once; ``n_workers`` workers of ``pool`` (or of a
-    ``series_pool`` of the call's own) share the trajectories, and the
-    series is the pool's shared buffer.  Any other executor is refused: its
-    workers may have forked before the buffer was mapped.
+    The series buffer is mapped first, then the ``worker_pool`` of one
+    value is opened, so every worker it forks holds the buffer.  The
+    ensemble runs on that pool and the task holding trajectory 0 writes its
+    signals into the buffer, so trajectory 0 is integrated once and the
+    series goes through no pickle.  Only once the ensemble has succeeded is
+    ``series_path``'s directory made; the same pool's workers then read the
+    table's blocks from the buffer and format them.
     """
-    if pool is not None and not isinstance(pool, SeriesPool):
-        raise TypeError(f"simulate_point runs on a series_pool, not on {type(pool).__name__}")
-    with contextlib.ExitStack() as stack:
-        if pool is None:
-            pool = stack.enter_context(series_pool(cfg, n_workers))
-        return run_point(cfg, getattr(cfg, AXIS_KEYS[cfg.scan_axis]), n_workers, pool)
+    global _series
+    series_path = Path(series_path)
+    _series = _shared_series(cfg.trajectory_config().n_recorded)
+    try:
+        with worker_pool(cfg, 1, n_workers) as pool:
+            value = float(getattr(cfg, AXIS_KEYS[cfg.scan_axis]))
+            (point,) = _run_values(cfg, np.array([value]), n_workers, pool)
+            series_path.parent.mkdir(parents=True, exist_ok=True)
+            write_table(series_path, _series_metadata(cfg), _series_table(cfg), executor=pool)
+        point.series = _series
+        return point
+    finally:
+        _series = None
 
 
 def write_scan(result: ScanResult, cfg: ExperimentConfig, outdir: str | Path) -> list[Path]:

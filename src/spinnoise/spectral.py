@@ -166,8 +166,8 @@ class WelchAccumulator:
     def __init__(self, n_traces: int, dt: float, rbw_target: float):
         if n_traces < 1:
             raise DomainError(f"need n_traces >= 1, got {n_traces}")
-        if dt <= 0:
-            raise DomainError(f"dt must be > 0, got {dt}")
+        if not 0 < dt < math.inf:
+            raise DomainError(f"dt must be finite and > 0, got {dt}")
         self.fs = 1.0 / dt
         self.rbw_target = rbw_target
         self.nseg = segment_length(dt, rbw_target)

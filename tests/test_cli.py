@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from spinnoise import cli, scan, spectral
 from spinnoise.cli import main
 from spinnoise.config import load_config
 from spinnoise.core import larmor_from_field
-from spinnoise.exceptions import ConfigError, DomainError
+from spinnoise.exceptions import ConfigError, DomainError, NumericError
 from spinnoise.spectral import read_spectrum_csv
 
 TINY = [
@@ -158,6 +159,37 @@ class TestSimulate:
             assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
         if shm.is_dir():
             assert set(shm.iterdir()) <= before
+
+    @pytest.mark.parametrize("threads, n_pools", [("1", 0), ("2", 1)])
+    def test_one_pool_steps_and_formats(self, tmp_path, monkeypatch, threads, n_pools):
+        # The pool that steps the ensemble also formats the time series; one
+        # worker runs both in process.
+        pools = []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", Counting)
+        args = ["simulate", *TINY, "--set", "n_trajectories=3", "--threads", threads]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        assert len(pools) == n_pools
+        assert (tmp_path / "timeseries.csv").is_file()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_ensemble_leaves_no_directory(self, tmp_path, capsys, monkeypatch, threads):
+        def failing(*args, **kwargs):
+            raise NumericError("non-finite state at step 0", point=0)
+
+        monkeypatch.setattr(scan, "evolve_ensemble_coherences", failing)
+        rc = main(["simulate", *TINY, "--set", "n_trajectories=3", "--threads", threads,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: non-finite state at step 0\n"
+        assert not (tmp_path / "out").exists()
+        assert scan._series is None
 
 
 class TestThreadsOption:

@@ -687,6 +687,25 @@ class TestSteadyState:
         ):
             steady_state(params(**lab))
 
+    # Finite, square-safe rates that span more than double precision
+    # resolves (gamma_t / omega_L and gamma_t / delta near 1e-15) also lose
+    # the solve's rank; their unit-rate twin has full rank, so the state is
+    # unique and the error says what was lost.
+    @pytest.mark.parametrize("lab, name", [({"b_gauss": 1e13}, "omega_L"), ({"delta_hz": 1e19}, "delta")])
+    def test_lost_precision_is_not_called_not_unique(self, lab, name):
+        with pytest.raises(
+            SteadyStateError,
+            match=rf"^the rates span more than double precision resolves \(rank 14 < 16\): "
+            rf"{name} = \d\.\d\de\+\d\d rad/s against relaxation rates gamma0 = 1\.01e\+07, "
+            r"gamma_opt = 5\.03e\+09, gamma_t = 1\.88e\+05, gamma_R = 1\.88e\+05 rad/s$",
+        ):
+            steady_state(params(**lab))
+
+    def test_degenerate_twin_is_not_unique(self):
+        # Without ground-coherence decay the twin loses rank too.
+        with pytest.raises(SteadyStateError, match=r"^steady state is not unique \(rank 15 < 16\)$"):
+            steady_state(params(gamma_r_hz=0.0))
+
     def test_all_rates_zero_rejected(self):
         p = params(gamma0_hz=0.0, gamma_t_hz=0.0)
         with pytest.raises(SteadyStateError):
@@ -695,7 +714,7 @@ class TestSteadyState:
     def test_non_unique_state_detected(self):
         # Decay but no transit and no light: any ground mixture is stationary.
         p = params(rabi_hz=0.0, b_gauss=0.0, gamma_t_hz=0.0)
-        with pytest.raises(SteadyStateError):
+        with pytest.raises(SteadyStateError, match=r"^steady state is not unique \(rank 14 < 16\)$"):
             steady_state(p)
 
 
@@ -766,3 +785,8 @@ class TestFreeEvolution:
             free_evolve_ground(np.zeros((2, 2)), 1.0, np.array([0.0]))
         with pytest.raises(DomainError):
             free_evolve_ground(np.diag([0.5, 0.5, 0.5]).astype(complex), 1.0, np.array([0.0]))
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf])
+    def test_non_finite_frequency_refused(self, omega):
+        with pytest.raises(DomainError, match=r"^omega_L must be >= 0 and finite"):
+            free_evolve_ground(np.array([1.0, 0, 0]), omega, np.array([0.0]))

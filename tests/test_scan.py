@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnoise import detection, integrator, scan
+from spinnoise import detection, integrator, scan, spectral
 
 from spinnoise.config import (
     AXIS_KEYS,
@@ -29,8 +29,6 @@ from spinnoise.scan import (
     run_point,
     run_scan,
     seed_key,
-    series_pool,
-    series_table,
     simulate_point,
     write_absorption_csv,
     write_mode_report_csv,
@@ -269,11 +267,11 @@ class TestSeeds:
         assert seed_key(5, np.float64(-0.0), 3) == seed_key(5, 0.0, 3)
 
     @pytest.mark.parametrize("axis", ["theta", "b_field", "detuning"])
-    def test_negative_zero_point_is_the_zero_point(self, axis):
+    def test_negative_zero_point_is_the_zero_point(self, axis, tmp_path):
         # The config accepts -0.0 on every axis; it must draw the noise of 0.0.
         key = AXIS_KEYS[axis]
-        zero = simulate_point(tiny_cfg(scan_axis=axis, **{key: 0.0}))
-        negative = simulate_point(tiny_cfg(scan_axis=axis, **{key: -0.0}))
+        zero = simulate_point(tiny_cfg(scan_axis=axis, **{key: 0.0}), tmp_path / "zero.csv")
+        negative = simulate_point(tiny_cfg(scan_axis=axis, **{key: -0.0}), tmp_path / "negative.csv")
         for mode in ("rnd", "end"):
             assert np.array_equal(negative.spectra[mode].psd, zero.spectra[mode].psd)
             assert negative.spectra[mode].n_averages == zero.spectra[mode].n_averages
@@ -454,18 +452,19 @@ class TestTrajectoryGroups:
             range(0, 38), range(38, 76), range(76, 113), range(113, 150)
         ]
 
-    def test_point_spectra_do_not_depend_on_the_split(self, monkeypatch):
+    def test_point_spectra_do_not_depend_on_the_split(self, monkeypatch, tmp_path):
         # Three usable CPUs, so that three workers get a layout of their own.
         monkeypatch.setattr(scan, "_usable_cpus", lambda: 3)
         cfg = tiny_cfg(n_trajectories=3, theta_deg=7.5)
-        serial = simulate_point(cfg)
+        serial = simulate_point(cfg, tmp_path / "1.csv")
         for n_workers in (2, 3):
-            split = simulate_point(cfg, n_workers=n_workers)
+            split = simulate_point(cfg, tmp_path / f"{n_workers}.csv", n_workers=n_workers)
             for mode in ("rnd", "end"):
                 assert np.array_equal(split.spectra[mode].psd, serial.spectra[mode].psd)
                 assert split.spectra[mode].n_averages == serial.spectra[mode].n_averages
             assert np.array_equal(split.series, serial.series)
             assert split.transmission == serial.transmission
+            assert (tmp_path / f"{n_workers}.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failure_names_trajectory_within_point(self, monkeypatch):
@@ -684,13 +683,13 @@ class TestEngineCalls:
     # calls of 3 and 2.
     @pytest.mark.parametrize("bound, n_traj", [(2, 1), (2, 3), (3, 2), (3, 5)])
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_calls_do_not_change_the_bits(self, monkeypatch, bound, n_traj, n_workers):
+    def test_calls_do_not_change_the_bits(self, monkeypatch, tmp_path, bound, n_traj, n_workers):
         cfg = tiny_cfg(n_trajectories=n_traj)
         whole = run_scan(cfg, n_workers=n_workers)
-        point = simulate_point(cfg, n_workers=n_workers)
+        point = simulate_point(cfg, tmp_path / "whole.csv", n_workers=n_workers)
         monkeypatch.setattr(scan, "_CALL_TRAJECTORIES", bound)
         cut = run_scan(cfg, n_workers=n_workers)
-        point_cut = simulate_point(cfg, n_workers=n_workers)
+        point_cut = simulate_point(cfg, tmp_path / "cut.csv", n_workers=n_workers)
         for pw, pc in zip(whole.points + [point], cut.points + [point_cut]):
             assert pc.axis_value == pw.axis_value
             assert pc.transmission == pw.transmission
@@ -698,8 +697,9 @@ class TestEngineCalls:
                 assert np.array_equal(pc.spectra[mode].psd, pw.spectra[mode].psd)
                 assert pc.spectra[mode].n_averages == pw.spectra[mode].n_averages
         assert np.array_equal(point_cut.series, point.series)
+        assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
-    def test_no_call_is_wider_than_the_bound(self, monkeypatch):
+    def test_no_call_is_wider_than_the_bound(self, monkeypatch, tmp_path):
         widths = []
 
         def spy(params, tcfg, keys, **kwargs):
@@ -711,7 +711,7 @@ class TestEngineCalls:
         run_scan(tiny_cfg(n_trajectories=2, scan_stop=30.0), n_workers=1)
         assert widths == [2] * 5
         widths.clear()
-        simulate_point(tiny_cfg(n_trajectories=7), n_workers=1)
+        simulate_point(tiny_cfg(n_trajectories=7), tmp_path / "series.csv", n_workers=1)
         assert widths == [3, 2, 2]
 
     # Each poisoned trajectory sits in a later call than the first: with one
@@ -816,6 +816,12 @@ class TestOscillationModes:
         with pytest.raises(DomainError):
             oscillation_mode_report(1.0, "x", n_samples=100)
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf])
+    def test_non_finite_frequency_refused(self, omega):
+        # A NaN passed the sign check and reported a dominant frequency of nan.
+        with pytest.raises(DomainError, match=r"^omega_l must be > 0 and finite"):
+            oscillation_mode_report(omega, "x")
+
     def test_csv_write(self, tmp_path):
         report = oscillation_mode_report(TWOPI * 1e6, "minus_pi_4")
         path = tmp_path / "modes.csv"
@@ -903,22 +909,26 @@ class TestAbsorptionScan:
 
 
 class TestSimulatePoint:
-    def test_outputs(self):
+    def test_outputs(self, tmp_path):
         cfg = tiny_cfg()
-        with series_pool(cfg, 1) as pool:
-            point = simulate_point(cfg, pool=pool)
-            table = series_table(cfg)
-            t, rnd, end = table.read(0, table.n_rows)
+        path = tmp_path / "made" / "timeseries.csv"
+        point = simulate_point(cfg, path)
+        lines = path.read_text().splitlines()
+        n_meta = sum(line.startswith("#") for line in lines)
+        assert [line.partition("=")[0] for line in lines[:n_meta]] == [
+            f"# {key}" for key in (*AXIS_KEYS.values(), "seed")
+        ]
+        assert lines[n_meta] == "t_s,rnd_au,end_au"
+        t, rnd, end = np.array([[float(v) for v in row.split(",")] for row in lines[n_meta + 1 :]]).T
         n_expected = cfg.n_steps - cfg.resolved_burn_in()
-        assert table.names == ("t_s", "rnd_au", "end_au")
-        assert table.n_rows == n_expected
         assert t.shape == rnd.shape == end.shape == (n_expected,)
         assert t[0] == pytest.approx((cfg.resolved_burn_in() + 1) * cfg.dt_s)
-        assert point.series is pool.series
+        assert point.series.shape == (n_expected, 2)
         assert np.array_equal(rnd, point.series[:, 0]) and np.array_equal(end, point.series[:, 1])
         assert set(point.spectra) == {"rnd", "end"}
+        assert scan._series is None
 
-    def test_one_integration_and_series_is_ensemble_column_zero(self, monkeypatch):
+    def test_one_integration_and_series_is_ensemble_column_zero(self, monkeypatch, tmp_path):
         calls = []
 
         def recording(*args, **kwargs):
@@ -927,7 +937,7 @@ class TestSimulatePoint:
 
         monkeypatch.setattr(scan, "evolve_ensemble_coherences", recording)
         cfg = tiny_cfg()
-        rnd, end = simulate_point(cfg).series.T
+        rnd, end = simulate_point(cfg, tmp_path / "timeseries.csv").series.T
         assert len(calls) == 1
         (params, tcfg, keys), kwargs = calls[0]
         assert kwargs.pop("sink") is not None
@@ -945,55 +955,51 @@ class TestSeriesPool:
     def cfg():
         return tiny_cfg(n_steps=2**14, burn_in_steps=200)
 
-    def test_pool_series_is_the_in_process_series_and_no_result_carries_it(self, monkeypatch):
+    def test_pool_series_is_the_in_process_series_and_no_result_carries_it(
+        self, monkeypatch, tmp_path
+    ):
         # Two trajectories on a real 2-process pool: the task holding
         # trajectory 0 writes its rows into the shared buffer, so its result
         # is its PSDs and transmission, not the 16 bytes a row of the series.
+        # The same pool then formats the table's four blocks.
+        monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
         cfg = self.cfg()
-        serial = simulate_point(cfg)
+        serial = simulate_point(cfg, tmp_path / "1.csv")
         futures = []
 
         class Recording(ProcessPoolExecutor):
             def submit(self, fn, *args, **kwargs):
-                futures.append((args, super().submit(fn, *args, **kwargs)))
-                return futures[-1][1]
+                futures.append((fn, args, super().submit(fn, *args, **kwargs)))
+                return futures[-1][2]
 
         monkeypatch.setattr(scan, "ProcessPoolExecutor", Recording)
-        pooled = simulate_point(cfg, n_workers=2)
-        assert [args[2] for args, _ in futures] == [range(0, 1), range(1, 2)]
+        pooled = simulate_point(cfg, tmp_path / "2.csv", n_workers=2)
+        assert [fn for fn, _, _ in futures] == [scan._run_task] * 2 + [spectral._format_range] * 4
+        assert [args[2] for _, args, _ in futures[:2]] == [range(0, 1), range(1, 2)]
         n_recorded = cfg.trajectory_config().n_recorded
         assert pooled.series.shape == (n_recorded, 2)
         assert np.array_equal(pooled.series, serial.series)
         for mode in ("rnd", "end"):
             assert np.array_equal(pooled.spectra[mode].psd, serial.spectra[mode].psd)
-        assert len(pickle.dumps(futures[0][1].result())) < n_recorded * 16
+        assert len(pickle.dumps(futures[0][2].result())) < n_recorded * 16
+        assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
 
-    def test_a_pool_that_has_forked_is_refused(self):
-        cfg = self.cfg()
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-            pool.submit(int).result()   # its worker has forked, before any buffer
-            with pytest.raises(TypeError, match="runs on a series_pool"):
-                simulate_point(cfg, n_workers=2, pool=pool)
-            # A task told to keep the series on such a worker fails rather
-            # than fill a private copy.
-            with series_pool(cfg, 2):
-                task = pool.submit(scan._run_task, cfg, np.array([0.0]), range(0, 1), True)
-                with pytest.raises(RuntimeError, match="no series buffer"):
-                    task.result()
-                rows = pool.submit(series_table(cfg).read, 0, 10)
-                with pytest.raises(RuntimeError, match="no series buffer"):
-                    rows.result()
-
-    def test_one_series_pool_at_a_time_and_none_after(self):
-        cfg = self.cfg()
-        with series_pool(cfg, 1):
-            with pytest.raises(RuntimeError, match="already open"):
-                with series_pool(cfg, 1):
-                    pass
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_no_buffer_or_worker_is_left_behind(self, monkeypatch, tmp_path, n_workers):
+        # After a run, and after a run whose ensemble fails, which also
+        # makes no directory for its table.
+        monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
+        cfg = tiny_cfg(n_trajectories=3, scan_axis="theta", theta_deg=7.5, master_seed=0)
+        simulate_point(cfg, tmp_path / "done" / "timeseries.csv", n_workers=n_workers)
         assert scan._series is None
-        with pytest.raises(RuntimeError, match="no series buffer"):
-            series_table(cfg).read(0, 10)
+        assert multiprocessing.active_children() == []
+        poison(monkeypatch, 7.5, 2)
+        with pytest.raises(NumericError):
+            simulate_point(cfg, tmp_path / "failed" / "timeseries.csv", n_workers=n_workers)
+        assert scan._series is None
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "failed").exists()
 
 
 class TestWriteScan:

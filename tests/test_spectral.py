@@ -190,6 +190,13 @@ class TestWelch:
         with pytest.raises(DomainError, match="shape"):
             accumulator.push(np.zeros((3, 10)))
 
+    # NaN was refused as a segment over 2**53 samples; inf built an estimate
+    # with an RBW of 0, whose records divided by zero.
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+    def test_step_refused_unless_finite_and_positive(self, dt):
+        with pytest.raises(DomainError, match=r"^dt must be finite and > 0, got"):
+            WelchAccumulator(1, dt, 1e3)
+
     def test_odd_segment_needs_two_full_segments(self):
         # The presets' sampling and 91 kHz RBW give nseg 297 and hop 149:
         # 445 samples hold one segment only, 446 hold two.
