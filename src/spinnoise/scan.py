@@ -212,7 +212,8 @@ class _Stream:
     ):
         tcfg = cfg.trajectory_config()
         self.modes = cfg.modes()
-        self.mode_columns = [_SIGNAL_MODES.index(mode) for mode in self.modes]
+        first = _SIGNAL_MODES.index(self.modes[0])
+        self.mode_slice = slice(first, first + len(self.modes))
         self.n_points = n_points
         self.n_traj = n_traj
         self.welch = WelchAccumulator(
@@ -226,19 +227,13 @@ class _Stream:
         return slice(start, start + self.n_traj)
 
     def __call__(self, rows: np.ndarray) -> None:
-        # The engine's block is trajectory-major, (P * n_traj, n, 2).  Each
-        # mode's column is copied into one trace-major buffer, the layout
-        # the accumulator takes; a fancy-indexed copy would add a second
-        # chunk-sized temporary, which measurably slowed the accumulator's
-        # own allocations.
+        # The engine's block is trajectory-major, (P * n_traj, n, 2); the
+        # accumulator reads it in place through a (P, mode, n_traj, n) view.
         n = rows.shape[1]
         if self.series is not None:
             self.series[self.filled : self.filled + n] = rows[0]
         by_mode = rows.reshape(self.n_points, self.n_traj, n, 2).transpose(0, 3, 1, 2)
-        signals = np.empty((self.n_points, len(self.modes), self.n_traj, n))
-        for m, column in enumerate(self.mode_columns):
-            signals[:, m] = by_mode[:, column]
-        self.welch.push(signals.reshape(self.welch.n_traces, n))
+        self.welch.push(by_mode[:, self.mode_slice])
         self.filled += n
 
 

@@ -25,9 +25,6 @@ from .exceptions import DomainError
 #: Equivalent noise bandwidth of the periodic Hann window, in bins.
 HANN_ENBW_BINS = 1.5
 
-# Windowed samples per transform call of WelchAccumulator (16 MB of float64).
-_WELCH_BLOCK_SAMPLES = 2**21
-
 
 @dataclass(eq=False)
 class SpectrumRecord:
@@ -149,18 +146,19 @@ def welch_psd_batch(
 class WelchAccumulator:
     """Streaming Welch PSD of n_traces signals fed in time order.
 
-    ``push`` takes the next n samples of every trace, trace-major as an
-    (n_traces, n) array, for any n.  Samples are held until they complete a
-    segment; then every completed segment is windowed and transformed, and
-    its power is added to a running sum one segment at a time, in order.
-    So the spectra are the same bits however the series is cut into pushes,
-    and equal to the mean over segments of ``welch_psd_batch``; each sample
-    is copied a bounded number of times, whatever the segment length.  One
-    transform call holds about _WELCH_BLOCK_SAMPLES windowed samples.
+    ``push`` takes the next n samples of every trace, for any n, as an array
+    whose last axis is samples and whose leading axes, in C order, index
+    the traces.  It reads them in place and holds the unfinished segment's
+    samples in one (n_traces, nseg - 1) buffer; each completed segment is
+    windowed and transformed on its own, and its power is added to a
+    running sum one segment at a time, in order.  So the spectra are the
+    same bits however the series is cut into pushes, and equal to the mean
+    over segments of ``welch_psd_batch``.
 
     The estimate's layout is derived here once: ``nseg``, ``hop`` and ``rbw``
     at construction, ``window``, ``freqs`` and ``density_scale`` at first use
-    and the power sum at the first push, so building one costs no memory.
+    and the power sum and buffers at the first push, so building one costs
+    no memory.
     """
 
     def __init__(self, n_traces: int, dt: float, rbw_target: float):
@@ -176,8 +174,6 @@ class WelchAccumulator:
         self.n_traces = n_traces
         self.n_samples = 0
         self.n_segments = 0
-        self._held: list[np.ndarray] = []   # samples from n_segments * hop on
-        self._group = max(1, _WELCH_BLOCK_SAMPLES // (n_traces * self.nseg))
 
     @functools.cached_property
     def window(self) -> np.ndarray:
@@ -202,30 +198,39 @@ class WelchAccumulator:
 
     def push(self, samples: np.ndarray) -> None:
         x = np.asarray(samples, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self.n_traces:
-            raise DomainError(
-                f"expected samples of shape ({self.n_traces}, n), got {x.shape}"
-            )
+        if x.ndim < 2 or math.prod(x.shape[:-1]) != self.n_traces:
+            raise DomainError(f"expected samples of shape ({self.n_traces}, n), got {x.shape}")
+        *lead, n = x.shape
+        nseg, hop, bins = self.nseg, self.hop, self.nseg // 2 + 1
         if not self.n_samples:
-            self._power = np.zeros((self.n_traces, self.nseg // 2 + 1))
-        held = self.n_samples - self.n_segments * self.hop
-        self.n_samples += x.shape[1]
-        n_new = max(0, 1 + (held + x.shape[1] - self.nseg) // self.hop)
-        if not n_new:
-            self._held.append(x.copy())
-            return
-        traces = np.concatenate([*self._held, x], axis=1) if self._held else x
-        segments = np.lib.stride_tricks.sliding_window_view(
-            traces, self.nseg, axis=1
-        )[:, :: self.hop]
-        for first in range(0, n_new, self._group):
-            spectra = np.fft.rfft(segments[:, first : first + self._group] * self.window, axis=-1)
-            power = np.square(spectra.real)
-            power += np.square(spectra.imag)
-            for s in range(power.shape[1]):
-                self._power += power[:, s]
+            self._power = np.zeros((self.n_traces, bins))
+            self._buffer = np.empty((self.n_traces, nseg - 1))
+            scratch = np.empty(self.n_traces * nseg)
+            self._windowed = scratch.reshape(self.n_traces, nseg)
+            self._spectra = np.empty((self.n_traces, bins), dtype=complex)
+            # The same memory's contiguous front: a strided output is buffered.
+            self._segment_power = scratch[: self.n_traces * bins].reshape(self.n_traces, bins)
+        # Offsets count from the buffer's first sample: it holds [0, held),
+        # and x follows it.  held < nseg before and after every push.
+        held = self.n_samples - self.n_segments * hop
+        buffer = self._buffer.reshape(*lead, nseg - 1)
+        windowed = self._windowed.reshape(*lead, nseg)
+        n_new = max(0, 1 + (held + n - nseg) // hop)
+        for start in range(0, n_new * hop, hop):
+            cut = max(0, held - start)   # this segment's samples still held
+            np.multiply(buffer[..., start:held], self.window[:cut], out=windowed[..., :cut])
+            np.multiply(x[..., start + cut - held : start + nseg - held], self.window[cut:], out=windowed[..., cut:])
+            squares = np.fft.rfft(self._windowed, axis=-1, out=self._spectra).view(float)
+            np.square(squares, out=squares)
+            np.add(squares[:, ::2], squares[:, 1::2], out=self._segment_power)
+            self._power += self._segment_power
+        first = n_new * hop
+        if 0 < first < held:
+            # Not overlapping: first >= hop >= nseg / 2 > held - first.
+            buffer[..., : held - first] = buffer[..., first:held]
+        buffer[..., max(0, held - first) : held + n - first] = x[..., max(0, first - held) :]
+        self.n_samples += n
         self.n_segments += n_new
-        self._held = [traces[:, n_new * self.hop :].copy()]
 
     def records(
         self, metadata: dict | None = None, traces: slice = slice(None)
@@ -253,7 +258,7 @@ def video_average(spec: SpectrumRecord, vbw: float) -> SpectrumRecord:
     kernel is symmetric, so peak centers do not move.  The kernel is
     clamped to the trace length.
     """
-    if vbw <= 0:
+    if not vbw > 0:
         raise DomainError(f"vbw must be > 0, got {vbw}")
     if vbw > spec.rbw:
         raise DomainError(f"vbw ({vbw:g} Hz) must not exceed rbw ({spec.rbw:g} Hz)")
@@ -307,8 +312,8 @@ def find_peak(
     clamped at >= 0.  ``floor`` may be a constant or a spectrum on the same
     grid.
     """
-    if halfwidth <= 0:
-        raise DomainError(f"halfwidth must be > 0, got {halfwidth}")
+    if not (math.isfinite(around) and 0 < halfwidth < math.inf):
+        raise DomainError(f"need a finite around and halfwidth > 0, got {around} and {halfwidth}")
     lo, hi = around - halfwidth, around + halfwidth
     if lo < spec.freqs[0] or hi > spec.freqs[-1]:
         raise DomainError(

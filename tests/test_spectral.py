@@ -160,6 +160,21 @@ class TestWelch:
             assert (a.rbw, a.n_averages, a.metadata) == (b.rbw, b.n_averages, b.metadata)
         part = accumulator.records(traces=slice(1, 3))
         assert [rec.psd.tolist() for rec in part] == [rec.psd.tolist() for rec in whole[1:3]]
+        # The scan sink's input: the engine's trajectory-major block of
+        # [RND, END] rows, (points * 2 trajectories, n, 2), pushed as a
+        # strided (point, mode, trajectory, n) view of both modes or of one;
+        # the column left out is NaN, so reading it would show.
+        for modes in (slice(0, 2), slice(0, 1), slice(1, 2)):
+            points = 2 // (modes.stop - modes.start)
+            rows = np.full((points, 2, 2, n), np.nan)
+            rows[:, modes] = x.T.reshape(points, -1, 2, n)
+            rows = np.ascontiguousarray(rows.transpose(0, 2, 3, 1)).reshape(points * 2, n, 2)
+            viewed = WelchAccumulator(4, DT, rbw)
+            for lo, hi in zip(cuts, cuts[1:]):
+                viewed.push(rows[:, lo:hi].reshape(points, 2, hi - lo, 2).transpose(0, 3, 1, 2)[:, modes])
+            assert [rec.psd.tolist() for rec in viewed.records()] == [rec.psd.tolist() for rec in whole]
+        with pytest.raises(DomainError, match=re.escape("expected samples of shape (4, n)")):
+            accumulator.push(np.zeros((1, 3, 2, 10)))
 
     @given(
         nseg=st.sampled_from([n for n in range(8, 200) if next_fast_len(n) == n]),
@@ -222,6 +237,26 @@ class TestWelch:
         with pytest.raises(DomainError, match=f"need at least {minimum} samples .* got {minimum - 1}"):
             accumulator.require(minimum - 1)
         accumulator.require(minimum)
+
+    def test_push_allocates_no_chunk_sized_arrays(self):
+        # A scan task's shape: 112 traces, nseg 297 and 256-sample pushes.
+        # After the first push, a push that completes two segments across
+        # the held samples and the new ones allocates at most one segment's
+        # windowed samples, spectra and power per trace.
+        rbw = 1.5e6 / 297
+        accumulator = WelchAccumulator(112, DT, rbw)
+        rng = np.random.default_rng(16)
+        accumulator.push(rng.normal(size=(112, 256)))
+        x = rng.normal(size=(112, 256))
+        tracemalloc.start()
+        try:
+            accumulator.push(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert accumulator.n_segments == 2
+        bins = 297 // 2 + 1
+        assert peak < 112 * (297 * 8 + bins * 16 + bins * 8) + 2**14
 
     def test_building_one_costs_no_memory_whatever_the_segment(self):
         # A 2^40-sample segment: its window alone would take 8 TB, its
@@ -327,6 +362,8 @@ class TestVideoAverage:
     def test_vbw_above_rbw_rejected(self):
         with pytest.raises(DomainError):
             video_average(flat_record(np.ones(10), rbw=5.0), 6.0)
+        with pytest.raises(DomainError, match="^vbw must be > 0, got nan"):
+            video_average(flat_record(np.ones(10), rbw=5.0), np.nan)
 
     def test_kernel_clamped_to_trace(self):
         spec = flat_record(np.ones(11), rbw=1000.0)
@@ -446,6 +483,12 @@ class TestFindPeak:
             find_peak(spec, around=9.9e6, halfwidth=0.5e6)
         with pytest.raises(DomainError):
             find_peak(spec, around=0.1e6, halfwidth=0.5e6)
+        # NaN passed the band check: a zero peak_power at a NaN centroid, or
+        # a NaN window.
+        with pytest.raises(DomainError, match="^need a finite around and halfwidth > 0, got nan and"):
+            find_peak(spec, around=np.nan, halfwidth=1e5)
+        with pytest.raises(DomainError, match="^need a finite around and halfwidth > 0, got .* and nan"):
+            find_peak(spec, around=2.8e6, halfwidth=np.nan)
 
     def test_floor_grid_mismatch_rejected(self):
         spec = self.lorentzian_record()
