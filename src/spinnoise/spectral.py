@@ -25,6 +25,9 @@ from .exceptions import DomainError
 #: Equivalent noise bandwidth of the periodic Hann window, in bins.
 HANN_ENBW_BINS = 1.5
 
+# Windowed samples per transform call of WelchAccumulator (2 MB of float64).
+_WELCH_BLOCK_SAMPLES = 2**18
+
 
 @dataclass(eq=False)
 class SpectrumRecord:
@@ -149,11 +152,13 @@ class WelchAccumulator:
     ``push`` takes the next n samples of every trace, for any n, as an array
     whose last axis is samples and whose leading axes, in C order, index
     the traces.  It reads them in place and holds the unfinished segment's
-    samples in one (n_traces, nseg - 1) buffer; each completed segment is
-    windowed and transformed on its own, and its power is added to a
-    running sum one segment at a time, in order.  So the spectra are the
-    same bits however the series is cut into pushes, and equal to the mean
-    over segments of ``welch_psd_batch``.
+    samples in one (n_traces, nseg - 1) buffer.  A completed segment that
+    begins in the buffer is joined and transformed on its own, segments
+    within the pushed samples about _WELCH_BLOCK_SAMPLES windowed samples
+    at a time, and their power is added to a running sum one segment at a
+    time, in order.  So the spectra are the same bits however the series
+    is cut into pushes, and equal to the mean over segments of
+    ``welch_psd_batch``.
 
     The estimate's layout is derived here once: ``nseg``, ``hop`` and ``rbw``
     at construction, ``window``, ``freqs`` and ``density_scale`` at first use
@@ -174,6 +179,7 @@ class WelchAccumulator:
         self.n_traces = n_traces
         self.n_samples = 0
         self.n_segments = 0
+        self._group = max(1, _WELCH_BLOCK_SAMPLES // (n_traces * self.nseg))
 
     @functools.cached_property
     def window(self) -> np.ndarray:
@@ -201,29 +207,24 @@ class WelchAccumulator:
         if x.ndim < 2 or math.prod(x.shape[:-1]) != self.n_traces:
             raise DomainError(f"expected samples of shape ({self.n_traces}, n), got {x.shape}")
         *lead, n = x.shape
-        nseg, hop, bins = self.nseg, self.hop, self.nseg // 2 + 1
+        nseg, hop = self.nseg, self.hop
         if not self.n_samples:
-            self._power = np.zeros((self.n_traces, bins))
+            self._power = np.zeros((self.n_traces, nseg // 2 + 1))
             self._buffer = np.empty((self.n_traces, nseg - 1))
-            scratch = np.empty(self.n_traces * nseg)
-            self._windowed = scratch.reshape(self.n_traces, nseg)
-            self._spectra = np.empty((self.n_traces, bins), dtype=complex)
-            # The same memory's contiguous front: a strided output is buffered.
-            self._segment_power = scratch[: self.n_traces * bins].reshape(self.n_traces, bins)
+            self._windowed = np.empty(0)
         # Offsets count from the buffer's first sample: it holds [0, held),
         # and x follows it.  held < nseg before and after every push.
         held = self.n_samples - self.n_segments * hop
         buffer = self._buffer.reshape(*lead, nseg - 1)
-        windowed = self._windowed.reshape(*lead, nseg)
         n_new = max(0, 1 + (held + n - nseg) // hop)
-        for start in range(0, n_new * hop, hop):
-            cut = max(0, held - start)   # this segment's samples still held
-            np.multiply(buffer[..., start:held], self.window[:cut], out=windowed[..., :cut])
-            np.multiply(x[..., start + cut - held : start + nseg - held], self.window[cut:], out=windowed[..., cut:])
-            squares = np.fft.rfft(self._windowed, axis=-1, out=self._spectra).view(float)
-            np.square(squares, out=squares)
-            np.add(squares[:, ::2], squares[:, 1::2], out=self._segment_power)
-            self._power += self._segment_power
+        begun = min(n_new, -(-held // hop))   # segments that begin in the buffer
+        for start in range(0, begun * hop, hop):
+            # This segment's samples still held, then the first pushed ones.
+            self._add_power(buffer[..., None, start:held], x[..., None, : nseg - held + start])
+        if n_new > begun:
+            inside = np.lib.stride_tricks.sliding_window_view(x, nseg, axis=-1)[..., begun * hop - held :: hop, :]
+            for first in range(0, n_new - begun, self._group):
+                self._add_power(inside[..., first : first + self._group, :])
         first = n_new * hop
         if 0 < first < held:
             # Not overlapping: first >= hop >= nseg / 2 > held - first.
@@ -231,6 +232,26 @@ class WelchAccumulator:
         buffer[..., max(0, held - first) : held + n - first] = x[..., max(0, first - held) :]
         self.n_samples += n
         self.n_segments += n_new
+
+    def _add_power(self, *parts: np.ndarray) -> None:
+        """Window and transform segments, k of every trace, given as
+        (*lead, k, width) parts that join along their last axis, and add
+        their power to the running sum one segment at a time, in order.
+        The arrays they pass through grow to the most segments taken yet."""
+        size, bins = self.n_traces * parts[0].shape[-2], self.nseg // 2 + 1
+        if self._windowed.size < size * self.nseg:
+            self._windowed = np.empty(size * self.nseg)
+            self._spectra = np.empty(size * bins, dtype=complex)
+            self._segment_power = np.empty(size * bins)
+        windowed = self._windowed[: size * self.nseg].reshape(size, self.nseg)
+        np.concatenate(parts, axis=-1, out=windowed.reshape(*parts[0].shape[:-1], self.nseg))
+        windowed *= self.window
+        squares = np.fft.rfft(windowed, axis=-1, out=self._spectra[: size * bins].reshape(size, bins)).view(float)
+        np.square(squares, out=squares)
+        power = self._segment_power[: size * bins].reshape(size, bins)
+        np.add(squares[:, ::2], squares[:, 1::2], out=power)
+        for segment in power.reshape(self.n_traces, -1, bins).swapaxes(0, 1):
+            self._power += segment
 
     def records(
         self, metadata: dict | None = None, traces: slice = slice(None)

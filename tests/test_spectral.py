@@ -137,11 +137,11 @@ class TestWelch:
 
     @pytest.mark.parametrize("rbw", [5e3, 1.5e6 / 297, 1.5e6 / 27000])
     @pytest.mark.parametrize("tail", [0, 7])
-    def test_streamed_pieces_equal_one_push(self, rbw, tail):
+    def test_streamed_pieces_equal_one_push(self, rbw, tail, monkeypatch):
         # Uneven pieces, then 256-sample pushes as the engine makes them;
         # odd (297) and even (300) nseg, and an nseg (27000) that takes
         # many pushes to complete; with and without a trailing partial
-        # segment.
+        # segment; and one push transformed three segments at a time.
         nseg = segment_length(DT, rbw)
         hop = nseg - nseg // 2
         n = 40 * hop + nseg + tail
@@ -175,6 +175,10 @@ class TestWelch:
             assert [rec.psd.tolist() for rec in viewed.records()] == [rec.psd.tolist() for rec in whole]
         with pytest.raises(DomainError, match=re.escape("expected samples of shape (4, n)")):
             accumulator.push(np.zeros((1, 3, 2, 10)))
+        monkeypatch.setattr(spectral, "_WELCH_BLOCK_SAMPLES", 3 * 4 * nseg)
+        grouped = WelchAccumulator(4, DT, rbw)
+        grouped.push(x.T)
+        assert [rec.psd.tolist() for rec in grouped.records()] == [rec.psd.tolist() for rec in whole]
 
     @given(
         nseg=st.sampled_from([n for n in range(8, 200) if next_fast_len(n) == n]),
@@ -240,13 +244,14 @@ class TestWelch:
 
     def test_push_allocates_no_chunk_sized_arrays(self):
         # A scan task's shape: 112 traces, nseg 297 and 256-sample pushes.
-        # After the first push, a push that completes two segments across
-        # the held samples and the new ones allocates at most one segment's
-        # windowed samples, spectra and power per trace.
-        rbw = 1.5e6 / 297
-        accumulator = WelchAccumulator(112, DT, rbw)
+        # Once the accumulator's arrays exist, a push that completes two
+        # segments across the held samples and the new ones allocates less
+        # than one copy of the samples it is given (it allocates numpy's
+        # ufunc iteration buffer, 64 KiB with NumPy 2.4, and no array).
+        accumulator = WelchAccumulator(112, DT, 1.5e6 / 297)
         rng = np.random.default_rng(16)
-        accumulator.push(rng.normal(size=(112, 256)))
+        for _ in range(2):
+            accumulator.push(rng.normal(size=(112, 256)))
         x = rng.normal(size=(112, 256))
         tracemalloc.start()
         try:
@@ -254,9 +259,8 @@ class TestWelch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert accumulator.n_segments == 2
-        bins = 297 // 2 + 1
-        assert peak < 112 * (297 * 8 + bins * 16 + bins * 8) + 2**14
+        assert accumulator.n_segments == 4
+        assert peak < x.nbytes
 
     def test_building_one_costs_no_memory_whatever_the_segment(self):
         # A 2^40-sample segment: its window alone would take 8 TB, its
