@@ -96,8 +96,7 @@ class ExperimentConfig:
     gamma_t_hz: float = 30e3
     gamma_r_hz: float = 30e3
     n_atoms: float = 3.4e9
-    kappa: float = 1.0
-    mean_field_au: float = 1.0
+    kappa: float = 1.0            # signal scale: coupling times mean-field amplitude
     # trajectory
     dt_s: float = 1.0 / 18e6
     n_steps: int = 131072

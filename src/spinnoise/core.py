@@ -231,7 +231,8 @@ class SystemParams:
     n_atoms : float
         Mean number of atoms in the probed volume (dimensionless).
     kappa : float
-        Coherence-to-radiated-field coupling scale (arbitrary units).
+        Signal scale (arbitrary units): the coherence-to-radiated-field
+        coupling times the mean-field amplitude the fluctuation beats with.
     """
 
     omega_L: float

@@ -11,7 +11,6 @@ rotation noise), its imaginary part after a quarter-wave quadrature swap
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,31 +101,31 @@ def field_from_coherences(rho: np.ndarray, params: SystemParams) -> FieldSample:
     return fields_from_coherence_series(rho[3, 0], rho[3, 2], params)
 
 
-def rnd_signal(sample: FieldSample, mean_field_e: float) -> np.ndarray | float:
-    """Rotation-noise channel: 2 E Re(e_perp), first order in the fluctuation."""
-    return 2.0 * mean_field_e * np.real(sample.e_perp)
+def rnd_signal(sample: FieldSample) -> np.ndarray | float:
+    """Rotation-noise channel: 2 Re(e_perp), first order in the fluctuation."""
+    return 2.0 * np.real(sample.e_perp)
 
 
-def end_signal(sample: FieldSample, mean_field_e: float) -> np.ndarray | float:
-    """Ellipticity-noise channel: 2 E Im(e_perp) (quadrature-swapped readout)."""
-    return 2.0 * mean_field_e * np.imag(sample.e_perp)
+def end_signal(sample: FieldSample) -> np.ndarray | float:
+    """Ellipticity-noise channel: 2 Im(e_perp) (quadrature-swapped readout)."""
+    return 2.0 * np.imag(sample.e_perp)
 
 
-_CHANNELS = {"rnd": rnd_signal, "end": end_signal}
+#: Column order of ``readout_matrix``, and so of every recorded signal row.
+SIGNAL_MODES = ("rnd", "end")
 
 
-def readout_matrix(
-    params: SystemParams, mean_field_e: float, modes: Sequence[str] = ("rnd", "end")
-) -> np.ndarray:
-    """Real (4, len(modes)) readout G: the signals of the coherence coordinates
-    x = (Re rho[3,0], Im rho[3,0], Re rho[3,2], Im rho[3,2]) are x @ G.
+def readout_matrix(params: SystemParams) -> np.ndarray:
+    """Real (4, 2) readout G: the [RND, END] signals of the coherence
+    coordinates x = (Re rho[3,0], Im rho[3,0], Re rho[3,2], Im rho[3,2])
+    are x @ G.
 
     Built by probing fields_from_coherence_series with the four unit
-    coordinates and reading each probe through rnd_signal or end_signal.
+    coordinates and reading each probe through rnd_signal and end_signal.
     """
     probes = np.eye(4).view(complex)   # row k: coherence pair of unit coordinate k
     sample = fields_from_coherence_series(probes[:, 0], probes[:, 1], params)
-    return np.stack([_CHANNELS[mode](sample, mean_field_e) for mode in modes], axis=-1)
+    return np.stack([rnd_signal(sample), end_signal(sample)], axis=-1)
 
 
 def transmission(

@@ -32,7 +32,6 @@ the draws to the recorded signals directly.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from collections.abc import Callable, Sequence
@@ -202,12 +201,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 class Propagator:
-    """Exact one-step advance of the deterministic drift for fixed (params, dt).
+    """Exact one-step advance of the deterministic drift for fixed (params, dt),
+    and the scale of the transit noise each step adds.
 
     The affine step (E, c) comes from one 17x17 matrix exponential of the
     augmented system [[A, b], [0, 0]] * dt, which is well defined even when
     A is singular.  An exponential that overflows is refused, so the engine
-    only ever steps with finite operators.
+    only ever steps with finite operators.  ``noise_scale`` is the standard
+    deviation of each of the nine noise-driven coordinates
+    (``NoiseStats.block_scale``); all zero without transit noise.
     """
 
     def __init__(self, params: SystemParams, dt: float):
@@ -225,19 +227,15 @@ class Propagator:
         # The same step in real coordinates: x' = x @ real_matrix_t + real_offset.
         self.real_matrix_t = np.ascontiguousarray((_TO_REAL @ self.matrix @ _FROM_REAL).real.T)
         self.real_offset = (_TO_REAL @ self.offset).real
-
-
-@functools.lru_cache(maxsize=32)
-def _cached_propagator(params: SystemParams, dt: float) -> Propagator:
-    return Propagator(params, dt)
+        self.noise_scale = noise_stats(params.gamma_t, dt, params.n_atoms).block_scale
 
 
 @dataclass(frozen=True)
 class _Lifted:
     """One point's operators that advance a sub-block of up to _SUB steps.
 
-    With M = ``real_matrix_t``, c = ``real_offset``, s the noise scale
-    (``NoiseStats.block_scale``) and z_i the standard normals of step i of
+    With M = ``real_matrix_t``, c = ``real_offset``, s = ``noise_scale``
+    of the point's Propagator and z_i the standard normals of step i of
     a sub-block that starts in state y, the state after its step r is
 
         x_r = y M^(r+1) + sum_{i<=r} z_i diag(s) M^(r-i)[:9] + O_r,
@@ -265,12 +263,11 @@ class _Lifted:
     safe_size: float
 
 
-def _lifted(params: SystemParams, dt: float, r_map: np.ndarray) -> _Lifted:
-    """The lifted operators of one point with the (16, K) record map ``r_map``."""
-    prop = _cached_propagator(params, dt)
-    m, c = prop.real_matrix_t, prop.real_offset
+def _lifted(prop: Propagator, r_map: np.ndarray) -> _Lifted:
+    """The lifted operators of one point's Propagator with the (16, K)
+    record map ``r_map``."""
+    m, c, scale = prop.real_matrix_t, prop.real_offset, prop.noise_scale
     k = r_map.shape[1]
-    scale = noise_stats(params.gamma_t, dt, params.n_atoms).block_scale
     powers = np.empty((_SUB + 1, VEC_DIM, VEC_DIM))
     powers[0] = np.eye(VEC_DIM)
     offsets = np.empty((_SUB, VEC_DIM))
@@ -448,10 +445,9 @@ def _integrate(
     """
     n_points, n_traj, _ = x0.shape
     n_rec = records.shape[2]
-    ops = [_lifted(p, cfg.dt, r) for p, r in zip(params, records)]
-    noisy = [
-        with_noise and noise_stats(p.gamma_t, cfg.dt, p.n_atoms).sigma_sq > 0.0 for p in params
-    ]
+    props = [Propagator(p, cfg.dt) for p in params]
+    ops = [_lifted(prop, r) for prop, r in zip(props, records)]
+    noisy = [with_noise and prop.noise_scale.any() for prop in props]
     # Per-point operators, broadcast over trajectories and sub-blocks.
     power = np.stack([op.power for op in ops])
     end_noise = np.stack([op.end_noise for op in ops])[:, None]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import AXIS_KEYS, ExperimentConfig, write_manifest
 from .core import SQRT2
-from .detection import readout_matrix, shot_noise_floor, transmission
+from .detection import SIGNAL_MODES, readout_matrix, shot_noise_floor, transmission
 from .exceptions import ConfigError, DomainError, NumericError
 from .integrator import (
     evolve_ensemble_coherences,
@@ -138,12 +138,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _processes(n_workers: int) -> int:
-    """The worker processes a run on ``n_workers`` workers can keep busy:
-    no more than the usable CPUs.  Its tasks are cut for these."""
-    return max(1, min(n_workers, _usable_cpus()))
-
-
 def _split(n: int, n_groups: int, wide_first: bool = False) -> list[range]:
     """Contiguous, non-empty ranges of near-equal size covering range(n);
     with ``wide_first`` the ranges one longer than the rest come first."""
@@ -196,10 +190,6 @@ class _PointPart:
     transmission: float | None = None          # from the group holding trajectory 0
 
 
-# Columns of the signals the engine records for every point.
-_SIGNAL_MODES = ("rnd", "end")
-
-
 class _Stream:
     """Sink of one engine call: takes each chunk of [RND, END] signals of
     every point and trajectory of the call and pushes the configured modes'
@@ -212,7 +202,7 @@ class _Stream:
     ):
         tcfg = cfg.trajectory_config()
         self.modes = cfg.modes()
-        first = _SIGNAL_MODES.index(self.modes[0])
+        first = SIGNAL_MODES.index(self.modes[0])
         self.mode_slice = slice(first, first + len(self.modes))
         self.n_points = n_points
         self.n_traj = n_traj
@@ -274,7 +264,7 @@ def _run_task(
         with _failing_point(value):
             params.append(cfg.system_params(value))
             rho0.append(steady_state(params[-1]))
-    readouts = np.stack([readout_matrix(p, cfg.mean_field_au, _SIGNAL_MODES) for p in params])
+    readouts = np.stack([readout_matrix(p) for p in params])
     stream = _Stream(cfg, len(values), len(trajectories), _series if first else None)
     keys = [seed_key(cfg.master_seed, value, t) for value in values for t in trajectories]
     try:
@@ -301,24 +291,27 @@ def _run_task(
 
 @contextlib.contextmanager
 def worker_pool(cfg: ExperimentConfig, n_values: int, n_workers: int):
-    """The process pool of a run of ``n_values`` axis values on
-    ``n_workers`` workers: ``_processes(n_workers)`` processes, no more
-    than the tasks ``_scan_tasks`` cuts for them, each taking the next task
-    when it is free; None (run in this process) for one process or one
-    task.  The workers fork, whatever
-    the platform's default start method, at the pool's first task, so
-    opening a pool starts nothing, and they inherit this process's imports
-    and any series buffer mapped before that task."""
-    n_workers = _processes(n_workers)
-    n_tasks = len(_scan_tasks(n_values, cfg.n_trajectories, n_workers))
-    if n_workers < 2 or n_tasks < 2:
-        yield None
+    """The task layout and the process pool of a run of ``n_values`` axis
+    values on ``n_workers`` workers, as ``(layout, pool)``.
+
+    The run's processes are ``n_workers``, but no more than the usable
+    CPUs, and ``layout`` is the one cut of ``_scan_tasks`` for them.  The
+    pool holds no more processes than the layout has tasks, each taking
+    the next task when it is free; it is None (run in this process) for
+    one process or one task.  The workers fork, whatever the platform's
+    default start method, at the pool's first task, so opening a pool
+    starts nothing, and they inherit this process's imports and any series
+    buffer mapped before that task."""
+    n_workers = max(1, min(n_workers, _usable_cpus()))
+    layout = _scan_tasks(n_values, cfg.n_trajectories, n_workers)
+    if n_workers < 2 or len(layout) < 2:
+        yield layout, None
         return
     with ProcessPoolExecutor(
-        max_workers=min(n_workers, n_tasks),
+        max_workers=min(n_workers, len(layout)),
         mp_context=multiprocessing.get_context("fork"),
     ) as pool:
-        yield pool
+        yield layout, pool
 
 
 def _shared_series(n_rows: int) -> np.ndarray:
@@ -354,18 +347,20 @@ def _series_table(cfg: ExperimentConfig) -> TableRows:
 
 
 def _run_values(
-    cfg: ExperimentConfig, values: np.ndarray, n_workers: int, pool: Executor | None
+    cfg: ExperimentConfig,
+    values: np.ndarray,
+    layout: list[tuple[range, range]],
+    pool: Executor | None,
 ) -> list[ScanPoint]:
-    """Scan points of ``values``, in order, cut into the tasks of
-    ``_scan_tasks`` for the processes of ``n_workers`` workers (no more
-    than the usable CPUs).
+    """Scan points of ``values``, in order, run as the tasks of ``layout``.
 
-    The tasks run on ``pool``, the run's ``worker_pool``, or in this
-    process when it is None.  An ``rbw_hz`` no segment length reaches, a
-    record too short for the Welch estimate at ``rbw_hz``, or a ``vbw_hz``
-    above the RBW it achieves, fails before any task starts.  A failing task logs the axis value of
-    its failing point; the tasks not yet started are cancelled and the
-    error propagates.
+    ``layout`` and ``pool`` are the run's ``worker_pool``: the tasks run on
+    ``pool``, or in this process when it is None.  An ``rbw_hz`` no
+    segment length reaches, a record too short for the Welch estimate at
+    ``rbw_hz``, or a ``vbw_hz`` above the RBW it achieves, fails before
+    any task starts.  A failing task logs the axis value of its failing
+    point; the tasks not yet started are cancelled and the error
+    propagates.
     """
     tcfg = cfg.trajectory_config()
     try:
@@ -380,7 +375,6 @@ def _run_values(
         ) from None
     if cfg.vbw_hz is not None and cfg.vbw_hz > welch.rbw:
         raise ConfigError(f"vbw_hz ({cfg.vbw_hz:g} Hz) must not exceed the achieved rbw ({welch.rbw:g} Hz)")
-    layout = _scan_tasks(len(values), cfg.n_trajectories, _processes(n_workers))
     tasks = [(cfg, values[points.start : points.stop], group) for points, group in layout]
     if pool is not None:
         futures = [pool.submit(_run_task, *task) for task in tasks]
@@ -447,8 +441,8 @@ def run_point(cfg: ExperimentConfig, axis_value: float, n_workers: int = 1) -> S
     groups, run on a ``worker_pool`` of the call's own; the spectra are the
     same bits for any split.
     """
-    with worker_pool(cfg, 1, n_workers) as pool:
-        return _run_values(cfg, np.array([float(axis_value)]), n_workers, pool)[0]
+    with worker_pool(cfg, 1, n_workers) as (layout, pool):
+        return _run_values(cfg, np.array([float(axis_value)]), layout, pool)[0]
 
 
 def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
@@ -461,8 +455,8 @@ def run_scan(cfg: ExperimentConfig, n_workers: int = 1) -> ScanResult:
     values = cfg.axis_values()
     if values.size == 0:
         raise DomainError("scan range is empty")
-    with worker_pool(cfg, len(values), n_workers) as pool:
-        return ScanResult(axis_name=cfg.scan_axis, points=_run_values(cfg, values, n_workers, pool))
+    with worker_pool(cfg, len(values), n_workers) as (layout, pool):
+        return ScanResult(axis_name=cfg.scan_axis, points=_run_values(cfg, values, layout, pool))
 
 
 def absorption_scan(
@@ -578,9 +572,9 @@ def simulate_point(
     series_path = Path(series_path)
     _series = _shared_series(cfg.trajectory_config().n_recorded)
     try:
-        with worker_pool(cfg, 1, n_workers) as pool:
+        with worker_pool(cfg, 1, n_workers) as (layout, pool):
             value = float(getattr(cfg, AXIS_KEYS[cfg.scan_axis]))
-            (point,) = _run_values(cfg, np.array([value]), n_workers, pool)
+            (point,) = _run_values(cfg, np.array([value]), layout, pool)
             series_path.parent.mkdir(parents=True, exist_ok=True)
             write_table(series_path, _series_metadata(cfg), _series_table(cfg), executor=pool)
         point.series = _series
@@ -632,9 +626,11 @@ def write_absorption_csv(
     rows: list[tuple[float, float]], cfg: ExperimentConfig, path: str | Path
 ) -> None:
     """The absorption table: the scanned key's values, the absorbed and the
-    transmitted fraction; the fixed keys of the line as metadata."""
+    transmitted fraction; the fixed keys of the line as metadata (the axis
+    keys other than the scanned one, the Rabi frequency and the input
+    power)."""
     axis_key = AXIS_KEYS[cfg.scan_axis]
-    keys = ("delta_hz", "rabi_hz", "b_gauss", "input_power_W")
+    keys = ("theta_deg", "delta_hz", "rabi_hz", "b_gauss", "input_power_W")
     metadata = {key: float(getattr(cfg, key)) for key in keys if key != axis_key}
     values, absorption = np.array(rows, dtype=float).reshape(-1, 2).T
     write_table(

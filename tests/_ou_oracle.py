@@ -68,23 +68,23 @@ def step_noise_covariance(params, dt):
     return np.diag(n)
 
 
-def detection_row(params, mode, mean_field=1.0):
+def detection_row(params, mode):
     """Readout coefficients by probing the detection chain with basis states."""
     signal = rnd_signal if mode == "rnd" else end_signal
     g = np.zeros(16)
     for k in range(16):
         e = np.zeros(16)
         e[k] = 1.0
-        g[k] = signal(field_from_coherences(mat_from_real(e), params), mean_field)
+        g[k] = signal(field_from_coherences(mat_from_real(e), params))
     return g
 
 
-def predicted_psd(params, dt, freqs_hz, mode, mean_field=1.0):
+def predicted_psd(params, dt, freqs_hz, mode):
     """One-sided PSD of the chosen detection mode on the given grid."""
     a, _ = real_drift(params)
     e = scipy.linalg.expm(a * dt)
     cov = step_noise_covariance(params, dt)
-    g = detection_row(params, mode, mean_field)
+    g = detection_row(params, mode)
     eye = np.eye(16)
     out = np.empty(len(freqs_hz))
     for i, f in enumerate(freqs_hz):

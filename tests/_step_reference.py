@@ -12,11 +12,13 @@ nothing in the package steps this way.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from spinnoise.core import hermitize, require_hermitian
 from spinnoise.exceptions import NumericError
-from spinnoise.integrator import VEC_DIM, _cached_propagator
+from spinnoise.integrator import VEC_DIM, Propagator
 from spinnoise.noise import noise_stats, sample_increment_block
 
 #: Index pairs (i < j) of the ground-coherence entries, in the column order
@@ -41,6 +43,13 @@ def sample_increment(stats, rng):
     return increment_matrix(block[0:3], block[3:6] + 1j * block[6:9])
 
 
+@functools.lru_cache(maxsize=32)
+def propagator(params, dt):
+    """The Propagator of (params, dt), built once: ``step`` asks for it on
+    every step."""
+    return Propagator(params, dt)
+
+
 def step_vec(prop, v):
     """Advance vec states one step with a Propagator; v is (16,) or (batch, 16)."""
     return v @ prop.matrix.T + prop.offset
@@ -54,7 +63,7 @@ def step(rho, params, dt, rng, with_noise=True):
     """
     rho = np.asarray(rho, dtype=complex)
     require_hermitian(rho)
-    out = step_vec(_cached_propagator(params, dt), rho.reshape(VEC_DIM)).reshape(4, 4)
+    out = step_vec(propagator(params, dt), rho.reshape(VEC_DIM)).reshape(4, 4)
     if with_noise:
         out = out + sample_increment(noise_stats(params.gamma_t, dt, params.n_atoms), rng)
     out = hermitize(out)

@@ -92,25 +92,25 @@ class TestFieldMapping:
 
 class TestBalancedSignals:
     def test_rotation_channel_reads_real_part(self):
-        fs = FieldSample(e_plus=0, e_minus=0, e_par=0, e_perp=0.25)
-        assert rnd_signal(fs, 2.0) == pytest.approx(1.0)
+        fs = FieldSample(e_plus=0, e_minus=0, e_par=0, e_perp=0.5)
+        assert rnd_signal(fs) == pytest.approx(1.0)
 
     def test_rotation_channel_blind_to_quadrature(self):
-        fs = FieldSample(e_plus=0, e_minus=0, e_par=0, e_perp=0.25j)
-        assert rnd_signal(fs, 2.0) == 0.0
-        assert end_signal(fs, 2.0) == pytest.approx(1.0)
+        fs = FieldSample(e_plus=0, e_minus=0, e_par=0, e_perp=0.5j)
+        assert rnd_signal(fs) == 0.0
+        assert end_signal(fs) == pytest.approx(1.0)
 
     def test_parallel_component_invisible(self):
         fs = FieldSample(e_plus=0, e_minus=0, e_par=1.0 + 2.0j, e_perp=0.0)
-        assert rnd_signal(fs, 1.0) == 0.0
-        assert end_signal(fs, 1.0) == 0.0
+        assert rnd_signal(fs) == 0.0
+        assert end_signal(fs) == 0.0
 
     def test_quadrature_power_identity(self):
         rng = np.random.default_rng(0)
         e_perp = rng.normal(size=8) + 1j * rng.normal(size=8)
         fs = FieldSample(e_plus=0, e_minus=0, e_par=0, e_perp=e_perp)
-        lhs = rnd_signal(fs, 1.5) ** 2 + end_signal(fs, 1.5) ** 2
-        assert np.allclose(lhs, 4 * 1.5**2 * np.abs(e_perp) ** 2)
+        lhs = rnd_signal(fs) ** 2 + end_signal(fs) ** 2
+        assert np.allclose(lhs, 4 * np.abs(e_perp) ** 2)
 
 
 class TestReadoutMatrix:
@@ -119,21 +119,15 @@ class TestReadoutMatrix:
         p = params(theta_deg=theta_deg, kappa=2.5)
         rng = np.random.default_rng(5)
         c = rng.normal(size=(60, 2)) + 1j * rng.normal(size=(60, 2))
-        g = readout_matrix(p, 1.7)
+        g = readout_matrix(p)
         assert g.shape == (4, 2) and g.dtype == float
         signals = c.view(float) @ g
         fs = fields_from_coherence_series(c[:, 0], c[:, 1], p)
         # Samples near zero come from cancelling terms, so their rounding
         # is measured on the scale of the series.
-        for column, expected in enumerate((rnd_signal(fs, 1.7), end_signal(fs, 1.7))):
+        for column, expected in enumerate((rnd_signal(fs), end_signal(fs))):
             scale = np.abs(expected).max()
             assert np.allclose(signals[:, column], expected, rtol=1e-14, atol=1e-14 * scale)
-
-    def test_columns_follow_modes(self):
-        p = params(theta_deg=35.0, kappa=2.5)
-        g = readout_matrix(p, 1.7)
-        assert np.array_equal(readout_matrix(p, 1.7, ("end",)), g[:, 1:])
-        assert np.array_equal(readout_matrix(p, 1.7, ("end", "rnd")), g[:, ::-1])
 
     def test_readout_bits_do_not_depend_on_layout(self):
         # Two points of three trajectories, read out together, against one
@@ -141,7 +135,7 @@ class TestReadoutMatrix:
         rng = np.random.default_rng(4)
         coords = rng.normal(size=(45, 6, 4))
         readouts = np.stack([
-            readout_matrix(params(theta_deg=theta, kappa=2.5), 1.7) for theta in (35.0, 200.0)
+            readout_matrix(params(theta_deg=theta, kappa=2.5)) for theta in (35.0, 200.0)
         ])
         block = perpendicular_field_series(coords, readouts, np.empty((45, 12)))
         for p in range(2):

@@ -531,7 +531,7 @@ class TestFusedReadout:
 
     @staticmethod
     def readouts(points):
-        return np.stack([readout_matrix(p, 1.7) for p in points])
+        return np.stack([readout_matrix(p) for p in points])
 
     def test_signals_equal_held_coherences_through_the_readout(self):
         # Two stacked points, over several chunks and into a partial one;
@@ -552,7 +552,7 @@ class TestFusedReadout:
     def test_signal_columns_do_not_depend_on_the_batch(self, n_traj):
         p = TestStackedPoints.points()[1]
         cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=1000, burn_in_steps=37, record_stride=3)
-        g = readout_matrix(p, 1.7)
+        g = readout_matrix(p)
         keys = [[15, t] for t in range(n_traj)]
         ensemble = evolve_ensemble_coherences(p, cfg, keys, rho0=steady_state(p), readout=g)
         for j, key in enumerate(keys):

@@ -27,7 +27,7 @@ def monte_carlo_window_powers(params, windows, n_traj=16, n_steps=2**16):
     cfg = TrajectoryConfig(dt=DT, n_steps=n_steps, burn_in_steps=478)
     keys = [[101, t] for t in range(n_traj)]
     coh = evolve_ensemble_coherences(params, cfg, keys, rho0=steady_state(params))
-    signals = coh @ readout_matrix(params, 1.0)
+    signals = coh @ readout_matrix(params)
     out = {}
     for m, mode in enumerate(("rnd", "end")):
         spec = average_spectra(welch_psd_batch(signals[..., m], DT, RBW))

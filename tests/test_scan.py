@@ -66,7 +66,6 @@ NON_DEFAULT_TEXT = {
     "gamma_r_hz": "1e4",
     "n_atoms": "1e10",
     "kappa": "0.3",
-    "mean_field_au": "2",
     "dt_s": "5e-8",
     "n_steps": "4096",
     "burn_in_steps": "37",
@@ -215,7 +214,6 @@ class TestConfig:
             b"gamma_r_hz=30000.0\n"
             b"n_atoms=3400000000.0\n"
             b"kappa=1.0\n"
-            b"mean_field_au=1.0\n"
             b"dt_s=5.5555555555555555e-08\n"
             b"n_steps=131072\n"
             b"burn_in_steps=478\n"
@@ -597,6 +595,7 @@ class TestScanTasks:
         # Three workers on two usable CPUs: two worker processes run the
         # tasks, in the layout of two workers.  The pool forks by name.  On
         # one usable CPU the tasks are cut for one and run in this process.
+        # Each run cuts its layout once, and the pool is sized from it.
         sizes, cuts = [], []
         cut = scan._scan_tasks
 
@@ -614,12 +613,12 @@ class TestScanTasks:
         cfg = tiny_cfg()
         capped = run_scan(cfg, n_workers=3)
         assert sizes == [(2, "fork")]
-        assert set(cuts) == {2}
+        assert cuts == [2]
         monkeypatch.setattr(scan, "_usable_cpus", lambda: 1)
         cuts.clear()
         in_process = run_scan(cfg, n_workers=3)
         assert sizes == [(2, "fork")]
-        assert set(cuts) == {1}
+        assert cuts == [1]
         serial = run_scan(cfg, n_workers=1)
         for pc, pi, ps in zip(capped.points, in_process.points, serial.points):
             for mode in ("rnd", "end"):
@@ -764,7 +763,7 @@ class TestPolarizationSymmetry:
                 b_gauss=1.0, rabi_hz=40e6, theta_deg=theta, delta_hz=1.5e9
             )
             coh = evolve_ensemble_coherences(p, cfg, keys, rho0=steady_state(p))
-            signals = coh @ readout_matrix(p, 1.0)
+            signals = coh @ readout_matrix(p)
             rnd = average_spectra(welch_psd_batch(signals[..., 0], cfg.dt, 91e3))
             end = average_spectra(welch_psd_batch(signals[..., 1], cfg.dt, 91e3))
             psds.append((rnd.psd, end.psd))
@@ -895,16 +894,30 @@ class TestAbsorptionScan:
             assert absorbed == 1.0 - transmission(cfg.system_params(b), detector)
 
     def test_csv_names_the_scanned_key(self, tmp_path):
-        cfg = tiny_cfg(delta_hz=0.3e9, rabi_hz=30e6, scan_axis="b_field")
+        # The fixed keys are the axis keys but the scanned one, then the
+        # Rabi frequency and the input power: a field or detuning scan
+        # names its angle.
+        cfg = tiny_cfg(delta_hz=0.3e9, rabi_hz=30e6, theta_deg=30.0, scan_axis="b_field")
         path = tmp_path / "absorption.csv"
         write_absorption_csv([(0.0, 0.25), (0.5, 0.5)], cfg, path)
         assert path.read_bytes() == (
+            b"# theta_deg=30.0\n"
             b"# delta_hz=300000000.0\n"
             b"# rabi_hz=30000000.0\n"
             b"# input_power_W=0.001\n"
             b"b_gauss,absorption,transmission\n"
             b"0.0,0.25,0.75\n"
             b"0.5,0.5,0.5\n"
+        )
+        cfg = tiny_cfg(rabi_hz=30e6, theta_deg=60.0, b_gauss=0.5, scan_axis="detuning")
+        write_absorption_csv([(-1e9, 0.25)], cfg, path)
+        assert path.read_bytes() == (
+            b"# theta_deg=60.0\n"
+            b"# rabi_hz=30000000.0\n"
+            b"# b_gauss=0.5\n"
+            b"# input_power_W=0.001\n"
+            b"delta_hz,absorption,transmission\n"
+            b"-1000000000.0,0.25,0.75\n"
         )
 
 
@@ -941,7 +954,7 @@ class TestSimulatePoint:
         assert len(calls) == 1
         (params, tcfg, keys), kwargs = calls[0]
         assert kwargs.pop("sink") is not None
-        assert np.array_equal(kwargs["readout"][0], readout_matrix(params[0], cfg.mean_field_au))
+        assert np.array_equal(kwargs["readout"][0], readout_matrix(params[0]))
         # The same integration, its signals recorded whole: the series is
         # their column 0.
         signals = evolve_ensemble_coherences(params, tcfg, keys, **kwargs)
