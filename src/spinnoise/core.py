@@ -304,11 +304,6 @@ def equilibrium_rho() -> np.ndarray:
     return np.diag([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0]).astype(complex)
 
 
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m^dagger)/2; supports a leading batch axis."""
-    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-
-
 def require_hermitian(rho: np.ndarray, tol: float = 1e-9, what: str = "rho") -> None:
     """Raise ContractViolationError unless rho is Hermitian within tol."""
     rho = np.asarray(rho)

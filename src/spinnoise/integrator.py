@@ -1,11 +1,11 @@
 """Time evolution of the noisy density matrix and related deterministic solves.
 
 The drift -i[H, rho] + D(rho) is linear (affine, through the transit
-feeding term) and constant within a run, so one step of length dt is
-advanced with the exact propagator of the vectorized system,
-
-    vec(rho') = E vec(rho) + c,      E = exp(A dt),
-
+feeding term) and constant within a run: dx/dt = G x + c in the 16 real
+coordinates x of the Hermitian density matrix (REAL_COORDS), with the
+real generator (G, c) of ``superoperator``.  The steady state solves
+G x = -c with unit trace, and one step of length dt is advanced with the
+exact propagator x' = E x + e, [[E, e], [0, 1]] = exp([[G, c], [0, 0]] dt),
 precomputed once per parameter set.  The transit-noise increment is then
 added per step, exactly as in a first-order Euler-Maruyama scheme; the two
 agree to O(dt^2) in the drift but the exponential form stays stable for
@@ -14,15 +14,14 @@ require.  Within a step the optical coherences relax onto the adiabatic
 response to the current ground state, which is the physically correct
 behaviour at sampling intervals much longer than 1/gamma_opt.
 
-Trajectories are stepped in 16 real coordinates of the Hermitian density
-matrix (REAL_COORDS), where the step is x' = x E_real^T + c_real + noise
-with a real 16x16 matrix.  Every state is Hermitian by construction, and
-``evolve`` and ``evolve_ensemble_coherences`` share one engine, the only
-one in the package; the tests hold it against a single-step reference on
-the complex matrix, ``tests/_step_reference.py``.  The engine steps
-several parameter points at once.  It has no per-step loop: it advances
-sub-blocks of _SUB steps with lifted operators (powers of E_real^T and
-their sums), so a chunk of steps is a few matrix products over the
+Trajectories are stepped as row vectors of these coordinates, x' = x E^T
++ e + noise.  Every state is Hermitian by construction, and ``evolve``
+and ``evolve_ensemble_coherences`` share one engine, the only one in the
+package; the tests hold it against a single-step reference that adds the
+noise to the complex matrix, ``tests/_step_reference.py``.  The engine
+steps several parameter points at once.  It has no per-step loop: it
+advances sub-blocks of _SUB steps with lifted operators (powers of E^T
+and their sums), so a chunk of steps is a few matrix products over the
 trajectories' raw standard-normal draws, and it hands the recorded rows
 to a sink chunk by chunk.  The lifted operators carry the per-coordinate
 noise scale and a fixed linear record map (all coordinates for ``evolve``,
@@ -47,7 +46,6 @@ from .core import (
     SystemParams,
     build_hamiltonian,
     equilibrium_rho,
-    hermitize,
     require_hermitian,
     _rhs_unchecked,
 )
@@ -153,20 +151,17 @@ class TrajectoryConfig:
 
 
 def superoperator(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized drift: vec(rhs(rho)) = A vec(rho) + b, row-major vec.
+    """The drift's real generator (G, c): to_real(rhs(from_real(x))) = G @ x + c.
 
-    Built by probing the right-hand side with unit matrices, so it is the
-    same map the rest of the package differentiates against.
+    Built by probing the right-hand side with the Hermitian matrix of each
+    unit coordinate, so it is the same map the rest of the package
+    differentiates against.
     """
     h = build_hamiltonian(params)
-    b = _rhs_unchecked(np.zeros((DIM, DIM), dtype=complex), h, params).reshape(VEC_DIM)
-    a = np.empty((VEC_DIM, VEC_DIM), dtype=complex)
-    probe = np.zeros((DIM, DIM), dtype=complex)
-    for k in range(VEC_DIM):
-        probe.reshape(VEC_DIM)[k] = 1.0
-        a[:, k] = _rhs_unchecked(probe, h, params).reshape(VEC_DIM) - b
-        probe.reshape(VEC_DIM)[k] = 0.0
-    return a, b
+    # Probe 0 is the zero matrix, probe k + 1 that of unit coordinate k.
+    probes = from_real(np.eye(VEC_DIM + 1, VEC_DIM, -1))
+    rates = to_real(np.array([_rhs_unchecked(rho, h, params) for rho in probes]))
+    return (rates[1:] - rates[0]).T, rates[0]
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the
@@ -204,29 +199,27 @@ class Propagator:
     """Exact one-step advance of the deterministic drift for fixed (params, dt),
     and the scale of the transit noise each step adds.
 
-    The affine step (E, c) comes from one 17x17 matrix exponential of the
-    augmented system [[A, b], [0, 0]] * dt, which is well defined even when
-    A is singular.  An exponential that overflows is refused, so the engine
-    only ever steps with finite operators.  ``noise_scale`` is the standard
-    deviation of each of the nine noise-driven coordinates
-    (``NoiseStats.block_scale``); all zero without transit noise.
+    The step x' = x @ ``real_matrix_t`` + ``real_offset`` comes from one
+    real 17x17 exponential of the generator's column form [[G, c], [0, 0]]
+    * dt, which is well defined even when G is singular.  An exponential
+    that overflows is refused, so the engine only steps with finite
+    operators.  ``noise_scale`` is the standard deviation of
+    each of the nine noise-driven coordinates (``NoiseStats.block_scale``);
+    all zero without transit noise.
     """
 
     def __init__(self, params: SystemParams, dt: float):
         if not 0 < dt < math.inf:
             raise ConfigError(f"dt must be finite and > 0, got {dt}")
-        a, b = superoperator(params)
-        aug = np.zeros((VEC_DIM + 1, VEC_DIM + 1), dtype=complex)
-        aug[:VEC_DIM, :VEC_DIM] = a * dt
-        aug[:VEC_DIM, VEC_DIM] = b * dt
+        g, c = superoperator(params)
+        aug = np.zeros((VEC_DIM + 1, VEC_DIM + 1))
+        aug[:VEC_DIM, :VEC_DIM] = g * dt
+        aug[:VEC_DIM, VEC_DIM] = c * dt
         exp_aug = _expm(aug)
         if not np.all(np.isfinite(exp_aug)):
             raise NumericError(f"non-finite propagator: the rates times dt={dt} overflow")
-        self.matrix = np.ascontiguousarray(exp_aug[:VEC_DIM, :VEC_DIM])
-        self.offset = np.ascontiguousarray(exp_aug[:VEC_DIM, VEC_DIM])
-        # The same step in real coordinates: x' = x @ real_matrix_t + real_offset.
-        self.real_matrix_t = np.ascontiguousarray((_TO_REAL @ self.matrix @ _FROM_REAL).real.T)
-        self.real_offset = (_TO_REAL @ self.offset).real
+        self.real_matrix_t = np.ascontiguousarray(exp_aug[:VEC_DIM, :VEC_DIM].T)
+        self.real_offset = exp_aug[:VEC_DIM, VEC_DIM].copy()
         self.noise_scale = noise_stats(params.gamma_t, dt, params.n_atoms).block_scale
 
 
@@ -341,7 +334,8 @@ def evolve_ensemble_coherences(
     the equilibrium state).  A NumericError numbers the trajectories within
     their point from ``first_trajectory``, the index of the first key
     within a larger ensemble split into batches, and carries the index of
-    the failing point in ``point``.
+    the failing point in ``point``.  Only a batch from trajectory 0 logs a
+    point's aliasing warning, so a split point warns once.
 
     ``readout`` is a real (4, M) map of the coherence coordinates
     (Re rho[3,0], Im rho[3,0], Re rho[3,2], Im rho[3,2]) to M signals
@@ -363,8 +357,9 @@ def evolve_ensemble_coherences(
         raise DomainError(
             f"{n_keys} trajectory seeds do not split evenly over {len(points)} points"
         )
-    for p in points:
-        _warn_if_aliasing(p, cfg.dt)
+    if first_trajectory == 0:
+        for p in points:
+            _warn_if_aliasing(p, cfg.dt)
     if rho0 is None:
         rho0 = equilibrium_rho()
     starts = np.asarray(rho0, dtype=complex)
@@ -419,10 +414,10 @@ def _integrate(
     """The stepping engine, in real coordinates.
 
     Advances the (P, n_traj, 16) states ``x0`` of P points by cfg.n_steps
-    steps of x' = x @ E_real^T + c_real + noise, where the noise comes from
-    each trajectory's generator (``rngs``, point by point), and records
-    x @ R after each recorded step, with R = ``records[p]``, the (16, K)
-    record map of point p.  Hermiticity holds by construction.
+    steps of x' = x @ E^T + e + noise (``Propagator``), where the noise
+    comes from each trajectory's generator (``rngs``, point by point), and
+    records x @ R after each recorded step, with R = ``records[p]``, the
+    (16, K) record map of point p.  Hermiticity holds by construction.
 
     Work proceeds in chunks of _CHUNK steps, so every buffer stays
     cache-sized whatever the run length.  Each trajectory draws the
@@ -561,14 +556,13 @@ _MAX_SOLVE_RATE = math.sqrt(np.finfo(float).max)
 
 
 def _solve_steady(params: SystemParams) -> tuple[np.ndarray, int]:
-    """Least-squares solution of the drift's stationarity with a unit-trace
-    row, time rescaled by the largest rate, and the rank of that system."""
-    a, b = superoperator(params)
+    """Least-squares solution, in real coordinates, of the drift's
+    stationarity with a unit-trace row, time rescaled by the largest rate,
+    and the rank of that system."""
+    g, c = superoperator(params)
     scale = params.rate_scale()
-    trace_row = np.zeros(VEC_DIM, dtype=complex)
-    trace_row[[0, 5, 10, 15]] = 1.0
-    m = np.vstack([a / scale, trace_row[None, :]])
-    rhs = np.concatenate([-b / scale, [1.0]])
+    m = np.vstack([g / scale, [float(i == j) for i, j, _ in REAL_COORDS]])   # unit trace
+    rhs = np.append(-c / scale, 1.0)
     solution, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=None)
     return solution, rank
 
@@ -576,12 +570,13 @@ def _solve_steady(params: SystemParams) -> tuple[np.ndarray, int]:
 def steady_state(params: SystemParams) -> np.ndarray:
     """Stationary density matrix of the deterministic drift, unit trace.
 
-    Solves the vectorized linear system with a trace constraint, after
-    rescaling time by the largest rate so the reported residual is
-    dimensionless.  Raises SteadyStateError if a rate is beyond the
-    solve's range (named), the state is not unique (e.g. all relaxation
-    rates zero), the rates span more than double precision resolves, or
-    the residual exceeds 1e-10.
+    Solves the real generator's system (``superoperator``) with a trace
+    constraint, after rescaling time by the largest rate so the reported
+    residual is dimensionless; the state is Hermitian by construction.
+    Raises SteadyStateError if a rate is beyond the solve's range (named),
+    the state is not unique (e.g. all relaxation rates zero), the rates
+    span more than double precision resolves, or the residual exceeds
+    1e-10.
 
     A short rank is told apart by the system's unit-rate twin, every
     nonzero rate set to 1 rad/s: a twin of full rank has a unique state,
@@ -615,7 +610,7 @@ def steady_state(params: SystemParams) -> np.ndarray:
             f"{name} = {getattr(params, name):.3g} rad/s against relaxation rates "
             f"{relaxation} rad/s"
         )
-    rho = hermitize(solution.reshape(DIM, DIM))
+    rho = from_real(solution)
     residual = steady_state_residual(rho, params)
     if residual > 1e-10:
         raise SteadyStateError(

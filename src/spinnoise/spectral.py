@@ -50,6 +50,10 @@ class SpectrumRecord:
             raise DomainError("freqs must be strictly increasing and start >= 0")
         if not np.all((self.psd >= 0) & (self.psd < np.inf)):
             raise DomainError("psd entries must be finite and >= 0")
+        if not 0 < self.rbw < math.inf:
+            raise DomainError(f"rbw must be finite and > 0, got {self.rbw}")
+        if not self.n_averages >= 1:
+            raise DomainError(f"n_averages must be >= 1, got {self.n_averages}")
 
     @property
     def df(self) -> float:
@@ -485,7 +489,9 @@ def read_spectrum_csv(path) -> SpectrumRecord:
                 f, p = line.split(",")
                 freqs.append(float(f))
                 psd.append(float(p))
-    rbw = float(meta.get("rbw_hz", math.nan))
+    if "rbw_hz" not in meta:
+        raise DomainError(f"{path}: no rbw_hz line")
+    rbw = float(meta["rbw_hz"])
     n_averages = int(meta.get("n_averages", 1))
     return SpectrumRecord(
         np.array(freqs), np.array(psd), rbw=rbw, n_averages=n_averages, metadata=meta

@@ -1,8 +1,9 @@
 """Single-step reference for the stepping engine, on the complex 4x4 matrix.
 
-One step is the exact drift propagator applied to vec(rho), plus one
-transit-noise increment assembled as a 4x4 Hermitian matrix, then
-re-symmetrized, (rho' + rho'^dagger) / 2.  It draws the noise of a step as
+One step is the engine's exact drift propagator (``integrator.Propagator``)
+applied to the real coordinates of rho, plus one transit-noise increment
+assembled as a 4x4 Hermitian matrix, then re-symmetrized,
+(rho' + rho'^dagger) / 2.  It draws the noise of a step as
 ``noise.sample_increment_block(stats, rng, 1)``, so a run of repeated
 ``step`` calls consumes a generator exactly as the engine does
 (``integrator.evolve``), and the two agree to rounding.  The engine itself
@@ -16,14 +17,19 @@ import functools
 
 import numpy as np
 
-from spinnoise.core import hermitize, require_hermitian
+from spinnoise.core import require_hermitian
 from spinnoise.exceptions import NumericError
-from spinnoise.integrator import VEC_DIM, Propagator
+from spinnoise.integrator import Propagator, from_real, to_real
 from spinnoise.noise import noise_stats, sample_increment_block
 
 #: Index pairs (i < j) of the ground-coherence entries, in the column order
 #: of sample_increment_block.
 OFFDIAG_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def hermitize(m):
+    """Hermitian part (m + m^dagger)/2; supports a leading batch axis."""
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
 def increment_matrix(diag, offdiag):
@@ -50,9 +56,10 @@ def propagator(params, dt):
     return Propagator(params, dt)
 
 
-def step_vec(prop, v):
-    """Advance vec states one step with a Propagator; v is (16,) or (batch, 16)."""
-    return v @ prop.matrix.T + prop.offset
+def step_rho(prop, rho):
+    """Advance Hermitian states one step with a Propagator; rho is (4, 4) or
+    (batch, 4, 4)."""
+    return from_real(to_real(rho) @ prop.real_matrix_t + prop.real_offset)
 
 
 def step(rho, params, dt, rng, with_noise=True):
@@ -63,7 +70,7 @@ def step(rho, params, dt, rng, with_noise=True):
     """
     rho = np.asarray(rho, dtype=complex)
     require_hermitian(rho)
-    out = step_vec(propagator(params, dt), rho.reshape(VEC_DIM)).reshape(4, 4)
+    out = step_rho(propagator(params, dt), rho)
     if with_noise:
         out = out + sample_increment(noise_stats(params.gamma_t, dt, params.n_atoms), rng)
     out = hermitize(out)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -32,7 +34,7 @@ from spinnoise.integrator import (
 from spinnoise.noise import noise_stats, sample_increment_block
 
 from _ou_oracle import real_drift, real_from_mat, mat_from_real
-from _step_reference import step, step_vec
+from _step_reference import step, step_rho
 
 TWOPI = 2.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -70,14 +72,18 @@ class TestTrajectoryConfig:
 
 class TestSuperoperator:
     def test_matches_rhs_on_random_states(self):
+        # The real generator in the engine's coordinates: G x + c is the
+        # right-hand side of the state with coordinates x.
         p = params(theta_deg=40.0)
-        a, b = superoperator(p)
+        g, c = superoperator(p)
+        assert g.shape == (16, 16) and c.shape == (16,)
+        assert g.dtype == float and c.dtype == float
         rng = np.random.default_rng(3)
         for _ in range(20):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = 0.5 * (m + np.conj(m.T))
-            direct = liouville_rhs(rho, p).reshape(16)
-            assert np.allclose(a @ rho.reshape(16) + b, direct, rtol=1e-12, atol=1e-3)
+            direct = liouville_rhs(rho, p)
+            assert np.allclose(from_real(g @ to_real(rho) + c), direct, rtol=1e-12, atol=1e-3)
 
 
 class TestPropagator:
@@ -87,7 +93,7 @@ class TestPropagator:
         rho0 = equilibrium_rho()
         rho0[0, 0], rho0[1, 1] = 0.5, 1.0 / 6.0
         prop = Propagator(p, dt)
-        stepped = step_vec(prop, rho0.reshape(16)).reshape(4, 4)
+        stepped = step_rho(prop, rho0)
 
         def rhs(_, y):
             rho = (y[:16] + 1j * y[16:]).reshape(4, 4)
@@ -111,12 +117,12 @@ class TestPropagator:
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = 0.5 * (m + np.conj(m.T))
-        via_complex = step_vec(prop, rho.reshape(16)).reshape(4, 4)
+        stepped = step_rho(prop, rho)
         # The affine piece needs the fixed point of the real representation.
         x_star = np.linalg.solve(a_real, -b_real)
         x = real_from_mat(rho)
         via_real = mat_from_real(e_real @ (x - x_star) + x_star)
-        assert np.allclose(via_complex, via_real, atol=1e-10)
+        assert np.allclose(stepped, via_real, atol=1e-10)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-8, np.nan, np.inf])
     def test_rejects_bad_dt(self, dt):
@@ -135,7 +141,7 @@ class TestPropagator:
         rho[0, 0], rho[2, 2] = 0.4, 0.6 - 1.0 / 3.0
 
         def euler_gap(dt):
-            exact = step_vec(Propagator(p, dt), rho.reshape(16)).reshape(4, 4)
+            exact = step_rho(Propagator(p, dt), rho)
             euler = rho + dt * liouville_rhs(rho, p)
             return np.max(np.abs(exact - euler))
 
@@ -144,11 +150,11 @@ class TestPropagator:
 
 
 def augmented(p, dt):
-    """The 17x17 matrix [[A, b], [0, 0]] dt whose exponential the propagator takes."""
-    a, b = superoperator(p)
-    aug = np.zeros((VEC_DIM + 1, VEC_DIM + 1), dtype=complex)
-    aug[:VEC_DIM, :VEC_DIM] = a * dt
-    aug[:VEC_DIM, VEC_DIM] = b * dt
+    """The real 17x17 matrix [[G, c], [0, 0]] dt whose exponential the propagator takes."""
+    g, c = superoperator(p)
+    aug = np.zeros((VEC_DIM + 1, VEC_DIM + 1))
+    aug[:VEC_DIM, :VEC_DIM] = g * dt
+    aug[:VEC_DIM, VEC_DIM] = c * dt
     return aug
 
 
@@ -168,10 +174,10 @@ class TestExpm:
             assert expm_error(augmented(cfg.system_params(value), cfg.dt_s)) <= 1e-12, value
 
     def test_zero_matrix(self):
-        assert expm_error(np.zeros((17, 17), dtype=complex)) <= 1e-12
+        assert expm_error(np.zeros((17, 17))) <= 1e-12
 
     def test_far_preset_takes_seven_squarings(self):
-        # ||A dt||_1 is about 419 at the far preset: 2^6 < 419 / theta_13 <= 2^7.
+        # ||[G, c] dt||_1 is about 497 at the far preset: 2^6 < 497 / theta_13 <= 2^7.
         cfg = load_config(preset="fig3_end")
         aug = augmented(cfg.system_params(30.0), cfg.dt_s)
         assert 2**6 < np.linalg.norm(aug, 1) / integrator._THETA13 <= 2**7
@@ -187,19 +193,12 @@ class TestExpm:
     @example(theta=0.0, b_gauss=0.0, delta_hz=2.2250738585072e-309, rabi_hz=0.0, dt=1e-6)
     @settings(deadline=None, max_examples=100)
     def test_matches_scipy_on_drawn_points(self, theta, b_gauss, delta_hz, rabi_hz, dt):
-        # The exponential's condition number grows with ||A dt||_1 (up to about
-        # 2e4 here), so the bound does too past a norm of 1000.  With no field
-        # and no probe the matrix is triangular, and scipy.linalg.expm returns
-        # NaN once the detuning is subnormal (its divided differences
-        # overflow), so a subnormal detuning is compared with SciPy's
-        # exponential at zero detuning, from which it differs by far less
-        # than the bound.
-        point = dict(b_gauss=b_gauss, rabi_hz=rabi_hz, theta_deg=theta)
-        aug = augmented(params(**point, delta_hz=delta_hz), dt)
-        if abs(delta_hz) < np.finfo(float).tiny:
-            want = scipy.linalg.expm(augmented(params(**point, delta_hz=0.0), dt))
-        else:
-            want = scipy.linalg.expm(aug)
+        # The exponential's condition number grows with ||[G, c] dt||_1 (up
+        # to about 2e4 here), so the bound does too past a norm of 1000.  With
+        # no field, no probe and a subnormal detuning the matrix is triangular.
+        point = params(b_gauss=b_gauss, rabi_hz=rabi_hz, theta_deg=theta, delta_hz=delta_hz)
+        aug = augmented(point, dt)
+        want = scipy.linalg.expm(aug)
         error = np.max(np.abs(_expm(aug) - want)) / np.max(np.abs(want))
         assert error <= 1e-12 * max(1.0, np.linalg.norm(aug, 1) / 1000.0)
 
@@ -349,16 +348,6 @@ class TestRealCoordinates:
         x = to_real(rho)
         assert x[1] == 0.5 and x[4] == 0.25 and x[7] == -0.75
         assert np.array_equal(x[12:16], [1.0, 2.0, 3.0, -4.0])
-
-    def test_real_step_matches_complex_step(self):
-        p = params(b_gauss=1.0, rabi_hz=40e6, theta_deg=55.0, delta_hz=1.5e9)
-        prop = Propagator(p, 1.0 / 18e6)
-        rng = np.random.default_rng(8)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = 0.5 * (m + np.conj(m.T))
-        via_complex = step_vec(prop, rho.reshape(16)).reshape(4, 4)
-        via_real = from_real(to_real(rho) @ prop.real_matrix_t + prop.real_offset)
-        assert np.allclose(via_real, via_complex, rtol=0.0, atol=1e-13)
 
 
 class TestEngine:
@@ -631,6 +620,22 @@ class TestEnsemble:
         cfg = TrajectoryConfig(dt=1e-8, n_steps=10)
         with pytest.raises(DomainError):
             evolve_ensemble_coherences(params(), cfg, [])
+
+    @pytest.mark.parametrize("first_trajectory, warnings", [(0, 2), (3, 0)])
+    def test_aliasing_warned_by_the_batch_holding_trajectory_0(
+        self, caplog, first_trajectory, warnings
+    ):
+        # 2 omega_L of 1 G is above 90% of the Nyquist band at dt = 1e-7 s.
+        # A point whose ensemble is split into batches warns once, from
+        # the batch that starts at trajectory 0, however many batches run.
+        cfg = TrajectoryConfig(dt=1e-7, n_steps=16)
+        points = TestStackedPoints.points()[:2]
+        with caplog.at_level(logging.WARNING, logger="spinnoise.integrator"):
+            evolve_ensemble_coherences(
+                points, cfg, [[0], [1]], with_noise=False, first_trajectory=first_trajectory
+            )
+        assert len(caplog.records) == warnings
+        assert all("will alias" in rec.message for rec in caplog.records)
 
     def test_time_average_matches_steady_state(self):
         p = params(b_gauss=0.5, rabi_hz=30e6, theta_deg=30.0, delta_hz=0.3e9, n_atoms=1e4)

@@ -340,6 +340,13 @@ class TestSpectrumRecord:
                 SpectrumRecord(np.array([0.0, 1.0]), np.array([1.0, bad]), rbw=1, n_averages=1)
             with pytest.raises(DomainError, match="freqs"):
                 SpectrumRecord(np.array([0.0, bad]), np.array([1.0, 1.0]), rbw=1, n_averages=1)
+        # An rbw that no estimate has, and fewer than one average.
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(DomainError, match="^rbw must be finite and > 0"):
+                SpectrumRecord(np.array([0.0, 1.0]), np.array([1.0, 1.0]), rbw=bad, n_averages=1)
+        for bad in (0, -1):
+            with pytest.raises(DomainError, match="^n_averages must be >= 1"):
+                SpectrumRecord(np.array([0.0, 1.0]), np.array([1.0, 1.0]), rbw=1, n_averages=bad)
 
 
 class TestVideoAverage:
@@ -518,6 +525,20 @@ class TestCsvRoundTrip:
         assert back.rbw == spec.rbw
         assert back.n_averages == spec.n_averages
         assert back.metadata["mode"] == "end"
+
+    def test_missing_or_impossible_rbw_refused(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(flat_record(np.ones(3), mode="rnd"), path)
+        text = path.read_text()
+        path.write_text(text.replace("# rbw_hz=1.5\n", ""))
+        with pytest.raises(DomainError, match=r"spec\.csv: no rbw_hz line$"):
+            read_spectrum_csv(path)
+        path.write_text(text.replace("# rbw_hz=1.5\n", "# rbw_hz=nan\n"))
+        with pytest.raises(DomainError, match="^rbw must be finite and > 0, got nan$"):
+            read_spectrum_csv(path)
+        path.write_text(text.replace("# n_averages=1\n", "# n_averages=0\n"))
+        with pytest.raises(DomainError, match="^n_averages must be >= 1, got 0$"):
+            read_spectrum_csv(path)
 
     def test_header_layout(self, tmp_path):
         spec = flat_record(np.ones(3), mode="rnd", theta_deg=4.0)
