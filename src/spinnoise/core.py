@@ -336,22 +336,21 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
 
 
 def _dissipator_unchecked(rho: np.ndarray, params: SystemParams) -> np.ndarray:
+    """D(rho) of matrices (..., 4, 4), without the Hermiticity check."""
     out = np.empty_like(rho, dtype=complex)
     g0, gt = params.gamma0, params.gamma_t
-    ree = rho[3, 3]
+    ground = np.arange(N_GROUND)
+    # Ground Zeeman coherences decay at the Raman rate.
+    out[..., :3, :3] = -params.gamma_R * rho[..., :3, :3]
     # Populations: closed decay branches equally into the three ground
     # sublevels; transit pulls the ground populations toward 1/3 each.
-    for j in range(N_GROUND):
-        out[j, j] = (g0 / 3.0) * ree - gt * (rho[j, j] - 1.0 / 3.0)
-    out[3, 3] = -(g0 + gt) * ree
+    out[..., ground, ground] = (
+        (g0 / 3.0) * rho[..., 3:, 3] - gt * (rho[..., ground, ground] - 1.0 / 3.0)
+    )
+    out[..., 3, 3] = -(g0 + gt) * rho[..., 3, 3]
     # Optical coherences decay at the rate of the single optical pole.
-    out[:3, 3] = -params.gamma_opt * rho[:3, 3]
-    out[3, :3] = -params.gamma_opt * rho[3, :3]
-    # Ground Zeeman coherences decay at the Raman rate.
-    for i in range(N_GROUND):
-        for j in range(N_GROUND):
-            if i != j:
-                out[i, j] = -params.gamma_R * rho[i, j]
+    out[..., :3, 3] = -params.gamma_opt * rho[..., :3, 3]
+    out[..., 3, :3] = -params.gamma_opt * rho[..., 3, :3]
     return out
 
 

@@ -3,7 +3,10 @@
 The drift -i[H, rho] + D(rho) is linear (affine, through the transit
 feeding term) and constant within a run: dx/dt = G x + c in the 16 real
 coordinates x of the Hermitian density matrix (REAL_COORDS), with the
-real generator (G, c) of ``superoperator``.  The steady state solves
+real generator (G, c) of ``superoperator``, which evaluates the
+right-hand side once on a stack of probe matrices.  ``to_real`` and
+``from_real`` convert by index maps over the lower triangle, so a
+conversion copies bits and does not round.  The steady state solves
 G x = -c with unit trace, and one step of length dt is advanced with the
 exact propagator x' = E x + e, [[E, e], [0, 1]] = exp([[G, c], [0, 0]] dt),
 precomputed once per parameter set.  The transit-noise increment is then
@@ -77,41 +80,33 @@ _NOISE_COORDS = slice(0, 9)
 _COHERENCE_COORDS = slice(12, 16)
 
 
-def _real_basis() -> tuple[np.ndarray, np.ndarray]:
-    """Maps between row-major vec(rho) and the real coordinates.
-
-    x = Re(to_real @ vec(rho)) for Hermitian rho, and
-    vec(rho) = from_real @ x.
-    """
-    to_real = np.zeros((VEC_DIM, VEC_DIM), dtype=complex)
-    from_real = np.zeros((VEC_DIM, VEC_DIM), dtype=complex)
-    for k, (i, j, part) in enumerate(REAL_COORDS):
-        lower, upper = i * DIM + j, j * DIM + i
-        if i == j:
-            to_real[k, lower] = 1.0
-            from_real[lower, k] = 1.0
-        elif part == "re":
-            to_real[k, lower] = to_real[k, upper] = 0.5
-            from_real[lower, k] = from_real[upper, k] = 1.0
-        else:
-            to_real[k, lower], to_real[k, upper] = -0.5j, 0.5j
-            from_real[lower, k], from_real[upper, k] = 1j, -1j
-    return to_real, from_real
-
-
-_TO_REAL, _FROM_REAL = _real_basis()
+# Index maps of REAL_COORDS: the lower-triangle entry each coordinate
+# reads, and which coordinates are imaginary parts.
+_ROW, _COL = np.array([(i, j) for i, j, _ in REAL_COORDS]).T
+_IM = np.array([part == "im" for _, _, part in REAL_COORDS])
 
 
 def to_real(rho: np.ndarray) -> np.ndarray:
-    """Real coordinates (..., 16) of Hermitian matrices (..., 4, 4)."""
-    rho = np.asarray(rho, dtype=complex)
-    return (rho.reshape(rho.shape[:-2] + (VEC_DIM,)) @ _TO_REAL.T).real
+    """Real coordinates (..., 16) of Hermitian matrices (..., 4, 4).
+
+    Reads the lower-triangle entries that REAL_COORDS names, so every
+    coordinate is an exact copy of a real or imaginary part.
+    """
+    entries = np.asarray(rho, dtype=complex)[..., _ROW, _COL]
+    return np.where(_IM, entries.imag, entries.real)
 
 
 def from_real(x: np.ndarray) -> np.ndarray:
-    """Hermitian matrices (..., 4, 4) from real coordinates (..., 16)."""
+    """Hermitian matrices (..., 4, 4) from real coordinates (..., 16).
+
+    Fills the lower triangle and mirrors it, conjugated, into the upper
+    one: the exact inverse of ``to_real``.
+    """
     x = np.asarray(x, dtype=float)
-    return (x @ _FROM_REAL.T).reshape(x.shape[:-1] + (DIM, DIM))
+    rho = np.zeros(x.shape[:-1] + (DIM, DIM), dtype=complex)
+    rho.real[..., _ROW[~_IM], _COL[~_IM]] = x[..., ~_IM]
+    rho.imag[..., _ROW[_IM], _COL[_IM]] = x[..., _IM]
+    return rho + np.conj(np.swapaxes(np.tril(rho, -1), -1, -2))
 
 
 # Steps per chunk of the engine: noise draw, lifted stepping, finiteness
@@ -153,14 +148,13 @@ class TrajectoryConfig:
 def superoperator(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """The drift's real generator (G, c): to_real(rhs(from_real(x))) = G @ x + c.
 
-    Built by probing the right-hand side with the Hermitian matrix of each
-    unit coordinate, so it is the same map the rest of the package
-    differentiates against.
+    Built by one call of the right-hand side on a stack of 17 probes: the
+    zero matrix and the Hermitian matrix of each unit coordinate.  So it
+    is the same map the rest of the package differentiates against.
     """
-    h = build_hamiltonian(params)
     # Probe 0 is the zero matrix, probe k + 1 that of unit coordinate k.
     probes = from_real(np.eye(VEC_DIM + 1, VEC_DIM, -1))
-    rates = to_real(np.array([_rhs_unchecked(rho, h, params) for rho in probes]))
+    rates = to_real(_rhs_unchecked(probes, build_hamiltonian(params), params))
     return (rates[1:] - rates[0]).T, rates[0]
 
 
@@ -380,9 +374,7 @@ def evolve_ensemble_coherences(
     out = np.empty((cfg.n_recorded if sink is None else 0, n_keys, maps.shape[2]))
     rngs = [np.random.default_rng(key) for key in seed_keys]
     n_traj = n_keys // len(points)
-    # Converted one state at a time, as for a single point: a product of
-    # several rows takes another BLAS kernel and could round differently.
-    x0 = np.stack([np.tile(to_real(rho), (n_traj, 1)) for rho in starts])
+    x0 = np.broadcast_to(to_real(starts)[:, None], (len(points), n_traj, VEC_DIM))
     target = _writer(out) if sink is None else sink
     _integrate(points, cfg, rngs, x0, records, target, with_noise, first_trajectory)
     return out
@@ -561,7 +553,7 @@ def _solve_steady(params: SystemParams) -> tuple[np.ndarray, int]:
     and the rank of that system."""
     g, c = superoperator(params)
     scale = params.rate_scale()
-    m = np.vstack([g / scale, [float(i == j) for i, j, _ in REAL_COORDS]])   # unit trace
+    m = np.vstack([g / scale, _ROW == _COL])   # unit trace
     rhs = np.append(-c / scale, 1.0)
     solution, _, rank, _ = np.linalg.lstsq(m, rhs, rcond=None)
     return solution, rank

@@ -471,28 +471,36 @@ def write_spectrum_csv(spec: SpectrumRecord, path) -> None:
 
 
 def read_spectrum_csv(path) -> SpectrumRecord:
-    """Read back a spectrum written by write_spectrum_csv."""
+    """Read back a spectrum written by write_spectrum_csv.
+
+    A DomainError that names the file refuses a missing or non-numeric
+    rbw_hz or n_averages line and a data row that is not two numbers.
+    """
     meta: dict = {}
     freqs: list[float] = []
     psd: list[float] = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value
-            elif line.startswith("freq_hz"):
-                continue
-            else:
-                f, p = line.split(",")
-                freqs.append(float(f))
-                psd.append(float(p))
-    if "rbw_hz" not in meta:
-        raise DomainError(f"{path}: no rbw_hz line")
-    rbw = float(meta["rbw_hz"])
-    n_averages = int(meta.get("n_averages", 1))
+            elif line and not line.startswith("freq_hz"):
+                try:
+                    f, p = map(float, line.split(","))
+                except ValueError:
+                    raise DomainError(f"{path}: line {number} is not two numbers: {line!r}") from None
+                freqs.append(f)
+                psd.append(p)
+    values = []
+    for key, kind, what in (("rbw_hz", float, "a number"), ("n_averages", int, "an integer")):
+        if key not in meta:
+            raise DomainError(f"{path}: no {key} line")
+        try:
+            values.append(kind(meta[key]))
+        except ValueError:
+            raise DomainError(f"{path}: {key}={meta[key]} is not {what}") from None
+    rbw, n_averages = values
     return SpectrumRecord(
         np.array(freqs), np.array(psd), rbw=rbw, n_averages=n_averages, metadata=meta
     )

@@ -18,6 +18,7 @@ from spinnoise.exceptions import (
     SteadyStateError,
 )
 from spinnoise.integrator import (
+    REAL_COORDS,
     Propagator,
     VEC_DIM,
     _expm,
@@ -338,7 +339,28 @@ class TestRealCoordinates:
         rho = 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
         x = to_real(rho)
         assert x.shape == (3, 16) and x.dtype == float
-        assert np.allclose(from_real(x), rho, rtol=0.0, atol=1e-15)
+        assert np.array_equal(from_real(x), rho)
+
+    def test_stack_converts_as_each_state(self):
+        # So the engine converts the start states of all points in one call.
+        rng = np.random.default_rng(10)
+        m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        rho = 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
+        x = to_real(rho)
+        assert np.array_equal(x, np.stack([to_real(r) for r in rho]))
+        assert np.array_equal(from_real(x), np.stack([from_real(v) for v in x]))
+
+    def test_reads_the_lower_entries_named(self):
+        # Every real and imaginary part of the lower triangle is named once,
+        # and the upper triangle is never read: a non-Hermitian matrix
+        # gives the parts of its own lower entries.
+        assert all(i >= j for i, j, _ in REAL_COORDS)
+        assert len(set(REAL_COORDS)) == 16
+        assert not any(i == j and part == "im" for i, j, part in REAL_COORDS)
+        rng = np.random.default_rng(11)
+        rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        named = [rho[i, j].imag if part == "im" else rho[i, j].real for i, j, part in REAL_COORDS]
+        assert np.array_equal(to_real(rho), named)
 
     def test_layout(self):
         rho = np.zeros((4, 4), dtype=complex)

@@ -540,6 +540,35 @@ class TestCsvRoundTrip:
         with pytest.raises(DomainError, match="^n_averages must be >= 1, got 0$"):
             read_spectrum_csv(path)
 
+    @pytest.mark.parametrize("key, value, what", [
+        ("rbw_hz", "x1.5", "a number"), ("n_averages", "one", "an integer"),
+    ])
+    def test_non_numeric_metadata_refused_by_file_and_key(self, tmp_path, key, value, what):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(flat_record(np.ones(3), mode="rnd"), path)
+        path.write_text(re.sub(rf"^# {key}=.*$", f"# {key}={value}", path.read_text(), flags=re.M))
+        with pytest.raises(DomainError, match=rf"spec\.csv: {key}={value} is not {what}$"):
+            read_spectrum_csv(path)
+
+    def test_missing_n_averages_refused(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(flat_record(np.ones(3), n_averages=4, mode="rnd"), path)
+        path.write_text(path.read_text().replace("# n_averages=4\n", ""))
+        with pytest.raises(DomainError, match=r"spec\.csv: no n_averages line$"):
+            read_spectrum_csv(path)
+
+    @pytest.mark.parametrize("row", ["1.0,1.0,1.0", "1.0", "1.0,x"])
+    def test_malformed_row_refused_by_file_and_line(self, tmp_path, row):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(flat_record(np.ones(3), mode="rnd"), path)
+        lines = path.read_text().splitlines(True)
+        header = lines.index("freq_hz,psd\n")
+        lines[header + 2] = row + "\n"
+        path.write_text("".join(lines))
+        message = rf"spec\.csv: line {header + 3} is not two numbers: {re.escape(repr(row))}$"
+        with pytest.raises(DomainError, match=message):
+            read_spectrum_csv(path)
+
     def test_header_layout(self, tmp_path):
         spec = flat_record(np.ones(3), mode="rnd", theta_deg=4.0)
         path = tmp_path / "spec.csv"
