@@ -16,14 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .core import SystemParams, doppler_pole
-from .detection import DetectorParams
+from .detection import SIGNAL_MODES, DetectorParams
 from .exceptions import ConfigError
 from .integrator import TrajectoryConfig
 from .spectral import format_value
 
 # Scan axis -> the configuration key it sweeps.
 AXIS_KEYS = {"theta": "theta_deg", "b_field": "b_gauss", "detuning": "delta_hz"}
-DETECTION_MODES = ("rnd", "end", "both")
+# Either signal, in the order the engine records them, or both.
+DETECTION_MODES = SIGNAL_MODES + ("both",)
 # The most points a scan grid may hold: far beyond any scan the package
 # runs, and a bound on what a mistyped grid can ask to allocate.
 MAX_SCAN_POINTS = 10**6
@@ -232,7 +233,7 @@ class ExperimentConfig:
         return values[values <= self.scan_stop + 1e-9 * self.scan_step]
 
     def modes(self) -> list[str]:
-        return ["rnd", "end"] if self.detection_mode == "both" else [self.detection_mode]
+        return list(SIGNAL_MODES) if self.detection_mode == "both" else [self.detection_mode]
 
     def resolved_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

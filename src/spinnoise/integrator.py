@@ -24,12 +24,13 @@ package; the tests hold it against a single-step reference that adds the
 noise to the complex matrix, ``tests/_step_reference.py``.  The engine
 steps several parameter points at once.  It has no per-step loop: it
 advances sub-blocks of _SUB steps with lifted operators (powers of E^T
-and their sums), so a chunk of steps is a few matrix products over the
-trajectories' raw standard-normal draws, and it hands the recorded rows
-to a sink chunk by chunk.  The lifted operators carry the per-coordinate
-noise scale and a fixed linear record map (all coordinates for ``evolve``,
-a readout of the optical coherences otherwise), so those products go from
-the draws to the recorded signals directly.
+and their sums, built for all points of a call in one batched pass), so
+a chunk of steps is a few matrix products over the trajectories' raw
+standard-normal draws, and it hands the recorded rows to a sink chunk by
+chunk.  The lifted operators carry the per-coordinate noise scale and a
+fixed linear record map (all coordinates for ``evolve``, a readout of the
+optical coherences otherwise), so those products go from the draws to
+the recorded signals directly.
 """
 
 from __future__ import annotations
@@ -217,68 +218,69 @@ class Propagator:
         self.noise_scale = noise_stats(params.gamma_t, dt, params.n_atoms).block_scale
 
 
-@dataclass(frozen=True)
-class _Lifted:
-    """One point's operators that advance a sub-block of up to _SUB steps.
+def _lifted(props: Sequence[Propagator], records: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The operators that advance a sub-block of up to _SUB steps, for the
+    P points' Propagators ``props`` and (P, 16, K) record maps ``records``.
 
     With M = ``real_matrix_t``, c = ``real_offset``, s = ``noise_scale``
-    of the point's Propagator and z_i the standard normals of step i of
-    a sub-block that starts in state y, the state after its step r is
+    of a point's Propagator and z_i the standard normals of step i of a
+    sub-block that starts in state y, the state after its step r is
 
         x_r = y M^(r+1) + sum_{i<=r} z_i diag(s) M^(r-i)[:9] + O_r,
         O_r = c (M^0 + ... + M^r),
 
     since only the first nine coordinates take noise.  A sub-block's draws
-    are one row of 9 _SUB values.  Its record is x_r @ R for a fixed
-    (16, K) record map R: ``start``, ``noise`` and ``offset`` give the
-    records of all _SUB steps as one row, y @ start + z @ noise + offset,
-    and the full end state is y @ power + z @ end_noise + end_offset.  The
-    noise map is block upper-triangular, so a step's record does not read
-    the draws of later steps: the record of a partial sub-block at the end
-    of a run is the same product, whatever its row holds past the end.  No
-    step of a sub-block that starts in y can leave the float range while
-    max |y| <= ``safe_size`` (up to the offset and noise, which are of
-    order one).
+    are one row of 9 _SUB values, and its record is x_r @ R for the point's
+    record map R.  The operators, stacked over the points and shaped to
+    broadcast over trajectories and sub-blocks, are
+
+        power       (P, 16, 16)             M^_SUB
+        end_noise   (P, 1, 9 _SUB, 16)      rows 9i..9i+8: diag(s) M^(_SUB-1-i)[:9]
+        end_offset  (P, 1, 1, 16)           O_(_SUB-1)
+        start       (P, 1, 16, _SUB K)      column block r: M^(r+1) R
+        noise       (P, 1, 9 _SUB, _SUB K)  block (i, r): diag(s) M^(r-i)[:9] R, 0 for i > r
+        offset      (P, 1, 1, _SUB K)       block r: O_r R
+        safe_size   (P, 1)
+
+    so the records of all _SUB steps are one row, y @ start + z @ noise +
+    offset, and the full end state is y @ power + z @ end_noise +
+    end_offset.  The noise map is block upper-triangular, so a step's
+    record does not read the draws of later steps: the record of a partial
+    sub-block at the end of a run is the same product, whatever its row
+    holds past the end.  No step of a sub-block that starts in y can leave
+    the float range while max |y| <= ``safe_size`` (up to the offset and
+    noise, which are of order one).  Every product is the one a single
+    point would take, so a point's operators do not depend on the others.
     """
-
-    power: np.ndarray       # (16, 16): M^_SUB
-    end_noise: np.ndarray   # (9 _SUB, 16): rows 9i..9i+8 are diag(s) M^(_SUB-1-i)[:9]
-    end_offset: np.ndarray  # (16,): O_(_SUB-1)
-    start: np.ndarray       # (16, _SUB K): column block r is M^(r+1) R
-    noise: np.ndarray       # (9 _SUB, _SUB K): block (i, r) is diag(s) M^(r-i)[:9] R, 0 for i > r
-    offset: np.ndarray      # (_SUB K,): block r is O_r R
-    safe_size: float
-
-
-def _lifted(prop: Propagator, r_map: np.ndarray) -> _Lifted:
-    """The lifted operators of one point's Propagator with the (16, K)
-    record map ``r_map``."""
-    m, c, scale = prop.real_matrix_t, prop.real_offset, prop.noise_scale
-    k = r_map.shape[1]
-    powers = np.empty((_SUB + 1, VEC_DIM, VEC_DIM))
-    powers[0] = np.eye(VEC_DIM)
-    offsets = np.empty((_SUB, VEC_DIM))
-    offsets[0] = c
+    m = np.array([prop.real_matrix_t for prop in props])
+    c = np.array([prop.real_offset for prop in props])[:, None]
+    scale = np.array([prop.noise_scale for prop in props])
+    n, k = len(props), records.shape[2]
+    powers = np.empty((n, _SUB + 1, VEC_DIM, VEC_DIM))
+    powers[:, 0] = np.eye(VEC_DIM)
+    offsets = np.empty((n, _SUB, 1, VEC_DIM))
+    offsets[:, 0] = c
     for r in range(1, _SUB + 1):
-        powers[r] = powers[r - 1] @ m
+        powers[:, r] = powers[:, r - 1] @ m
     for r in range(1, _SUB):
-        offsets[r] = offsets[r - 1] @ m + c
-    # diag(s) M^r[:9], and its record, for r < _SUB.
-    kicks = scale[:, None] * powers[:_SUB, _NOISE_COORDS]
-    kick_records = kicks @ r_map
-    noise = np.zeros((_SUB, 9, _SUB, k))
-    for i in range(_SUB):
-        for r in range(i, _SUB):
-            noise[i, :, r] = kick_records[r - i]
-    return _Lifted(
-        power=powers[_SUB],
-        end_noise=kicks[::-1].reshape(9 * _SUB, VEC_DIM),
-        end_offset=offsets[_SUB - 1],
-        start=(powers[1:] @ r_map).transpose(1, 0, 2).reshape(VEC_DIM, _SUB * k),
-        noise=noise.reshape(9 * _SUB, _SUB * k),
-        offset=(offsets @ r_map).reshape(_SUB * k),
-        # |(y M^r)_k| <= max|y| * sum_j |M^r_jk|.
-        safe_size=np.finfo(float).max / max(1.0, np.abs(powers[1:]).sum(axis=1).max()),
+        offsets[:, r] = offsets[:, r - 1] @ m + c
+    # diag(s) M^r[:9] for r < _SUB, and their records, after which a zero
+    # block stands for every lag r - i < 0.
+    kicks = scale[:, None, :, None] * powers[:, :_SUB, _NOISE_COORDS]
+    kick_records = np.zeros((n, _SUB + 1, 9, k))
+    kick_records[:, :_SUB] = kicks @ records[:, None]
+    lag = np.arange(_SUB) - np.arange(_SUB)[:, None]
+    noise = kick_records[:, np.where(lag < 0, _SUB, lag)]   # (P, i, r, 9, K)
+    # |(y M^r)_k| <= max|y| * sum_j |M^r_jk|.
+    growth = np.abs(powers[:, 1:]).sum(axis=2).reshape(n, -1).max(axis=1, keepdims=True)
+    return (
+        powers[:, _SUB],
+        kicks[:, ::-1].reshape(n, 1, 9 * _SUB, VEC_DIM),
+        offsets[:, _SUB - 1, None],
+        (powers[:, 1:] @ records[:, None]).transpose(0, 2, 1, 3).reshape(n, 1, VEC_DIM, _SUB * k),
+        noise.transpose(0, 1, 3, 2, 4).reshape(n, 1, 9 * _SUB, _SUB * k),
+        (offsets[:, :, 0] @ records).reshape(n, 1, 1, _SUB * k),
+        np.finfo(float).max / np.maximum(1.0, growth),
     )
 
 
@@ -415,11 +417,11 @@ def _integrate(
     cache-sized whatever the run length.  Each trajectory draws the
     standard normals of a chunk as one contiguous (chunk, 9) block, read
     in place as one row of 9 _SUB values per sub-block; the noise scale is
-    in the lifted operators.  With the point's lifted operators
-    (``_Lifted``), one matrix product gives the noise part of every
-    sub-block's end state, chunk // _SUB coarse steps y <- y M^_SUB + F_b
-    carry the state across the sub-blocks, and two more products give the
-    record of every step.  After each chunk the sub-block states are
+    in the lifted operators.  ``_lifted`` builds those of all P points in
+    one pass, stacked and shaped to broadcast, and with them one matrix
+    product gives the noise part of every sub-block's end state, chunk //
+    _SUB coarse steps y <- y M^_SUB + F_b carry the state across the
+    sub-blocks, and two more products give the record of every step.  After each chunk the sub-block states are
     checked for non-finite values (or values from which a step could
     overflow), and the chunk's recorded steps go to ``sink`` as one
     trajectory-major (P * n_traj, n_rows, K) block.  A failure names the
@@ -433,16 +435,8 @@ def _integrate(
     n_points, n_traj, _ = x0.shape
     n_rec = records.shape[2]
     props = [Propagator(p, cfg.dt) for p in params]
-    ops = [_lifted(prop, r) for prop, r in zip(props, records)]
+    power, end_noise, end_offset, start, noise_map, offset, safe_size = _lifted(props, records)
     noisy = [with_noise and prop.noise_scale.any() for prop in props]
-    # Per-point operators, broadcast over trajectories and sub-blocks.
-    power = np.stack([op.power for op in ops])
-    end_noise = np.stack([op.end_noise for op in ops])[:, None]
-    end_offset = np.stack([op.end_offset for op in ops])[:, None, None]
-    start = np.stack([op.start for op in ops])[:, None]
-    noise_map = np.stack([op.noise for op in ops])[:, None]
-    offset = np.stack([op.offset for op in ops])[:, None, None]
-    safe_size = np.array([[op.safe_size] for op in ops])
     width = max(n_traj, 2)
     n_sub = -(-min(_CHUNK, cfg.n_steps) // _SUB)
     capacity = n_sub * _SUB

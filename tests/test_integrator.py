@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -479,21 +480,68 @@ class TestStackedPoints:
             for theta in (0.0, 30.0, 75.0)
         ]
 
-    @pytest.mark.parametrize("n_traj", [1, 3])
-    def test_stacked_records_equal_separate_runs(self, n_traj):
-        # Runs over several 256-step chunks and ends in a partial one; burn-in
-        # and stride divide neither.
-        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=4500, burn_in_steps=37, record_stride=3)
-        points = self.points()
+    @staticmethod
+    def mixed_points():
+        # Points that differ in field (0 and 1 G), detuning and transit
+        # rate, the last without transit noise: their safe sizes and kick
+        # rows differ, and the last has all-zero kicks and draws nothing.
+        return [
+            params(b_gauss=0.0, theta_deg=30.0, delta_hz=1.5e9, n_atoms=1e5),
+            params(b_gauss=1.0, theta_deg=30.0, delta_hz=0.3e9, n_atoms=1e5, gamma_t_hz=1e5),
+            params(b_gauss=1.0, theta_deg=30.0, delta_hz=0.9e9, gamma_t_hz=0.0),
+        ]
+
+    # Runs over several 256-step chunks (18, the last partial); burn-in and
+    # stride divide neither.
+    CFG = TrajectoryConfig(dt=1.0 / 18e6, n_steps=4500, burn_in_steps=37, record_stride=3)
+
+    def stacked_and_alone(self, points, n_traj, seed):
         starts = [steady_state(p) for p in points]
-        keys = [[5, point, t] for point in range(len(points)) for t in range(n_traj)]
-        stacked = evolve_ensemble_coherences(points, cfg, keys, rho0=starts)
-        assert stacked.shape == (cfg.n_recorded, len(points) * n_traj, 4)
+        keys = [[seed, point, t] for point in range(len(points)) for t in range(n_traj)]
+        stacked = evolve_ensemble_coherences(points, self.CFG, keys, rho0=starts)
+        assert stacked.shape == (self.CFG.n_recorded, len(points) * n_traj, 4)
         for i, (p, rho0) in enumerate(zip(points, starts)):
             alone = evolve_ensemble_coherences(
-                p, cfg, keys[i * n_traj : (i + 1) * n_traj], rho0=rho0
+                p, self.CFG, keys[i * n_traj : (i + 1) * n_traj], rho0=rho0
             )
             assert np.array_equal(stacked[:, i * n_traj : (i + 1) * n_traj], alone)
+        return stacked
+
+    @pytest.mark.parametrize("n_traj", [1, 3])
+    def test_stacked_records_equal_separate_runs(self, n_traj):
+        self.stacked_and_alone(self.points(), n_traj, 5)
+
+    @pytest.mark.parametrize("n_traj", [1, 3])
+    def test_mixed_points_equal_separate_runs(self, monkeypatch, n_traj):
+        draws = []
+        draw = integrator._draw_noise_chunk
+
+        def counted(rngs, chunk, noise):
+            draws.append(len(rngs))
+            draw(rngs, chunk, noise)
+
+        monkeypatch.setattr(integrator, "_draw_noise_chunk", counted)
+        stacked = self.stacked_and_alone(self.mixed_points(), n_traj, 11)
+        # The stacked call draws for the two noisy points in each of its 18
+        # chunks, and the runs alone do so once more; the noise-free point
+        # never draws, and its trajectories stay equal.
+        assert draws == [n_traj] * (2 * 18) * 2
+        quiet = stacked[:, 2 * n_traj :]
+        assert np.array_equal(quiet, np.broadcast_to(quiet[:, :1], quiet.shape))
+
+    def test_mixed_operators_are_each_points_own(self):
+        # The batched build gives every point the bits it gets alone.
+        props = [Propagator(p, self.CFG.dt) for p in self.mixed_points()]
+        records = np.random.default_rng(3).standard_normal((3, VEC_DIM, 2))
+        stacked = integrator._lifted(props, records)
+        for i, prop in enumerate(props):
+            alone = integrator._lifted([prop], records[i : i + 1])
+            for op, op_alone in zip(stacked, alone):
+                assert np.array_equal(op[i : i + 1], op_alone)
+        safe_size = stacked[-1][:, 0]
+        assert len(set(safe_size)) == 3
+        noise = stacked[4]
+        assert noise[:2].any(axis=(1, 2, 3)).all() and not noise[2].any()
 
     def test_batch_of_one_point(self):
         cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=700, burn_in_steps=10)
@@ -642,6 +690,15 @@ class TestEnsemble:
         cfg = TrajectoryConfig(dt=1e-8, n_steps=10)
         with pytest.raises(DomainError):
             evolve_ensemble_coherences(params(), cfg, [])
+
+    @pytest.mark.parametrize("rho0", [np.stack([np.eye(4) / 4] * 3), np.stack([np.eye(3) / 3] * 2)])
+    def test_start_states_of_the_wrong_shape_refused(self, rho0):
+        # Two points take one 4x4 start state or two, not three, nor two 3x3.
+        cfg = TrajectoryConfig(dt=1e-8, n_steps=10)
+        points = TestStackedPoints.points()[:2]
+        shape = re.escape(str(np.shape(rho0)))
+        with pytest.raises(DomainError, match=f"^rho0 must be one 4x4 state or one per point, got {shape}$"):
+            evolve_ensemble_coherences(points, cfg, [[0], [1]], rho0=rho0)
 
     @pytest.mark.parametrize("first_trajectory, warnings", [(0, 2), (3, 0)])
     def test_aliasing_warned_by_the_batch_holding_trajectory_0(
@@ -812,6 +869,11 @@ class TestFreeEvolution:
             free_evolve_ground(np.zeros((2, 2)), 1.0, np.array([0.0]))
         with pytest.raises(DomainError):
             free_evolve_ground(np.diag([0.5, 0.5, 0.5]).astype(complex), 1.0, np.array([0.0]))
+
+    def test_state_not_positive_semidefinite_refused(self):
+        rho = np.diag([1.5, -0.5, 0.0]).astype(complex)
+        with pytest.raises(DomainError, match="^ground-state density matrix must be positive semidefinite$"):
+            free_evolve_ground(rho, 1.0, np.array([0.0]))
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf])
     def test_non_finite_frequency_refused(self, omega):

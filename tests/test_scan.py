@@ -733,6 +733,27 @@ class TestEngineCalls:
                 run_scan(cfg, n_workers=n_workers)
         assert "scan point theta=15 failed" in caplog.text
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failure_without_an_axis_value_names_the_task_points(
+        self, monkeypatch, caplog, n_workers
+    ):
+        # An error of the engine call as a whole carries no axis value, so
+        # the log names the failing task's points: with one trajectory a
+        # point in calls of two, the second task, theta = 7.5 and 15.  The
+        # patch is made before a pool forks, so its workers see it too.
+        def refuse(params, tcfg, keys, **kwargs):
+            if len(params) > 1:
+                raise DomainError("refused by the engine")
+            return evolve_ensemble_coherences(params, tcfg, keys, **kwargs)
+
+        monkeypatch.setattr(scan, "_CALL_TRAJECTORIES", 2)
+        monkeypatch.setattr(scan, "evolve_ensemble_coherences", refuse)
+        with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
+            with pytest.raises(DomainError, match="^refused by the engine$"):
+                run_scan(tiny_cfg(n_trajectories=1), n_workers=n_workers)
+        assert "scan points theta=7.5..15 failed" in caplog.text
+        assert "scan point theta" not in caplog.text
+
     def test_task_memory_does_not_grow_with_its_points(self):
         # 16 trajectories a point: four points fill one call, so a serial
         # scan of 20 points steps five calls of the width of a 4-point scan.

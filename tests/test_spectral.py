@@ -440,6 +440,12 @@ class TestAverageSpectra:
         with pytest.raises(DomainError):
             average_spectra([base, other_mode])
 
+    def test_rbw_mismatch_rejected(self):
+        # Same grid and metadata, a different resolution bandwidth.
+        specs = [flat_record(np.ones(8), rbw=rbw, mode="rnd") for rbw in (1.5, 2.0)]
+        with pytest.raises(DomainError, match="^spectra must share the same rbw to be averaged$"):
+            average_spectra(specs)
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             average_spectra([])
