@@ -165,6 +165,15 @@ class ExperimentConfig:
             raise ConfigError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
         self.trajectory_config()   # refuses n_steps, burn_in_steps and record_stride by key
 
+    def lab_values(self, axis_value: float | None = None) -> dict:
+        """The lab value of every ``AXIS_KEYS`` key at one scan point, in
+        that order: the configured values, with ``axis_value`` (when given)
+        for the scanned key."""
+        lab = {key: getattr(self, key) for key in AXIS_KEYS.values()}
+        if axis_value is not None:
+            lab[AXIS_KEYS[self.scan_axis]] = axis_value
+        return lab
+
     def system_params(self, axis_value: float | None = None) -> SystemParams:
         """SystemParams for one scan point; axis_value overrides the scanned knob.
 
@@ -173,9 +182,7 @@ class ExperimentConfig:
         single optical pole is the one that reproduces the Doppler-averaged
         response at the probe detuning (see ``core.doppler_pole``).
         """
-        lab = {key: getattr(self, key) for key in AXIS_KEYS.values()}
-        if axis_value is not None:
-            lab[AXIS_KEYS[self.scan_axis]] = axis_value
+        lab = self.lab_values(axis_value)
         pole_delta_hz, pole_gamma_hz = doppler_pole(
             lab["delta_hz"], self.gamma_opt_hz, 0.5 * self.gamma0_hz
         )

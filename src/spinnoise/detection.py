@@ -136,12 +136,17 @@ def transmission(
     The absorbed fraction is the steady-state scattered power,
     photon_energy * gamma0 * rho_ee * n_atoms, relative to the input power,
     clamped to [0, 1].  Clamping indicates the thin-sample assumption broke
-    down and is logged.  ``rho_ss`` is the steady state of ``params`` when
-    the caller has already solved it; otherwise it is solved here.
+    down and is logged.  An excited population rho_ee in [-1e-12, 0) is
+    taken as zero, without a warning: at a vanishing probe a steady state
+    solved to rounding reads rho_ee of about +-1e-14, which is no breakdown.
+    ``rho_ss`` is the steady state of ``params`` when the caller has
+    already solved it; otherwise it is solved here.
     """
     if rho_ss is None:
         rho_ss = steady_state(params)
     rho_ee = float(np.real(rho_ss[3, 3]))
+    if -1e-12 <= rho_ee < 0.0:
+        rho_ee = 0.0
     absorbed = PHOTON_ENERGY_J * params.gamma0 * rho_ee * params.n_atoms / detector.input_power
     if absorbed > 1.0 or absorbed < 0.0:
         logger.warning(

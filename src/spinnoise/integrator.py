@@ -359,17 +359,15 @@ def evolve_ensemble_coherences(
     if rho0 is None:
         rho0 = equilibrium_rho()
     starts = np.asarray(rho0, dtype=complex)
-    if starts.ndim == 2:
-        starts = np.broadcast_to(starts, (len(points),) + starts.shape)
-    if starts.shape != (len(points), DIM, DIM):
+    if starts.shape not in ((DIM, DIM), (len(points), DIM, DIM)):
         raise DomainError(f"rho0 must be one 4x4 state or one per point, got {starts.shape}")
+    starts = np.broadcast_to(starts, (len(points), DIM, DIM))
     for rho in starts:
         require_hermitian(rho)
     maps = np.eye(4) if readout is None else np.asarray(readout, dtype=float)
-    if maps.ndim == 2:
-        maps = np.broadcast_to(maps, (len(points),) + maps.shape)
-    if maps.ndim != 3 or maps.shape[:2] != (len(points), 4):
+    if maps.shape[:-2] not in ((), (len(points),)) or maps.shape[-2:-1] != (4,):
         raise DomainError(f"readout must be one (4, M) map or one per point, got {maps.shape}")
+    maps = np.broadcast_to(maps, (len(points),) + maps.shape[-2:])
     # Record maps (16, M): the recorded row of a state x is x @ R.
     records = np.zeros((len(points), VEC_DIM, maps.shape[2]))
     records[:, _COHERENCE_COORDS] = maps

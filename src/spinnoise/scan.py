@@ -5,10 +5,12 @@ deterministic steady state, records the rotation- and ellipticity-noise
 signals, and averages their Welch PSDs.  The (points x trajectories) grid
 is cut into tasks that give each worker process the same share: each
 point's trajectories in one range a worker, the points grouped within the
-ranges.  Each task is one engine call of at most ``_CALL_TRAJECTORIES``
-trajectories, which records their signals directly (the readout is part
-of its operators) and streams them into the Welch estimate, so no record
-is held and no buffer grows with the scan.
+ranges.  Each task sets up each of its points in one pass, then steps
+them in one engine call of at most ``_CALL_TRAJECTORIES`` trajectories,
+which records their signals directly (the readout is part of its
+operators) and hands each chunk to a sink that pushes it straight into
+the task's Welch estimate, so no record is held and no buffer grows with
+the scan.
 Trajectory seeds derive from (master_seed, axis-value bits, trajectory
 index), so any sub-range of a scan, and any grouping of points and
 trajectories into tasks, reproduces exactly the corresponding rows of the
@@ -93,10 +95,8 @@ def seed_key(master_seed: int, axis_value: float, trajectory_index: int) -> list
 
 
 def _point_metadata(cfg: ExperimentConfig, axis_value: float, mode: str) -> dict:
-    params_lab = {key: getattr(cfg, key) for key in AXIS_KEYS.values()}
-    params_lab[AXIS_KEYS[cfg.scan_axis]] = axis_value
     return {
-        **params_lab,
+        **cfg.lab_values(axis_value),
         "mode": mode,
         "vbw_hz": cfg.vbw_hz,
         "seed": cfg.master_seed,
@@ -105,7 +105,7 @@ def _point_metadata(cfg: ExperimentConfig, axis_value: float, mode: str) -> dict
 
 def _series_metadata(cfg: ExperimentConfig) -> dict:
     """The time-series table's metadata: the point's lab parameters and seed."""
-    return {**{key: getattr(cfg, key) for key in AXIS_KEYS.values()}, "seed": cfg.master_seed}
+    return {**cfg.lab_values(), "seed": cfg.master_seed}
 
 
 # perfbench/tracer.py hooks this name as detection.field_projection.
@@ -190,53 +190,6 @@ class _PointPart:
     transmission: float | None = None          # from the group holding trajectory 0
 
 
-class _Stream:
-    """Sink of one engine call: takes each chunk of [RND, END] signals of
-    every point and trajectory of the call and pushes the configured modes'
-    columns, by point, mode and trajectory, into one streaming Welch
-    accumulator.  Given a ``series`` buffer, it also copies the first
-    trajectory's [RND, END] rows into it."""
-
-    def __init__(
-        self, cfg: ExperimentConfig, n_points: int, n_traj: int, series: np.ndarray | None
-    ):
-        tcfg = cfg.trajectory_config()
-        self.modes = cfg.modes()
-        first = SIGNAL_MODES.index(self.modes[0])
-        self.mode_slice = slice(first, first + len(self.modes))
-        self.n_points = n_points
-        self.n_traj = n_traj
-        self.welch = WelchAccumulator(
-            n_points * len(self.modes) * n_traj, tcfg.dt * tcfg.record_stride, cfg.rbw_hz
-        )
-        self.series = series
-        self.filled = 0
-
-    def columns(self, point: int, mode: int) -> slice:
-        start = (point * len(self.modes) + mode) * self.n_traj
-        return slice(start, start + self.n_traj)
-
-    def __call__(self, rows: np.ndarray) -> None:
-        # The engine's block is trajectory-major, (P * n_traj, n, 2); the
-        # accumulator reads it in place through a (P, mode, n_traj, n) view.
-        n = rows.shape[1]
-        if self.series is not None:
-            self.series[self.filled : self.filled + n] = rows[0]
-        by_mode = rows.reshape(self.n_points, self.n_traj, n, 2).transpose(0, 3, 1, 2)
-        self.welch.push(by_mode[:, self.mode_slice])
-        self.filled += n
-
-
-@contextlib.contextmanager
-def _failing_point(value: float):
-    """Tag an exception raised inside with the axis value it belongs to."""
-    try:
-        yield
-    except Exception as exc:
-        exc.axis_value = float(value)
-        raise
-
-
 # Trajectory 0's [RND, END] while simulate_point runs, None otherwise.  It
 # is mapped before that run's pool forks, so the pool's workers hold it too.
 _series: np.ndarray | None = None
@@ -248,45 +201,65 @@ def _run_task(
     """Per-trajectory PSDs of a group of points over one trajectory range,
     without metadata (``_finish_point`` attaches the point's).
 
-    The points' trajectories are stepped in one engine call, whose sink
-    Welch-averages the recorded signals chunk by chunk, so no record is
-    held; ``_scan_tasks`` bounds the call's width, so its buffers do not
-    grow with the scan.  The group holding trajectory 0 also reports each
-    point's transmission and, while simulate_point runs (one point), writes
-    trajectory 0's [RND, END] into its series buffer, which the result
-    does not carry.  A trajectory's PSDs depend only on its seed, not on
-    the grouping.  An exception carries the failing point's ``axis_value``.
+    Each point is set up in one pass: its params, its steady state and, in
+    the group holding trajectory 0, its transmission.  The points'
+    trajectories are then stepped in one engine call, whose sink pushes
+    each chunk of recorded signals straight into the task's Welch
+    accumulator, so no record is held; ``_scan_tasks`` bounds the call's
+    width, so its buffers do not grow with the scan.  While simulate_point
+    runs (one point), the group holding trajectory 0 also copies trajectory
+    0's [RND, END] rows into the series buffer, which the result does not
+    carry.  A trajectory's PSDs depend only on its seed, not on the
+    grouping.  An exception carries the failing point's ``axis_value``.
     """
     first = trajectories.start == 0
     tcfg = cfg.trajectory_config()
-    params, rho0 = [], []
+    detector = cfg.detector_params()
+    params, rho0, trans = [], [], []
     for value in values:
-        with _failing_point(value):
+        try:
             params.append(cfg.system_params(value))
             rho0.append(steady_state(params[-1]))
-    readouts = np.stack([readout_matrix(p) for p in params])
-    stream = _Stream(cfg, len(values), len(trajectories), _series if first else None)
+            trans.append(transmission(params[-1], detector, rho0[-1]) if first else None)
+        except Exception as exc:
+            exc.axis_value = float(value)
+            raise
+    modes = cfg.modes()
+    mode0 = SIGNAL_MODES.index(modes[0])
+    n_traj = len(trajectories)
+    welch = WelchAccumulator(
+        len(values) * len(modes) * n_traj, tcfg.dt * tcfg.record_stride, cfg.rbw_hz
+    )
+    series = _series if first else None
+
+    def push(rows: np.ndarray) -> None:
+        # The engine's block is trajectory-major, (P * n_traj, n, 2); the
+        # accumulator reads it in place through a (P, mode, n_traj, n) view.
+        n = rows.shape[1]
+        if series is not None:
+            series[welch.n_samples : welch.n_samples + n] = rows[0]
+        by_mode = rows.reshape(len(values), n_traj, n, 2).transpose(0, 3, 1, 2)
+        welch.push(by_mode[:, mode0 : mode0 + len(modes)])
+
     keys = [seed_key(cfg.master_seed, value, t) for value in values for t in trajectories]
     try:
         evolve_ensemble_coherences(
             params, tcfg, keys, rho0=rho0, first_trajectory=trajectories.start,
-            sink=stream, readout=readouts,
+            sink=push, readout=np.stack([readout_matrix(p) for p in params]),
         )
     except NumericError as exc:
         exc.axis_value = float(values[exc.point])
         raise
-    detector = cfg.detector_params()
-    parts = []
-    for p, (value, point_params, rho) in enumerate(zip(values, params, rho0)):
-        with _failing_point(value):
-            parts.append(_PointPart(
-                records={
-                    mode: stream.welch.records(traces=stream.columns(p, m))
-                    for m, mode in enumerate(stream.modes)
-                },
-                transmission=transmission(point_params, detector, rho) if first else None,
-            ))
-    return parts
+    return [
+        _PointPart(
+            records={
+                mode: welch.records(traces=slice(c * n_traj, (c + 1) * n_traj))
+                for c, mode in enumerate(modes, start=p * len(modes))
+            },
+            transmission=trans[p],
+        )
+        for p in range(len(values))
+    ]
 
 
 @contextlib.contextmanager

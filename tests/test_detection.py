@@ -6,6 +6,7 @@ import scipy.constants
 from hypothesis import given, settings, strategies as st
 
 from spinnoise import detection
+from spinnoise.config import load_config
 from spinnoise.core import SystemParams, equilibrium_rho
 from spinnoise.detection import (
     DetectorParams,
@@ -178,6 +179,31 @@ class TestTransmission:
             t = transmission(p, self.detector)
         assert t == 0.0
         assert any("clamped" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize(
+        "preset", [None, "fig3_end", "fig3_rnd", "fig5_absorption", "fig6_end", "fig6_rnd"]
+    )
+    def test_rounding_at_a_vanishing_probe_is_not_clamped(self, caplog, preset):
+        # At a Rabi frequency of 0-1 Hz the solved rho[3,3] is zero to
+        # rounding (about +-1e-14), which is no breakdown: nothing is logged.
+        with caplog.at_level(logging.WARNING, logger="spinnoise.detection"):
+            for rabi_hz in ("0", "1"):
+                cfg = load_config(preset=preset, overrides=[f"rabi_hz={rabi_hz}"])
+                for value in cfg.axis_values():
+                    t = transmission(cfg.system_params(value), cfg.detector_params())
+                    assert 1.0 - 1e-9 <= t <= 1.0
+        assert not caplog.records
+
+    @pytest.mark.parametrize("rho_ee, clamped", [(-1e-12, False), (-2e-12, True)])
+    def test_supplied_negative_excited_population(self, caplog, rho_ee, clamped):
+        # A supplied state's rho[3,3] below -1e-12 is no rounding: it is
+        # clamped and logged.  Either way nothing is absorbed.
+        rho = equilibrium_rho()
+        rho[3, 3] = rho_ee
+        p = params(rabi_hz=30e6, theta_deg=54.7, delta_hz=0.3e9)
+        with caplog.at_level(logging.WARNING, logger="spinnoise.detection"):
+            assert transmission(p, self.detector, rho) == 1.0
+        assert any("clamped" in rec.message for rec in caplog.records) == clamped
 
 
 class TestConstants:

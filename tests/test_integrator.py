@@ -664,6 +664,15 @@ class TestFusedReadout:
                 points, self.CFG, [[0], [1]], readout=self.readouts(points[:1] * 3)
             )
 
+    @pytest.mark.parametrize("readout", [np.ones((3, 2)), np.ones(4), np.ones((2, 3, 2))])
+    def test_readout_of_the_wrong_shape_refused_by_its_own_shape(self, readout):
+        # Two points take one (4, M) map or two; the message names the shape
+        # given, not that of a map broadcast over the points.
+        points = TestStackedPoints.points()[:2]
+        shape = re.escape(str(readout.shape))
+        with pytest.raises(DomainError, match=f"^readout must be one \\(4, M\\) map or one per point, got {shape}$"):
+            evolve_ensemble_coherences(points, self.CFG, [[0], [1]], readout=readout)
+
     def test_raw_draws_times_scale_are_the_increment_block(self):
         # The engine draws standard normals; the lifted operators hold the
         # scale.  Two chunks of one trajectory's draws against the noise
@@ -691,9 +700,12 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             evolve_ensemble_coherences(params(), cfg, [])
 
-    @pytest.mark.parametrize("rho0", [np.stack([np.eye(4) / 4] * 3), np.stack([np.eye(3) / 3] * 2)])
+    @pytest.mark.parametrize(
+        "rho0", [np.stack([np.eye(4) / 4] * 3), np.stack([np.eye(3) / 3] * 2), np.eye(3, 4) / 3]
+    )
     def test_start_states_of_the_wrong_shape_refused(self, rho0):
-        # Two points take one 4x4 start state or two, not three, nor two 3x3.
+        # Two points take one 4x4 start state or two, not three, nor two 3x3,
+        # nor one 3x4; the message names the shape given.
         cfg = TrajectoryConfig(dt=1e-8, n_steps=10)
         points = TestStackedPoints.points()[:2]
         shape = re.escape(str(np.shape(rho0)))

@@ -306,14 +306,19 @@ class TestRunScan:
             tiny_cfg(scan_start=10.0, scan_stop=5.0)
 
     def test_point_metadata(self):
-        cfg = tiny_cfg(detection_mode="rnd")
-        point = run_point(cfg, 7.5)
-        meta = point.spectra["rnd"].metadata
-        assert meta["theta_deg"] == 7.5
-        assert meta["mode"] == "rnd"
-        assert meta["seed"] == cfg.master_seed
-        assert 0.0 <= point.transmission <= 1.0
-        assert point.shot_floor > 0
+        # On every axis the scanned key carries the axis value (none of them
+        # the configured one), and the other axis keys the configuration's.
+        for axis, value in [("theta", 7.5), ("b_field", 0.5), ("detuning", 0.3e9)]:
+            cfg = tiny_cfg(detection_mode="rnd", scan_axis=axis)
+            point = run_point(cfg, value)
+            meta = point.spectra["rnd"].metadata
+            assert value != getattr(cfg, AXIS_KEYS[axis])
+            for key in AXIS_KEYS.values():
+                assert meta[key] == (value if key == AXIS_KEYS[axis] else getattr(cfg, key))
+            assert meta["mode"] == "rnd"
+            assert meta["seed"] == cfg.master_seed
+            assert 0.0 <= point.transmission <= 1.0
+            assert point.shot_floor > 0
 
     def test_absolute_units_adds_floor(self):
         relative = run_point(tiny_cfg(detection_mode="rnd"), 7.5)
@@ -373,6 +378,21 @@ class TestRunScan:
         with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
             with pytest.raises(NumericError, match="no steady state"):
                 run_scan(tiny_cfg(), n_workers=1)
+        assert "scan point theta=7.5 failed" in caplog.text
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_failing_transmission_reports_axis_value(self, monkeypatch, caplog, n_workers):
+        # The task holding trajectory 0 solves each point's transmission in
+        # the point's set-up, serially and on the pool alike.
+        def absorb(params, detector, rho_ss=None):
+            if np.isclose(params.theta, np.radians(7.5)):
+                raise DomainError("no transmission")
+            return transmission(params, detector, rho_ss)
+
+        monkeypatch.setattr(scan, "transmission", absorb)
+        with caplog.at_level(logging.ERROR, logger="spinnoise.scan"):
+            with pytest.raises(DomainError, match="no transmission"):
+                run_scan(tiny_cfg(), n_workers=n_workers)
         assert "scan point theta=7.5 failed" in caplog.text
 
     def test_parallel_matches_serial(self):
