@@ -25,9 +25,6 @@ from .exceptions import DomainError
 #: Equivalent noise bandwidth of the periodic Hann window, in bins.
 HANN_ENBW_BINS = 1.5
 
-# Windowed samples per transform call of WelchAccumulator (2 MB of float64).
-_WELCH_BLOCK_SAMPLES = 2**18
-
 
 @dataclass(eq=False)
 class SpectrumRecord:
@@ -156,13 +153,12 @@ class WelchAccumulator:
     ``push`` takes the next n samples of every trace, for any n, as an array
     whose last axis is samples and whose leading axes, in C order, index
     the traces.  It reads them in place and holds the unfinished segment's
-    samples in one (n_traces, nseg - 1) buffer.  A completed segment that
-    begins in the buffer is joined and transformed on its own, segments
-    within the pushed samples about _WELCH_BLOCK_SAMPLES windowed samples
-    at a time, and their power is added to a running sum one segment at a
-    time, in order.  So the spectra are the same bits however the series
-    is cut into pushes, and equal to the mean over segments of
-    ``welch_psd_batch``.
+    samples in one (n_traces, nseg - 1) buffer.  Each completed segment,
+    whether it begins in the buffer or in the pushed samples, is joined
+    into one (n_traces, nseg) array, windowed and transformed on its own,
+    and its power is added to a running sum, in order.  So the spectra are
+    the same bits however the series is cut into pushes, and a push holds
+    one segment a trace whatever its length.
 
     The estimate's layout is derived here once: ``nseg``, ``hop`` and ``rbw``
     at construction, ``window``, ``freqs`` and ``density_scale`` at first use
@@ -183,7 +179,6 @@ class WelchAccumulator:
         self.n_traces = n_traces
         self.n_samples = 0
         self.n_segments = 0
-        self._group = max(1, _WELCH_BLOCK_SAMPLES // (n_traces * self.nseg))
 
     @functools.cached_property
     def window(self) -> np.ndarray:
@@ -215,20 +210,18 @@ class WelchAccumulator:
         if not self.n_samples:
             self._power = np.zeros((self.n_traces, nseg // 2 + 1))
             self._buffer = np.empty((self.n_traces, nseg - 1))
-            self._windowed = np.empty(0)
+            self._windowed = np.empty((self.n_traces, nseg))
+            self._spectra = np.empty((self.n_traces, nseg // 2 + 1), dtype=complex)
         # Offsets count from the buffer's first sample: it holds [0, held),
         # and x follows it.  held < nseg before and after every push.
         held = self.n_samples - self.n_segments * hop
         buffer = self._buffer.reshape(*lead, nseg - 1)
         n_new = max(0, 1 + (held + n - nseg) // hop)
-        begun = min(n_new, -(-held // hop))   # segments that begin in the buffer
-        for start in range(0, begun * hop, hop):
-            # This segment's samples still held, then the first pushed ones.
-            self._add_power(buffer[..., None, start:held], x[..., None, : nseg - held + start])
-        if n_new > begun:
-            inside = np.lib.stride_tricks.sliding_window_view(x, nseg, axis=-1)[..., begun * hop - held :: hop, :]
-            for first in range(0, n_new - begun, self._group):
-                self._add_power(inside[..., first : first + self._group, :])
+        for start in range(0, n_new * hop, hop):
+            # This segment's samples still held, then the pushed ones.
+            parts = buffer[..., min(start, held) : held], x[..., max(0, start - held) : start + nseg - held]
+            np.concatenate(parts, axis=-1, out=self._windowed.reshape(*lead, nseg))
+            self._add_power()
         first = n_new * hop
         if 0 < first < held:
             # Not overlapping: first >= hop >= nseg / 2 > held - first.
@@ -237,25 +230,14 @@ class WelchAccumulator:
         self.n_samples += n
         self.n_segments += n_new
 
-    def _add_power(self, *parts: np.ndarray) -> None:
-        """Window and transform segments, k of every trace, given as
-        (*lead, k, width) parts that join along their last axis, and add
-        their power to the running sum one segment at a time, in order.
-        The arrays they pass through grow to the most segments taken yet."""
-        size, bins = self.n_traces * parts[0].shape[-2], self.nseg // 2 + 1
-        if self._windowed.size < size * self.nseg:
-            self._windowed = np.empty(size * self.nseg)
-            self._spectra = np.empty(size * bins, dtype=complex)
-            self._segment_power = np.empty(size * bins)
-        windowed = self._windowed[: size * self.nseg].reshape(size, self.nseg)
-        np.concatenate(parts, axis=-1, out=windowed.reshape(*parts[0].shape[:-1], self.nseg))
-        windowed *= self.window
-        squares = np.fft.rfft(windowed, axis=-1, out=self._spectra[: size * bins].reshape(size, bins)).view(float)
+    def _add_power(self) -> None:
+        """Window and transform the segment of every trace joined into
+        ``_windowed`` and add its power to the running sum."""
+        self._windowed *= self.window
+        squares = np.fft.rfft(self._windowed, axis=-1, out=self._spectra).view(float)
         np.square(squares, out=squares)
-        power = self._segment_power[: size * bins].reshape(size, bins)
-        np.add(squares[:, ::2], squares[:, 1::2], out=power)
-        for segment in power.reshape(self.n_traces, -1, bins).swapaxes(0, 1):
-            self._power += segment
+        np.add(squares[:, ::2], squares[:, 1::2], out=squares[:, ::2])
+        self._power += squares[:, ::2]
 
     def records(
         self, metadata: dict | None = None, traces: slice = slice(None)
@@ -474,7 +456,10 @@ def read_spectrum_csv(path) -> SpectrumRecord:
     """Read back a spectrum written by write_spectrum_csv.
 
     A DomainError that names the file refuses a missing or non-numeric
-    rbw_hz or n_averages line and a data row that is not two numbers.
+    rbw_hz or n_averages line, a data row that is not two numbers and
+    anything SpectrumRecord refuses: an rbw_hz that is not finite and > 0,
+    an n_averages below 1, freq_hz not strictly increasing from >= 0 and a
+    psd that is negative or not finite.
     """
     meta: dict = {}
     freqs: list[float] = []
@@ -501,6 +486,7 @@ def read_spectrum_csv(path) -> SpectrumRecord:
         except ValueError:
             raise DomainError(f"{path}: {key}={meta[key]} is not {what}") from None
     rbw, n_averages = values
-    return SpectrumRecord(
-        np.array(freqs), np.array(psd), rbw=rbw, n_averages=n_averages, metadata=meta
-    )
+    try:
+        return SpectrumRecord(np.array(freqs), np.array(psd), rbw=rbw, n_averages=n_averages, metadata=meta)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None

@@ -137,11 +137,11 @@ class TestWelch:
 
     @pytest.mark.parametrize("rbw", [5e3, 1.5e6 / 297, 1.5e6 / 27000])
     @pytest.mark.parametrize("tail", [0, 7])
-    def test_streamed_pieces_equal_one_push(self, rbw, tail, monkeypatch):
+    def test_streamed_pieces_equal_one_push(self, rbw, tail):
         # Uneven pieces, then 256-sample pushes as the engine makes them;
         # odd (297) and even (300) nseg, and an nseg (27000) that takes
         # many pushes to complete; with and without a trailing partial
-        # segment; and one push transformed three segments at a time.
+        # segment.
         nseg = segment_length(DT, rbw)
         hop = nseg - nseg // 2
         n = 40 * hop + nseg + tail
@@ -175,10 +175,6 @@ class TestWelch:
             assert [rec.psd.tolist() for rec in viewed.records()] == [rec.psd.tolist() for rec in whole]
         with pytest.raises(DomainError, match=re.escape("expected samples of shape (4, n)")):
             accumulator.push(np.zeros((1, 3, 2, 10)))
-        monkeypatch.setattr(spectral, "_WELCH_BLOCK_SAMPLES", 3 * 4 * nseg)
-        grouped = WelchAccumulator(4, DT, rbw)
-        grouped.push(x.T)
-        assert [rec.psd.tolist() for rec in grouped.records()] == [rec.psd.tolist() for rec in whole]
 
     @given(
         nseg=st.sampled_from([n for n in range(8, 200) if next_fast_len(n) == n]),
@@ -261,6 +257,23 @@ class TestWelch:
             tracemalloc.stop()
         assert accumulator.n_segments == 4
         assert peak < x.nbytes
+
+    def test_one_push_of_many_segments_holds_one_segment_a_trace(self):
+        # 4 traces of 2^16 samples at nseg 297 complete 438 segments in one
+        # push.  Each is joined, windowed and transformed alone in arrays of
+        # one segment a trace, so the push allocates far less than a copy of
+        # its samples.
+        x = np.random.default_rng(17).normal(size=(4, 2**16))
+        accumulator = WelchAccumulator(4, DT, 1.5e6 / 297)
+        assert accumulator.nseg == 297
+        tracemalloc.start()
+        try:
+            accumulator.push(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert accumulator.n_segments == 1 + (2**16 - 297) // 149
+        assert peak < x.nbytes / 4
 
     def test_building_one_costs_no_memory_whatever_the_segment(self):
         # A 2^40-sample segment: its window alone would take 8 TB, its
@@ -539,12 +552,23 @@ class TestCsvRoundTrip:
         path.write_text(text.replace("# rbw_hz=1.5\n", ""))
         with pytest.raises(DomainError, match=r"spec\.csv: no rbw_hz line$"):
             read_spectrum_csv(path)
-        path.write_text(text.replace("# rbw_hz=1.5\n", "# rbw_hz=nan\n"))
-        with pytest.raises(DomainError, match="^rbw must be finite and > 0, got nan$"):
-            read_spectrum_csv(path)
+        for value in ("nan", "0"):
+            path.write_text(text.replace("# rbw_hz=1.5\n", f"# rbw_hz={value}\n"))
+            with pytest.raises(DomainError, match=rf"spec\.csv: rbw must be finite and > 0, got {value}"):
+                read_spectrum_csv(path)
         path.write_text(text.replace("# n_averages=1\n", "# n_averages=0\n"))
-        with pytest.raises(DomainError, match="^n_averages must be >= 1, got 0$"):
+        with pytest.raises(DomainError, match=r"spec\.csv: n_averages must be >= 1, got 0$"):
             read_spectrum_csv(path)
+        lines = text.splitlines(True)
+        row = lines.index("freq_hz,psd\n") + 2
+        for cells, message in [
+            ("5.0,1.0", "freqs must be strictly increasing and start >= 0"),
+            ("1.0,-1.0", "psd entries must be finite and >= 0"),
+            ("1.0,nan", "psd entries must be finite and >= 0"),
+        ]:
+            path.write_text("".join([*lines[:row], cells + "\n", *lines[row + 1 :]]))
+            with pytest.raises(DomainError, match=rf"spec\.csv: {message}$"):
+                read_spectrum_csv(path)
 
     @pytest.mark.parametrize("key, value, what", [
         ("rbw_hz", "x1.5", "a number"), ("n_averages", "one", "an integer"),
