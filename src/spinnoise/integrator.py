@@ -300,7 +300,7 @@ def evolve(
     deterministic for a given generator state.
     """
     require_hermitian(rho0)
-    _warn_if_aliasing(params, cfg.dt)
+    _warn_if_aliasing(params, cfg)
     x0 = to_real(rho0)[None, None, :]
     out = np.empty((cfg.n_recorded, 1, VEC_DIM))
     _integrate([params], cfg, [rng], x0, np.eye(VEC_DIM)[None], _writer(out), with_noise)
@@ -355,7 +355,7 @@ def evolve_ensemble_coherences(
         )
     if first_trajectory == 0:
         for p in points:
-            _warn_if_aliasing(p, cfg.dt)
+            _warn_if_aliasing(p, cfg)
     if rho0 is None:
         rho0 = equilibrium_rho()
     starts = np.asarray(rho0, dtype=complex)
@@ -520,14 +520,17 @@ def _draw_noise_chunk(rngs: list, chunk: int, noise: np.ndarray) -> None:
         rng.standard_normal(out=block[:chunk])
 
 
-def _warn_if_aliasing(params: SystemParams, dt: float) -> None:
-    nyquist = np.pi / dt  # rad/s
+def _warn_if_aliasing(params: SystemParams, cfg: TrajectoryConfig) -> None:
+    # Every series and spectrum is sampled once a record interval,
+    # dt * record_stride, not once a step.
+    interval = cfg.dt * cfg.record_stride
+    nyquist = np.pi / interval  # rad/s
     if 2.0 * params.omega_L > 0.9 * nyquist:
         logger.warning(
-            "2*omega_L = %.3g rad/s is above 90%% of the Nyquist band for dt=%.3g s; "
-            "spin-noise peaks will alias",
+            "2*omega_L = %.3g rad/s is above 90%% of the Nyquist band for the record "
+            "interval %.3g s (dt x record_stride); spin-noise peaks will alias",
             2.0 * params.omega_L,
-            dt,
+            interval,
         )
 
 

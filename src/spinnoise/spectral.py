@@ -369,9 +369,10 @@ _TABLE_BLOCKS_IN_FLIGHT = 4
 
 def _format_rows(arrays: list[np.ndarray]) -> str:
     """The table rows of equal-length 1-D float arrays, each value by its
-    exact repr, each row ended by a newline."""
-    cells = (map(repr, array.tolist()) for array in arrays)
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    exact repr, each row ended by a newline: one %-format (%r is repr) of
+    the row-major values."""
+    row = ",".join(["%r"] * len(arrays)) + "\n"
+    return row * len(arrays[0]) % tuple(np.column_stack(arrays).ravel().tolist())
 
 
 def _format_range(read: Callable[[int, int], list[np.ndarray]], start: int, stop: int) -> str:

@@ -178,6 +178,23 @@ class TestSimulate:
         assert len(pools) == n_pools
         assert (tmp_path / "timeseries.csv").is_file()
 
+    @pytest.mark.parametrize("record_stride, warnings", [(1, 0), (3, 1)])
+    def test_aliasing_warned_at_the_record_interval(
+        self, tmp_path, caplog, record_stride, warnings
+    ):
+        # At the default 1 G and 18 MHz steps, END's 5.6 MHz 2x-Larmor line
+        # is resolved by a record every step but folds into a record every
+        # third step (3 MHz Nyquist).  One worker warns in process.
+        args = ["simulate", "--set", "n_trajectories=2", "--set", "n_steps=4096",
+                "--set", f"record_stride={record_stride}", "--threads", "1"]
+        with caplog.at_level(logging.WARNING, logger="spinnoise.integrator"):
+            assert main(args + ["--out", str(tmp_path)]) == 0
+        aliased = [
+            rec for rec in caplog.records
+            if rec.name == "spinnoise.integrator" and "will alias" in rec.getMessage()
+        ]
+        assert len(aliased) == warnings
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_ensemble_leaves_no_directory(self, tmp_path, capsys, monkeypatch, threads):
         def failing(*args, **kwargs):

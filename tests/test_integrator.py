@@ -712,14 +712,23 @@ class TestEnsemble:
         with pytest.raises(DomainError, match=f"^rho0 must be one 4x4 state or one per point, got {shape}$"):
             evolve_ensemble_coherences(points, cfg, [[0], [1]], rho0=rho0)
 
-    @pytest.mark.parametrize("first_trajectory, warnings", [(0, 2), (3, 0)])
+    @pytest.mark.parametrize(
+        "record_stride, first_trajectory, warnings",
+        [
+            pytest.param(3, 0, 2, id="0-2"),
+            pytest.param(3, 3, 0, id="3-0"),
+            pytest.param(1, 0, 0, id="stride_1"),
+        ],
+    )
     def test_aliasing_warned_by_the_batch_holding_trajectory_0(
-        self, caplog, first_trajectory, warnings
+        self, caplog, record_stride, first_trajectory, warnings
     ):
-        # 2 omega_L of 1 G is above 90% of the Nyquist band at dt = 1e-7 s.
+        # 2 omega_L of 1 G (35 Mrad/s) is below 90% of the Nyquist band of
+        # dt = 1/18 MHz (57 Mrad/s), but above it for a record every third
+        # step (19 Mrad/s), which is what every series and spectrum samples.
         # A point whose ensemble is split into batches warns once, from
         # the batch that starts at trajectory 0, however many batches run.
-        cfg = TrajectoryConfig(dt=1e-7, n_steps=16)
+        cfg = TrajectoryConfig(dt=1.0 / 18e6, n_steps=48, record_stride=record_stride)
         points = TestStackedPoints.points()[:2]
         with caplog.at_level(logging.WARNING, logger="spinnoise.integrator"):
             evolve_ensemble_coherences(
