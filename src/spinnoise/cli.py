@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        p.add_argument("--seed", type=int, help="override master_seed")
+        p.add_argument(
+            "--seed", metavar="SEED", help="override master_seed, as --set master_seed=SEED does"
+        )
         p.add_argument("--out", default="out", help="output directory")
 
     p_sim = sub.add_parser("simulate", help="single-point time series and PSDs")

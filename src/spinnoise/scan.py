@@ -19,6 +19,7 @@ full scan.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -349,20 +350,23 @@ def _run_values(
     if cfg.vbw_hz is not None and cfg.vbw_hz > welch.rbw:
         raise ConfigError(f"vbw_hz ({cfg.vbw_hz:g} Hz) must not exceed the achieved rbw ({welch.rbw:g} Hz)")
     tasks = [(cfg, values[points.start : points.stop], group) for points, group in layout]
+    futures: collections.deque = collections.deque()
     if pool is not None:
-        futures = [pool.submit(_run_task, *task) for task in tasks]
-        calls = [future.result for future in futures]
-    else:
-        futures = []
-        calls = [functools.partial(_run_task, *task) for task in tasks]
-    results = []
-    for call, (_, task_values, group) in zip(calls, tasks):
+        futures.extend(pool.submit(_run_task, *task) for task in tasks)
+    # Each point is finished, and its parts dropped, as its last task's
+    # result is taken.  A group of points' tasks come one after another, so
+    # this process holds one group's parts at a time.
+    remaining = collections.Counter(index for points, _ in layout for index in points)
+    parts: list[list[_PointPart]] = [[] for _ in values]
+    finished: list[ScanPoint | None] = [None] * len(values)
+    for task, (points, _) in zip(tasks, layout):
+        _, task_values, group = task
         logger.info(
             "scan task: %s=%g..%g, trajectories %d..%d", cfg.scan_axis,
             task_values[0], task_values[-1], group.start, group.stop - 1,
         )
         try:
-            results.append(call())
+            task_parts = _run_task(*task) if pool is None else futures.popleft().result()
         except Exception as exc:
             failed = getattr(exc, "axis_value", None)
             if failed is None:
@@ -373,11 +377,13 @@ def _run_values(
             for pending in futures:
                 pending.cancel()
             raise
-    parts: list[list[_PointPart]] = [[] for _ in values]
-    for (points, _), task_parts in zip(layout, results):
         for index, part in zip(points, task_parts):
             parts[index].append(part)
-    return [_finish_point(cfg, value, point_parts) for value, point_parts in zip(values, parts)]
+            remaining[index] -= 1
+            if not remaining[index]:
+                finished[index] = _finish_point(cfg, values[index], parts[index])
+                parts[index] = []
+    return finished
 
 
 def _finish_point(cfg: ExperimentConfig, value: float, parts: list[_PointPart]) -> ScanPoint:

@@ -25,6 +25,10 @@ from .exceptions import DomainError
 #: Equivalent noise bandwidth of the periodic Hann window, in bins.
 HANN_ENBW_BINS = 1.5
 
+# The most windowed samples a WelchAccumulator joins and transforms at a
+# time: a segment of as many traces as fit, at least one.
+_WELCH_SCRATCH_SAMPLES = 2**18
+
 
 @dataclass(eq=False)
 class SpectrumRecord:
@@ -155,10 +159,15 @@ class WelchAccumulator:
     the traces.  It reads them in place and holds the unfinished segment's
     samples in one (n_traces, nseg - 1) buffer.  Each completed segment,
     whether it begins in the buffer or in the pushed samples, is joined
-    into one (n_traces, nseg) array, windowed and transformed on its own,
-    and its power is added to a running sum, in order.  So the spectra are
-    the same bits however the series is cut into pushes, and a push holds
-    one segment a trace whatever its length.
+    into one array, windowed and transformed on its own, and its power is
+    added to a running sum, in order.  That array takes the segment of as
+    many traces as fit _WELCH_SCRATCH_SAMPLES samples, at least one, and
+    the traces go through it in groups of that many (each row is
+    transformed alone, so a trace's bits do not depend on the grouping).
+    So the spectra are the same bits however the series is cut into
+    pushes, and a push's scratch does not grow with its length or, beyond
+    one group, with the number of traces.  A push of several groups whose
+    leading axes do not merge into one is copied once to (n_traces, n).
 
     The estimate's layout is derived here once: ``nseg``, ``hop`` and ``rbw``
     at construction, ``window``, ``freqs`` and ``density_scale`` at first use
@@ -208,20 +217,34 @@ class WelchAccumulator:
         *lead, n = x.shape
         nseg, hop = self.nseg, self.hop
         if not self.n_samples:
+            rows = min(self.n_traces, max(1, _WELCH_SCRATCH_SAMPLES // nseg))
             self._power = np.zeros((self.n_traces, nseg // 2 + 1))
             self._buffer = np.empty((self.n_traces, nseg - 1))
-            self._windowed = np.empty((self.n_traces, nseg))
-            self._spectra = np.empty((self.n_traces, nseg // 2 + 1), dtype=complex)
+            self._windowed = np.empty((rows, nseg))
+            self._spectra = np.empty((rows, nseg // 2 + 1), dtype=complex)
         # Offsets count from the buffer's first sample: it holds [0, held),
         # and x follows it.  held < nseg before and after every push.
         held = self.n_samples - self.n_segments * hop
         buffer = self._buffer.reshape(*lead, nseg - 1)
         n_new = max(0, 1 + (held + n - nseg) // hop)
+        rows = len(self._windowed)
+        groups = [(buffer, x, self._power)]
+        if n_new and rows < self.n_traces:
+            flat = x.reshape(self.n_traces, n)
+            groups = [
+                (self._buffer[lo : lo + rows], flat[lo : lo + rows], self._power[lo : lo + rows])
+                for lo in range(0, self.n_traces, rows)
+            ]
         for start in range(0, n_new * hop, hop):
-            # This segment's samples still held, then the pushed ones.
-            parts = buffer[..., min(start, held) : held], x[..., max(0, start - held) : start + nseg - held]
-            np.concatenate(parts, axis=-1, out=self._windowed.reshape(*lead, nseg))
-            self._add_power()
+            for held_rows, pushed_rows, power in groups:
+                # This segment's samples still held, then the pushed ones.
+                parts = (
+                    held_rows[..., min(start, held) : held],
+                    pushed_rows[..., max(0, start - held) : start + nseg - held],
+                )
+                windowed = self._windowed[: len(power)]
+                np.concatenate(parts, axis=-1, out=windowed.reshape(*held_rows.shape[:-1], nseg))
+                self._add_power(windowed, power)
         first = n_new * hop
         if 0 < first < held:
             # Not overlapping: first >= hop >= nseg / 2 > held - first.
@@ -230,14 +253,15 @@ class WelchAccumulator:
         self.n_samples += n
         self.n_segments += n_new
 
-    def _add_power(self) -> None:
-        """Window and transform the segment of every trace joined into
-        ``_windowed`` and add its power to the running sum."""
-        self._windowed *= self.window
-        squares = np.fft.rfft(self._windowed, axis=-1, out=self._spectra).view(float)
+    def _add_power(self, windowed: np.ndarray, power: np.ndarray) -> None:
+        """Window and transform the segments of a group of traces joined
+        into ``windowed``, rows of ``_windowed``, and add their power to
+        ``power``, the same rows of the running sum."""
+        windowed *= self.window
+        squares = np.fft.rfft(windowed, axis=-1, out=self._spectra[: len(windowed)]).view(float)
         np.square(squares, out=squares)
         np.add(squares[:, ::2], squares[:, 1::2], out=squares[:, ::2])
-        self._power += squares[:, ::2]
+        power += squares[:, ::2]
 
     def records(
         self, metadata: dict | None = None, traces: slice = slice(None)

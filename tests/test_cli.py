@@ -257,6 +257,18 @@ class TestSeedOption:
         manifest = (tmp_path / "run_manifest.cfg").read_text().splitlines()
         assert f"master_seed={seed}" in manifest
 
+    def test_seed_is_parsed_as_master_seed_is(self, tmp_path, capsys):
+        # One rule for both spellings: an integral float is taken exactly,
+        # a fraction is refused by key.
+        assert main(["modes", "--seed", "1e5", "--out", str(tmp_path / "a")]) == 0
+        manifest = (tmp_path / "a" / "run_manifest.cfg").read_text().splitlines()
+        assert "master_seed=100000" in manifest
+        capsys.readouterr()
+        assert main(["modes", "--seed", "2.5", "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert "master_seed" in err and "not an integer: '2.5'" in err
+        assert not (tmp_path / "b").exists()
+
 
 def loaded_scipy_modules(code):
     """The scipy modules in sys.modules after running code in a fresh interpreter."""
@@ -321,6 +333,25 @@ class TestErrors:
         rc = main(["scan", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("absolute_units=maybe", "invalid value for key 'absolute_units': not a boolean: 'maybe'"),
+        ("detection_mode=all", "detection_mode must be one of ('rnd', 'end', 'both'), got 'all'"),
+        ("rbw_hz", "override must look like key=value, got 'rbw_hz'"),
+    ])
+    def test_malformed_override_reported(self, tmp_path, capsys, override, message):
+        rc = main(["modes", "--out", str(tmp_path / "out"), "--set", override])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_line_without_a_value_reported_by_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# a comment\nb_gauss=0.5\nrbw_hz\n")
+        rc = main(["modes", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {config}:3: expected key=value, got 'rbw_hz'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_value_reported(self, tmp_path, capsys):
         rc = main(["scan", "--out", str(tmp_path), "--set", "delta_hz=blue"])

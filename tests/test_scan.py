@@ -1,3 +1,4 @@
+import functools
 import logging
 import multiprocessing
 import pickle
@@ -400,6 +401,56 @@ class TestRunScan:
         serial = run_scan(cfg, n_workers=1)
         parallel = run_scan(cfg, n_workers=2)
         for ps, pp in zip(serial.points, parallel.points):
+            for mode in ps.spectra:
+                assert np.array_equal(ps.spectra[mode].psd, pp.spectra[mode].psd)
+
+    def test_empty_range_is_refused(self):
+        # The config refuses scan_stop < scan_start when it loads; run_scan
+        # refuses a grid emptied after that.
+        cfg = tiny_cfg()
+        cfg.scan_stop = -7.5
+        with pytest.raises(DomainError, match="scan range is empty"):
+            run_scan(cfg)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_points_are_finished_as_their_last_task_returns(self, monkeypatch, pooled):
+        # 13 points of 16 trajectories on two workers: points 0-5 and 6-12,
+        # each group in trajectories 0-7 and 8-15.  Points 0-5 are finished
+        # once the second task's result is taken, before the third's is, so
+        # their parts are not held while the other group runs.
+        events = []
+        run_task, finish_point = scan._run_task, scan._finish_point
+
+        def recording_task(cfg, values, trajectories):
+            events.append(("task", values[0], trajectories.start))
+            return run_task(cfg, values, trajectories)
+
+        def recording_finish(cfg, value, parts):
+            events.append(("finish", value))
+            return finish_point(cfg, value, parts)
+
+        class Taken:
+            """A pool's future whose task runs when its result is taken."""
+
+            def __init__(self, fn, *args):
+                self.result = functools.partial(fn, *args)
+
+        class DeferringPool:
+            submit = Taken
+
+        monkeypatch.setattr(scan, "_run_task", recording_task)
+        monkeypatch.setattr(scan, "_finish_point", recording_finish)
+        cfg = tiny_cfg(scan_stop=90.0, n_trajectories=16)
+        values = cfg.axis_values()
+        layout = scan._scan_tasks(len(values), 16, 2)
+        points = scan._run_values(cfg, values, layout, DeferringPool() if pooled else None)
+        assert events == [
+            ("task", 0.0, 0), ("task", 0.0, 8), *[("finish", v) for v in values[:6]],
+            ("task", 45.0, 0), ("task", 45.0, 8), *[("finish", v) for v in values[6:]],
+        ]
+        assert [point.axis_value for point in points] == list(values)
+        serial = run_scan(cfg, n_workers=1)
+        for ps, pp in zip(serial.points, points):
             for mode in ps.spectra:
                 assert np.array_equal(ps.spectra[mode].psd, pp.spectra[mode].psd)
 

@@ -275,6 +275,43 @@ class TestWelch:
         assert accumulator.n_segments == 1 + (2**16 - 297) // 149
         assert peak < x.nbytes / 4
 
+    def test_traces_in_groups_are_the_same_bits_as_each_alone(self):
+        # At nseg 27,000 a group is the 9 traces that fit 2^18 samples of
+        # scratch.  64 traces, pushed in pieces through a (2, 32, n) view
+        # whose leading axes do not merge, give each trace the bits it gets
+        # pushed on its own.
+        rbw = 1.5e6 / 27000
+        n = 27000 + 13500 + 5000
+        data = np.random.default_rng(34).normal(size=(32, 2, n))
+        view = data.transpose(1, 0, 2)
+        accumulator = WelchAccumulator(64, DT, rbw)
+        assert accumulator.nseg == 27000
+        for start in range(0, n, 10000):
+            accumulator.push(view[..., start : start + 10000])
+        assert accumulator.n_segments == 2
+        for trace, record in enumerate(accumulator.records()):
+            alone = WelchAccumulator(1, DT, rbw)
+            alone.push(view[trace // 32, trace % 32][None])
+            np.testing.assert_array_equal(record.psd, alone.records()[0].psd)
+
+    def test_scratch_of_a_push_does_not_grow_with_the_traces(self):
+        # 64 traces at nseg 27,000: one push holds the buffer and the power
+        # sum, and scratch for one group of 2^18 windowed samples and as many
+        # complex bins, not a segment of every trace (27.6 MB here).  The
+        # window is built first; 1 MiB allows for numpy's buffers.
+        x = np.random.default_rng(35).normal(size=(64, 27000 + 13500))
+        accumulator = WelchAccumulator(64, DT, 1.5e6 / 27000)
+        assert accumulator.window.size == 27000
+        tracemalloc.start()
+        try:
+            accumulator.push(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert accumulator.n_segments == 2
+        held = accumulator._buffer.nbytes + accumulator._power.nbytes
+        assert peak < held + 2 * 2**18 * 8 + 2**20
+
     def test_building_one_costs_no_memory_whatever_the_segment(self):
         # A 2^40-sample segment: its window alone would take 8 TB, its
         # power sum 16 TB for four traces.
