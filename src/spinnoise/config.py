@@ -54,12 +54,16 @@ def _parse_bool(text: str) -> bool:
 def _parse_int(text: str) -> int:
     """An integer literal, exactly; or an integral float (1e5, 131072.0) of
     magnitude at most 2**53, where every integer is exact."""
+    refusal = ValueError(f"not an integer: {text.strip()!r}")
     try:
         return int(text)
     except ValueError:
-        value = float(text)
+        try:
+            value = float(text)
+        except ValueError:
+            raise refusal from None
     if not value.is_integer() or abs(value) > 2**53:
-        raise ValueError(f"not an integer: {text.strip()!r}")
+        raise refusal
     return int(value)
 
 
@@ -258,9 +262,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
+        key, equals, value = stripped.partition("=")
+        if not equals or not key.strip():
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = stripped.partition("=")
         raw[key.strip()] = value.split("#", 1)[0].strip()
     return raw
 
@@ -296,9 +300,9 @@ def load_config(
             raise ConfigError(f"config file not found: {path}")
         raw.update(parse_config_text(path.read_text(), source=str(path)))
     for item in overrides or []:
-        if "=" not in item:
+        key, equals, value = item.partition("=")
+        if not equals or not key.strip():
             raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
 
     values = {}

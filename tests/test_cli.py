@@ -44,6 +44,21 @@ def never_run(*args):
     raise AssertionError("a scan task was started")
 
 
+def assert_same_outputs(reference, *others):
+    """Each of ``others`` holds exactly the files of ``reference``, with the
+    same names and the same bytes."""
+    names = sorted(path.name for path in reference.iterdir())
+    for other in others:
+        assert sorted(path.name for path in other.iterdir()) == names, f"{other} holds other files"
+        for name in names:
+            assert (other / name).read_bytes() == (reference / name).read_bytes(), other / name
+
+
+def sets(*settings):
+    """``--set`` options, one a setting."""
+    return [arg for setting in settings for arg in ("--set", setting)]
+
+
 class TestModes:
     def test_three_reports_with_expected_frequencies(self, tmp_path, capsys):
         # The Larmor frequency follows the configured field: 1.4 MHz at 0.5 G.
@@ -61,10 +76,7 @@ class TestModes:
         first, again = tmp_path / "first", tmp_path / "again"
         assert main(["modes", "--set", "b_gauss=0.7", "--out", str(first)]) == 0
         assert main(["modes", "--config", str(first / "run_manifest.cfg"), "--out", str(again)]) == 0
-        names = sorted(path.name for path in first.iterdir())
-        assert names == sorted(path.name for path in again.iterdir())
-        for name in names:
-            assert (first / name).read_bytes() == (again / name).read_bytes()
+        assert_same_outputs(first, again)
 
     def test_zero_field_reported_before_writing(self, tmp_path, capsys):
         rc = main(["modes", "--set", "b_gauss=0", "--out", str(tmp_path / "out")])
@@ -111,8 +123,7 @@ class TestScan:
                      "--set", "scan_stop=7.5", "--set", "scan_step=7.5"]) == 0
         assert main(["scan", "--config", str(first / "run_manifest.cfg"),
                      "--out", str(again)]) == 0
-        for name in ("rnd_000.csv", "end_001.csv", "scan_manifest.csv"):
-            assert (first / name).read_bytes() == (again / name).read_bytes()
+        assert_same_outputs(first, again)
 
 
 class TestSimulate:
@@ -131,8 +142,7 @@ class TestSimulate:
         args = ["simulate", *TINY, "--set", "n_trajectories=3"]
         for threads in ("1", "2"):
             assert main(args + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
-        for name in ("timeseries.csv", "spectrum_rnd.csv", "spectrum_end.csv", "run_manifest.cfg"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert_same_outputs(tmp_path / "1", tmp_path / "2")
 
     def test_pool_forks_under_a_forkserver_default(self, tmp_path):
         # The series buffer reaches the workers by fork; a process whose
@@ -153,10 +163,7 @@ class TestSimulate:
             timeout=120.0,
         )
         assert proc.returncode == 0, proc.stderr
-        names = sorted(p.name for p in (tmp_path / "1").iterdir())
-        assert sorted(p.name for p in (tmp_path / "2").iterdir()) == names
-        for name in names:
-            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        assert_same_outputs(tmp_path / "1", tmp_path / "2")
         if shm.is_dir():
             assert set(shm.iterdir()) <= before
 
@@ -224,6 +231,126 @@ class TestThreadsOption:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert "--threads" in capsys.readouterr().out
+
+
+# Settings shared by rows of the worker-count table: three trajectories of
+# 4096 steps; three angles; and 5000 steps, burn-in 37 and stride 3, which put
+# the 16-step sub-block and 256-step chunk edges off the record.
+SMALL = sets("n_trajectories=3", "n_steps=4096")
+THETA = sets("scan_start=0", "scan_stop=15", "scan_step=7.5")
+OFF_GRID = sets("n_trajectories=3", "n_steps=5000", "burn_in_steps=37", "record_stride=3")
+VIDEO = SMALL + sets("vbw_hz=1e4", "absolute_units=true")
+
+
+class TestWorkerCounts:
+    # (command, args, worker counts, a file that carries the video filter's
+    # and the shot floor's metadata) per row.  Each count is a worker
+    # process: the usable CPUs are patched to 3, so none is capped.
+    ROWS = [
+        # At rbw_hz=2e4 a Welch segment of 1350 samples begins in the
+        # accumulator's buffer and ends in a later 256-row push.
+        pytest.param("simulate", SMALL + sets("rbw_hz=2e4"), (1, 2), None, id="rbw_sim"),
+        pytest.param(
+            "simulate", SMALL + sets("rbw_hz=2e4", "detection_mode=rnd"), (1, 2), None,
+            id="rbw_rnd_sim",
+        ),
+        # At rbw_hz=1e6 one push completes about 18 segments of 27 samples.
+        pytest.param(
+            "scan", THETA + SMALL + sets("rbw_hz=1e6"), (1, 2, 3), None, id="short_seg_scan"
+        ),
+        # Four 4096-row blocks of the series, which the workers format.
+        pytest.param(
+            "simulate", sets("n_trajectories=3", "n_steps=16384"), (1, 2, 3), None, id="blocks_sim"
+        ),
+        # With one detection mode each point reads out one column of its
+        # readout matrix, and a scan pushes a view of one column of the record.
+        pytest.param("simulate", SMALL + sets("detection_mode=end"), (1, 2), None, id="end_sim"),
+        pytest.param(
+            "scan", THETA + SMALL + sets("detection_mode=rnd"), (1, 2, 3), None, id="rnd_scan"
+        ),
+        pytest.param(
+            "scan", THETA + SMALL + sets("detection_mode=end"), (1, 2, 3), None, id="end_scan"
+        ),
+        # Three workers run groups of one trajectory.
+        pytest.param("simulate", OFF_GRID, (1, 2, 3), None, id="grid_sim"),
+        pytest.param("scan", THETA + OFF_GRID, (1, 2, 3), None, id="grid_scan"),
+        # A task is one engine call of at most 64 trajectories: 7 points of
+        # 24 and one point of 150 are cut into tasks that change with the
+        # worker count.
+        pytest.param(
+            "scan",
+            sets("scan_start=0", "scan_stop=45", "scan_step=7.5", "n_trajectories=24",
+                 "n_steps=2048"),
+            (1, 2, 3), None, id="calls_scan",
+        ),
+        pytest.param(
+            "simulate", sets("n_trajectories=150", "n_steps=1024"), (1, 2, 3), None, id="calls_sim"
+        ),
+        # 70 trajectories a point are wider than one call: ranges of 35 on
+        # one and two workers, and both points in ranges of 24 or 23 on three.
+        pytest.param(
+            "scan",
+            sets("scan_start=0", "scan_stop=7.5", "scan_step=7.5", "n_trajectories=70",
+                 "n_steps=1024"),
+            (1, 2, 3), None, id="wide_scan",
+        ),
+        # The benchmark's scan shape: 13 angles of 16 trajectories at the
+        # far point.
+        pytest.param(
+            "scan",
+            ["--preset", "fig3_end"] + sets(
+                "scan_start=0", "scan_stop=90", "scan_step=7.5", "n_trajectories=16",
+                "n_steps=2048", "detection_mode=both",
+            ),
+            (1, 2, 3), None, id="bench_scan",
+        ),
+        # On the field (0..1 G, below aliasing) and detuning axes a call's
+        # points differ in drift.
+        pytest.param(
+            "scan",
+            SMALL + sets("scan_axis=b_field", "scan_start=0", "scan_stop=1", "scan_step=0.25"),
+            (1, 2, 3), None, id="field_scan",
+        ),
+        pytest.param(
+            "scan",
+            SMALL + sets("scan_axis=detuning", "scan_start=0.3e9", "scan_stop=1.5e9",
+                         "scan_step=0.6e9"),
+            (1, 2, 3), None, id="detuning_scan",
+        ),
+        # The video filter and shot floor act on each point's averaged PSDs.
+        pytest.param("simulate", VIDEO, (1, 2, 3), "spectrum_rnd.csv", id="vbw_sim"),
+        pytest.param("scan", THETA + VIDEO, (1, 2, 3), "end_002.csv", id="vbw_scan"),
+    ]
+
+    @pytest.mark.parametrize("command, args, workers, filtered", ROWS)
+    def test_outputs_do_not_depend_on_workers(
+        self, tmp_path, monkeypatch, command, args, workers, filtered
+    ):
+        pools = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+        monkeypatch.setattr(scan, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", Recording)
+        for n in workers:
+            pools.clear()
+            out = tmp_path / str(n)
+            assert main([command, *args, "--threads", str(n), "--out", str(out)]) == 0
+            assert pools == ([n] if n > 1 else [])
+        assert_same_outputs(*(tmp_path / str(n) for n in workers))
+        if filtered:
+            lines = (tmp_path / "1" / filtered).read_text().splitlines()
+            assert "# vbw_hz=10000.0" in lines and "# shot_floor_added=true" in lines
+
+    def test_comparison_fails_on_two_seeds(self, tmp_path):
+        for seed in ("1", "2"):
+            args = ["simulate", *SMALL, "--seed", seed, "--threads", "1"]
+            assert main(args + ["--out", str(tmp_path / seed)]) == 0
+        with pytest.raises(AssertionError):
+            assert_same_outputs(tmp_path / "1", tmp_path / "2")
 
 
 class TestAbsorption:
@@ -338,6 +465,7 @@ class TestErrors:
         ("absolute_units=maybe", "invalid value for key 'absolute_units': not a boolean: 'maybe'"),
         ("detection_mode=all", "detection_mode must be one of ('rnd', 'end', 'both'), got 'all'"),
         ("rbw_hz", "override must look like key=value, got 'rbw_hz'"),
+        ("=5", "override must look like key=value, got '=5'"),
     ])
     def test_malformed_override_reported(self, tmp_path, capsys, override, message):
         rc = main(["modes", "--out", str(tmp_path / "out"), "--set", override])
@@ -346,12 +474,15 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     def test_config_line_without_a_value_reported_by_line(self, tmp_path, capsys):
+        # A line without "=", and one without a key.
         config = tmp_path / "run.cfg"
-        config.write_text("# a comment\nb_gauss=0.5\nrbw_hz\n")
-        rc = main(["modes", "--config", str(config), "--out", str(tmp_path / "out")])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: {config}:3: expected key=value, got 'rbw_hz'\n"
-        assert not (tmp_path / "out").exists()
+        for line in ("rbw_hz", "=5"):
+            config.write_text(f"# a comment\nb_gauss=0.5\n{line}\n")
+            rc = main(["modes", "--config", str(config), "--out", str(tmp_path / "out")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {config}:3: expected key=value, got {line!r}\n"
+            assert not (tmp_path / "out").exists()
 
     def test_bad_value_reported(self, tmp_path, capsys):
         rc = main(["scan", "--out", str(tmp_path), "--set", "delta_hz=blue"])
@@ -371,8 +502,7 @@ class TestErrors:
         "settings", [["scan_step=1e-300"], ["scan_start=-1e308", "scan_stop=1e308"]]
     )
     def test_overflowing_scan_grid_reported(self, tmp_path, capsys, command, settings):
-        overrides = [arg for setting in settings for arg in ("--set", setting)]
-        rc = main([command, "--out", str(tmp_path / "out"), *overrides])
+        rc = main([command, "--out", str(tmp_path / "out"), *sets(*settings)])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "scan_step" in err[0]

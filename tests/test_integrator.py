@@ -811,6 +811,21 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match=r"^steady state is not unique \(rank 15 < 16\)$"):
             steady_state(params(gamma_r_hz=0.0))
 
+    def test_residual_above_the_bound_is_refused(self, monkeypatch):
+        # A full-rank solution moved off the stationary state by 1e-6 in
+        # every real coordinate.
+        solve = integrator._solve_steady
+
+        def perturbed(p):
+            solution, rank = solve(p)
+            return solution + 1e-6, rank
+
+        monkeypatch.setattr(integrator, "_solve_steady", perturbed)
+        with pytest.raises(
+            SteadyStateError, match=r"^steady-state residual \d\.\d{3}e-0\d exceeds 1e-10$"
+        ):
+            steady_state(params(b_gauss=1.0, rabi_hz=40e6, theta_deg=30.0, delta_hz=1.5e9))
+
     def test_all_rates_zero_rejected(self):
         p = params(gamma0_hz=0.0, gamma_t_hz=0.0)
         with pytest.raises(SteadyStateError):

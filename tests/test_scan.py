@@ -1,7 +1,9 @@
 import functools
 import logging
 import multiprocessing
+import os
 import pickle
+import re
 import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import fields, replace
@@ -140,9 +142,16 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key", ["n_steps", "record_stride", "n_trajectories", "master_seed", "burn_in_steps"]
     )
-    @pytest.mark.parametrize("text", ["2.7", "1.9", "1e-3", "inf", "nan", "seven", "1e20"])
+    @pytest.mark.parametrize(
+        "text", ["2.7", "1.9", "1e-3", "inf", "nan", "seven", "1e20", "0x10", ""]
+    )
     def test_integer_key_rejects_non_integers(self, key, text):
-        with pytest.raises(ConfigError, match=key):
+        if key == "burn_in_steps" and text == "":
+            # A blank burn-in is the derived one.
+            assert load_config(overrides=[f"{key}="]).burn_in_steps is None
+            return
+        message = f"invalid value for key '{key}': not an integer: '{text}'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(overrides=[f"{key}={text}"])
 
     def test_integer_keys_accept_integral_float_notation(self):
@@ -695,6 +704,15 @@ class TestScanTasks:
             for mode in ("rnd", "end"):
                 assert np.array_equal(pc.spectra[mode].psd, ps.spectra[mode].psd)
                 assert np.array_equal(pi.spectra[mode].psd, ps.spectra[mode].psd)
+
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        # Where os has no sched_getaffinity, the CPU count is taken, and one
+        # CPU when that is unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert scan._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert scan._usable_cpus() == 1
 
     def test_written_scan_does_not_depend_on_workers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scan, "_usable_cpus", lambda: 3)
